@@ -27,7 +27,7 @@ from .harness import (
     observed_order,
     operator_consistency_study,
 )
-from .interp import PowerInterpolant, from_grid, power_interp_eval, project
+from .interp import PowerInterpolant, from_grid, project
 from .operators import (
     GridFunction,
     OperatorMatrix,

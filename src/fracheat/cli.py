@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
 from .evolution import (
-    CustomIC,
     EigenfunctionIC,
     EvolutionConfig,
     GaussianIC,
@@ -30,76 +28,64 @@ from .weights import Scheme, grunwald_weights, new_weights
 
 COMMANDS = ("weights", "eigen", "solve", "converge", "compare")
 
-_CONFIG_KEYS = (
-    "alpha",
-    "n",
-    "n_list",
-    "dt",
-    "t_final",
-    "scheme",
-    "ic",
-    "mu",
-    "sigma2",
-    "power_a",
-    "power_b",
-    "n_reference",
-    "out",
-    "format",
-)
+
+# argparse names the type function in its error message: "invalid int_list value"
+def finite_float(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in text.split(",") if s.strip())
+
+
+def _option(default, type, choices=None, help=None):
+    return field(default=default, metadata={"type": type, "choices": choices, "help": help})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
-    alpha: float = 1.5
-    n: Optional[int] = None
-    n_list: tuple[int, ...] = ()
-    dt: Optional[float] = None
-    t_final: float = 0.01
-    scheme: Scheme = Scheme.NEW
-    ic: str = "gaussian"
-    mu: float = 0.4
-    sigma2: float = 0.0005
-    power_a: float = 1.0
-    power_b: float = 0.0
-    n_reference: Optional[int] = None
-    out: Optional[str] = None
-    format: str = "csv"
+    """A parsed run; every later field is an option, e.g. ``t_final`` is both the
+    flag ``--t-final`` and the config-file key. The library checks the domains.
+    """
 
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        if not 1.0 < self.alpha <= 2.0:
-            raise DomainError(f"alpha must be in (1, 2], got {self.alpha}")
-        if self.format not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.format!r}")
-        if self.ic not in ("gaussian", "eigen", "power"):
-            raise DomainError(f"ic must be gaussian, eigen or power, got {self.ic!r}")
+    command: str
+    alpha: float = _option(1.5, finite_float)
+    n: Optional[int] = _option(None, int)
+    n_list: tuple[int, ...] = _option((), int_list, help="comma-separated grid sizes")
+    dt: Optional[float] = _option(None, finite_float)
+    t_final: float = _option(0.01, finite_float)
+    scheme: Scheme = _option(Scheme.NEW, Scheme, choices=[s.value for s in Scheme])
+    ic: str = _option("gaussian", str, choices=["gaussian", "eigen", "power"])
+    mu: float = _option(0.4, finite_float)
+    sigma2: float = _option(0.0005, finite_float)
+    power_a: float = _option(1.0, finite_float)
+    power_b: float = _option(0.0, finite_float)
+    n_reference: Optional[int] = _option(None, int)
+    out: Optional[str] = _option(None, str)
+    format: str = _option("csv", str, choices=["csv", "json"])
+
+
+_OPTIONS = {f.name: f for f in fields(RunConfig) if f.name != "command"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fracheat", description=__doc__)
     p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-list", dest="n_list", help="comma-separated grid sizes")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--scheme", choices=[s.value for s in Scheme])
-    p.add_argument("--ic", choices=["gaussian", "eigen", "power"])
-    p.add_argument("--mu", type=float)
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--power-a", dest="power_a", type=float)
-    p.add_argument("--power-b", dest="power_b", type=float)
-    p.add_argument("--n-reference", dest="n_reference", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
+    p.add_argument("--config", help="key = value config file; flags override it")
+    for name, f in _OPTIONS.items():
+        p.add_argument(_flag(name), dest=name, default=f.default, **f.metadata)
     return p
 
 
-def _read_config_file(path: str) -> dict:
-    out: dict = {}
+def _read_config_file(path: str) -> list[str]:
+    """The file's ``key = value`` lines as ``--key=value`` argv tokens."""
+    tokens = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -108,101 +94,42 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _OPTIONS:
                 raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value
-    return out
-
-
-def _parse_n_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
-    except ValueError as exc:
-        raise DomainError(f"malformed n-list {text!r}") from exc
-
-
-_CASTS = {
-    "alpha": float,
-    "n": int,
-    "dt": float,
-    "t_final": float,
-    "mu": float,
-    "sigma2": float,
-    "power_a": float,
-    "power_b": float,
-    "n_reference": int,
-}
+            tokens.append(f"{_flag(key)}={value}")
+    return tokens
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
-    """Parse argv (and an optional config file) into a validated RunConfig."""
-    ns = _build_parser().parse_args(argv)
-    merged: dict = {}
+    """Parse argv into a RunConfig. Config-file entries become flags placed before
+    argv, so one parser checks both and a command-line flag overrides a file entry."""
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
     if ns.config:
-        for key, text in _read_config_file(ns.config).items():
-            if key == "n_list":
-                merged[key] = _parse_n_list(text)
-            elif key == "scheme":
-                merged[key] = Scheme(text)
-            elif key in _CASTS:
-                try:
-                    merged[key] = _CASTS[key](text)
-                except ValueError as exc:
-                    raise DomainError(f"malformed value for {key}: {text!r}") from exc
-            else:
-                merged[key] = text
-    for key in _CONFIG_KEYS:
-        val = getattr(ns, key, None)
-        if val is not None:
-            if key == "n_list":
-                merged[key] = _parse_n_list(val)
-            elif key == "scheme":
-                merged[key] = Scheme(val)
-            else:
-                merged[key] = val
-    return RunConfig(command=ns.command, **merged)
+        ns = parser.parse_args(_read_config_file(ns.config) + list(argv))
+    del ns.config
+    return RunConfig(**vars(ns))
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return value.value if isinstance(value, Scheme) else str(value)
 
 
 def render_config(cfg: RunConfig) -> list[str]:
     """Inverse of parse_config: an argv list that reproduces cfg."""
-    argv = [cfg.command]
-    argv += ["--alpha", repr(cfg.alpha)]
-    if cfg.n is not None:
-        argv += ["--n", str(cfg.n)]
-    if cfg.n_list:
-        argv += ["--n-list", ",".join(str(n) for n in cfg.n_list)]
-    if cfg.dt is not None:
-        argv += ["--dt", repr(cfg.dt)]
-    argv += ["--t-final", repr(cfg.t_final)]
-    argv += ["--scheme", cfg.scheme.value]
-    argv += ["--ic", cfg.ic]
-    argv += ["--mu", repr(cfg.mu)]
-    argv += ["--sigma2", repr(cfg.sigma2)]
-    argv += ["--power-a", repr(cfg.power_a)]
-    argv += ["--power-b", repr(cfg.power_b)]
-    if cfg.n_reference is not None:
-        argv += ["--n-reference", str(cfg.n_reference)]
-    if cfg.out is not None:
-        argv += ["--out", cfg.out]
-    argv += ["--format", cfg.format]
-    return argv
+    values = {name: getattr(cfg, name) for name in _OPTIONS}
+    set_values = ((k, v) for k, v in values.items() if v not in (None, ()))
+    return [cfg.command] + [f"{_flag(k)}={_text(v)}" for k, v in set_values]
 
 
 # ---------------------------------------------------------------------------
 # command bodies
 
 def _echo(cfg: RunConfig) -> str:
-    keep = {
-        "command": cfg.command,
-        "alpha": cfg.alpha,
-        "n": cfg.n,
-        "n_list": list(cfg.n_list),
-        "dt": cfg.dt,
-        "t_final": cfg.t_final,
-        "scheme": cfg.scheme.value,
-        "ic": cfg.ic,
-    }
-    return json.dumps(keep, sort_keys=True)
+    keys = ("command", "alpha", "n", "n_list", "dt", "t_final", "scheme", "ic")
+    return json.dumps({k: getattr(cfg, k) for k in keys}, sort_keys=True)
 
 
 def _run_weights(cfg: RunConfig) -> str:
@@ -275,15 +202,11 @@ def _run_solve(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _default_n_reference(n_list: tuple[int, ...]) -> int:
-    # nested fine grid: coarse nodes are shared exactly
-    return 8 * (max(n_list) + 1) - 1
-
-
 def _run_study(cfg: RunConfig) -> str:
     n_list = cfg.n_list or (50, 100, 200, 400)
     if cfg.command == "compare" or cfg.ic == "gaussian":
-        n_ref = cfg.n_reference or _default_n_reference(n_list)
+        # default: a nested fine grid, so the coarse nodes are shared exactly
+        n_ref = cfg.n_reference or 8 * (max(n_list) + 1) - 1
         report = figure1_comparison(
             sigma2=cfg.sigma2,
             mu=cfg.mu,
@@ -293,9 +216,7 @@ def _run_study(cfg: RunConfig) -> str:
             n_reference=n_ref,
         )
     elif cfg.ic == "eigen":
-        report = eigen_decay_study(
-            cfg.alpha, n_list, cfg.t_final, scheme=cfg.scheme
-        )
+        report = eigen_decay_study(cfg.alpha, n_list, cfg.t_final, scheme=cfg.scheme)
     else:
         report = operator_consistency_study(cfg.alpha, n_list)
     return report.to_json() if cfg.format == "json" else report.to_csv()
@@ -321,8 +242,7 @@ def run(cfg: RunConfig) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = parse_config(argv)
-        return run(cfg)
+        return run(parse_config(argv))
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
     except DomainError as exc:

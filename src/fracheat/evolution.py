@@ -18,7 +18,7 @@ from scipy.linalg import solve_banded, solve_triangular
 
 from .errors import DomainError, NumericalError
 from .operators import GridFunction, OperatorMatrix, build_operator
-from .weights import Scheme
+from .weights import Scheme, check_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +61,13 @@ class EvolutionConfig:
     ic: InitialCondition = GaussianIC()
 
     def __post_init__(self):
+        check_alpha(self.alpha)
         if self.n < 3:
             raise DomainError(f"n must be >= 3, got {self.n}")
-        if self.t_final < 0.0:
-            raise DomainError(f"t_final must be >= 0, got {self.t_final}")
-        if self.dt is not None and self.dt <= 0.0:
-            raise DomainError(f"dt must be > 0, got {self.dt}")
+        if not 0.0 <= self.t_final < math.inf:
+            raise DomainError(f"t_final must be finite and >= 0, got {self.t_final}")
+        if self.dt is not None and not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         if self.dt is not None and self.t_final > 0.0 and self.dt > self.t_final:
             raise DomainError("dt must not exceed t_final")
 
@@ -151,6 +152,17 @@ def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunc
 # ---------------------------------------------------------------------------
 # full trajectories
 
+def step_count(t_final: float, dt: float) -> int:
+    """Backward-Euler steps to reach t_final > 0: ceil(t_final/dt), at least 1.
+
+    Callers shrink the step to t_final/step_count so it lands on t_final.
+    """
+    ratio = t_final / dt if dt > 0.0 else math.inf
+    if not ratio < math.inf:
+        raise DomainError(f"step count t_final/dt = {t_final!r}/{dt!r} is not finite")
+    return max(1, math.ceil(ratio - 1e-12))
+
+
 @dataclass(frozen=True)
 class Trajectory:
     config: EvolutionConfig
@@ -197,8 +209,7 @@ def evolve(cfg: EvolutionConfig, keep_states: bool = True) -> Trajectory:
     if cfg.t_final == 0.0:
         z = np.array([0.0])
         return Trajectory(cfg, z, [u], np.array([u.sup_norm()]), np.array([u.l1_norm()]))
-    dt0 = cfg.effective_dt()
-    steps = max(1, math.ceil(cfg.t_final / dt0 - 1e-12))
+    steps = step_count(cfg.t_final, cfg.effective_dt())
     dt = cfg.t_final / steps
     op = build_operator(cfg.alpha, cfg.n, cfg.scheme)
     f = factorize(op, dt)

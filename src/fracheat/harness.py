@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .evolution import CustomIC, EvolutionConfig, evolve
+from .evolution import CustomIC, EvolutionConfig, evolve, step_count
 from .interp import from_grid
 from .operators import GridFunction, apply, build_operator
 from .reference import (
@@ -25,7 +25,7 @@ from .reference import (
     principal_eigenvalue,
 )
 from .specfun import gamma
-from .weights import Scheme
+from .weights import Scheme, check_alpha
 
 CSV_HEADER = "scheme,alpha,n,h,dt,norm,error,observed_order"
 
@@ -106,15 +106,34 @@ def observed_order(chain: Sequence[tuple[float, float]]) -> float:
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 
-def _pair_order(prev: Optional[ErrorRow], h: float, err: float) -> Optional[float]:
-    if prev is None or prev.error <= 0.0 or err <= 0.0:
-        return None
-    return math.log(prev.error / err) / math.log(prev.h / h)
+def _grid_sizes(n_list: Sequence[int]) -> list[int]:
+    """n_list sorted ascending; every size must be >= 3 before h = 1/(n+1) is formed."""
+    sizes = sorted(n_list)
+    if not sizes or sizes[0] < 3:
+        raise DomainError(f"n_list needs one or more sizes, all >= 3, got {list(n_list)}")
+    return sizes
 
 
-def _snapped_dt(t_final: float, dt0: float) -> float:
-    steps = max(1, math.ceil(t_final / dt0 - 1e-12))
-    return t_final / steps
+def _chain(
+    scheme: Scheme,
+    alpha: float,
+    sizes: Sequence[int],
+    run: Callable[[int, float], tuple[float, float]],
+) -> list[ErrorRow]:
+    """Rows of one refinement chain; run(n, h) returns (dt, sup error).
+
+    Each row's observed order is the log-ratio against the previous row.
+    """
+    rows: list[ErrorRow] = []
+    for n in sizes:
+        h = 1.0 / (n + 1)
+        dt, err = run(n, h)
+        prev = rows[-1] if rows else None
+        order = None
+        if prev is not None and not (prev.error <= 0.0 or err <= 0.0):
+            order = math.log(prev.error / err) / math.log(prev.h / h)
+        rows.append(ErrorRow(scheme.value, alpha, n, h, dt, "sup", err, order))
+    return rows
 
 
 def eigen_decay_study(
@@ -129,10 +148,11 @@ def eigen_decay_study(
     dt = h^(alpha+0.5) by default: the extra half order keeps the O(dt) Euler
     error below the O(h^alpha) spatial target across the chain.
     """
+    sizes = _grid_sizes(n_list)
     if dt_exponent is None:
         dt_exponent = alpha + 0.5
     pair = principal_eigenvalue(alpha)
-    if t_final <= max(1.0 / (n + 1) for n in n_list) ** alpha:
+    if t_final <= (1.0 / (sizes[0] + 1)) ** alpha:
         raise DomainError("t_final must exceed the coarsest h^alpha")
     report = ErrorReport(
         meta={
@@ -145,29 +165,18 @@ def eigen_decay_study(
         }
     )
     decay = math.exp(pair.c * t_final)
-    prev = None
-    for n in sorted(n_list):
-        h = 1.0 / (n + 1)
-        dt = _snapped_dt(t_final, h**dt_exponent)
+
+    def run(n: int, h: float) -> tuple[float, float]:
+        dt = t_final / step_count(t_final, h**dt_exponent)
         x = np.arange(1, n + 1) * h
         u0 = np.array([eigenfunction_u_c(alpha, pair.c, xi) for xi in x])
         cfg = EvolutionConfig(
             alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=dt, ic=CustomIC(u0)
         )
         final = evolve(cfg, keep_states=False).final
-        err = float(np.abs(final.values - decay * u0).max())
-        row = ErrorRow(
-            scheme=scheme.value,
-            alpha=alpha,
-            n=n,
-            h=h,
-            dt=dt,
-            norm="sup",
-            error=err,
-            observed_order=_pair_order(prev, h, err),
-        )
-        report.rows.append(row)
-        prev = row
+        return dt, float(np.abs(final.values - decay * u0).max())
+
+    report.rows.extend(_chain(scheme, alpha, sizes, run))
     return report
 
 
@@ -188,10 +197,10 @@ def figure1_comparison(
     power interpolation otherwise. Errors are relative sup norm (divided by
     the reference sup norm).
     """
-    n_list = sorted(n_list)
+    n_list = _grid_sizes(n_list)
     if n_reference < 8 * n_list[-1]:
         raise DomainError("n_reference must be at least 8 * max(n_list)")
-    dt = _snapped_dt(t_final, (1.0 / (n_list[-1] + 1)) ** (alpha + 0.5))
+    dt = t_final / step_count(t_final, (1.0 / (n_list[-1] + 1)) ** (alpha + 0.5))
 
     def run(scheme: Scheme, n: int) -> GridFunction:
         cfg = EvolutionConfig(
@@ -219,23 +228,10 @@ def figure1_comparison(
         }
     )
     for scheme in (Scheme.NEW, Scheme.GRUNWALD):
-        prev = None
-        for n in n_list:
-            h = 1.0 / (n + 1)
-            u = run(scheme, n)
-            err = error_norms(u, ref)["sup"] / ref_sup
-            row = ErrorRow(
-                scheme=scheme.value,
-                alpha=alpha,
-                n=n,
-                h=h,
-                dt=dt,
-                norm="sup",
-                error=err,
-                observed_order=_pair_order(prev, h, err),
-            )
-            report.rows.append(row)
-            prev = row
+        def rel_error(n: int, h: float) -> tuple[float, float]:
+            return dt, error_norms(run(scheme, n), ref)["sup"] / ref_sup
+
+        report.rows.extend(_chain(scheme, alpha, n_list, rel_error))
     return report
 
 
@@ -245,29 +241,20 @@ def operator_consistency_study(alpha: float, n_list: Sequence[int]) -> ErrorRepo
     The fractional derivative of x^(2alpha-1) is Gamma(2alpha)/Gamma(alpha)
     * x^(alpha-1); the error is measured at the interior node nearest 0.5.
     """
+    sizes = _grid_sizes(n_list)
+    check_alpha(alpha)
     factor = gamma(2.0 * alpha) / gamma(alpha)
     report = ErrorReport(
         meta={"study": "operator_consistency", "alpha": alpha, "norm": "pointwise@0.5"}
     )
-    prev = None
-    for n in sorted(n_list):
-        h = 1.0 / (n + 1)
+
+    def run(n: int, h: float) -> tuple[float, float]:
         op = build_operator(alpha, n, Scheme.NEW)
         x = np.arange(1, n + 1) * h
         u = GridFunction(alpha=alpha, n=n, values=x ** (2.0 * alpha - 1.0))
         v = apply(op, u).values
         i = int(np.argmin(np.abs(x - 0.5)))
-        err = float(abs(v[i] - factor * x[i] ** (alpha - 1.0)))
-        row = ErrorRow(
-            scheme=Scheme.NEW.value,
-            alpha=alpha,
-            n=n,
-            h=h,
-            dt=0.0,
-            norm="sup",
-            error=err,
-            observed_order=_pair_order(prev, h, err),
-        )
-        report.rows.append(row)
-        prev = row
+        return 0.0, float(abs(v[i] - factor * x[i] ** (alpha - 1.0)))
+
+    report.rows.extend(_chain(Scheme.NEW, alpha, sizes, run))
     return report

@@ -70,10 +70,6 @@ def from_grid(values: np.ndarray, alpha: float, right_value: float = 0.0) -> Pow
     return PowerInterpolant(alpha=alpha, n=len(values), y=y)
 
 
-def power_interp_eval(p: PowerInterpolant, x: float) -> float:
-    return p(x)
-
-
 def project(
     f: Callable[[float], float], alpha: float, n: int, dirichlet: bool = True
 ) -> PowerInterpolant:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError
-from .specfun import gamma, mittag_leffler_e_alpha0
+from .specfun import gamma, mittag_leffler_e_alpha0, mittag_leffler_series
 
 
 @dataclass(frozen=True)
@@ -23,22 +23,6 @@ class EigenPair:
     alpha: float
     c: float  # principal eigenvalue, largest negative root of E_{alpha,0}
     series_terms: int
-
-
-def _ml_terms_used(alpha: float, z: float) -> int:
-    # mirror of the series truncation rule, counting terms
-    if z == 0.0:
-        return 0
-    log_az = math.log(abs(z))
-    total = 0.0
-    for n in range(1, 301):
-        term = math.exp(n * log_az - math.lgamma(n * alpha))
-        if z < 0.0 and n % 2 == 1:
-            term = -term
-        total += term
-        if abs(term) <= 1e-16 * abs(total):
-            return n
-    return 300
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +76,7 @@ def principal_eigenvalue(alpha: float) -> EigenPair:
         raise NumericalError(
             f"eigenvalue polish stalled at |E|={abs(f(c)):.3e} for alpha={alpha}"
         )
-    return EigenPair(alpha=alpha, c=c, series_terms=_ml_terms_used(alpha, c))
+    return EigenPair(alpha=alpha, c=c, series_terms=mittag_leffler_series(alpha, c)[1])
 
 
 def eigenfunction_u_c(alpha: float, c: float, x: float) -> float:

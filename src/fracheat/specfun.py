@@ -60,12 +60,17 @@ def mittag_leffler_e_alpha0(alpha: float, z: float, max_terms: int = 300) -> flo
     deliberately not implemented. Kahan summation limits cancellation for
     negative z.
     """
+    return mittag_leffler_series(alpha, z, max_terms)[0]
+
+
+def mittag_leffler_series(alpha: float, z: float, max_terms: int = 300) -> tuple[float, int]:
+    """E_{alpha,0}(z) as in ``mittag_leffler_e_alpha0``, and the number of terms summed."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"mittag_leffler requires alpha in (1, 2], got {alpha}")
     if abs(z) > 100.0:
         raise DomainError(f"|z| = {abs(z)} outside the accuracy domain |z| <= 100")
     if z == 0.0:
-        return 0.0
+        return 0.0, 0
     log_az = math.log(abs(z))
     total = 0.0
     comp = 0.0  # Kahan compensation
@@ -79,7 +84,7 @@ def mittag_leffler_e_alpha0(alpha: float, z: float, max_terms: int = 300) -> flo
         total = t
         if abs(term) <= 1e-16 * abs(total):
             break
-    return total
+    return total, n
 
 
 def polylog(s: float, t: float, max_terms: int = 10**6) -> float:

@@ -21,7 +21,7 @@ class Scheme(str, Enum):
     GRUNWALD = "grunwald"
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"alpha must be in (1, 2], got {alpha}")
 
@@ -33,7 +33,7 @@ class WeightSequence:
     w: np.ndarray = field(repr=False)  # indices 0..N
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        check_alpha(self.alpha)
         self.w.setflags(write=False)
 
     def __len__(self) -> int:
@@ -59,7 +59,7 @@ def new_weights(alpha: float, n: int) -> WeightSequence:
     plain double accumulation leaves noise above the smallest weights for
     n in the thousands (flipping their sign near alpha = 2).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if n < 2:
         raise DomainError(f"new_weights needs n >= 2, got {n}")
     # p[j] = (j+1)^(alpha-1)
@@ -73,7 +73,7 @@ def new_weights(alpha: float, n: int) -> WeightSequence:
 
 def grunwald_weights(alpha: float, n: int) -> WeightSequence:
     """Shifted-Grunwald weights w_k = (-1)^k binom(alpha, k)."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if n < 2:
         raise DomainError(f"grunwald_weights needs n >= 2, got {n}")
     w = np.empty(n + 1)

@@ -1,11 +1,15 @@
 import json
+import random
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 from fracheat import Scheme
 from fracheat.cli import RunConfig, main, parse_config, render_config
+
+OPTION_NAMES = [f.name for f in fields(RunConfig) if f.name != "command"]
 
 
 def run_main(argv, capsys):
@@ -81,6 +85,122 @@ class TestParsing:
             format=rng.choice(["csv", "json"]),
         )
         assert parse_config(render_config(cfg)) == cfg
+
+
+# One value per option, each different from the default.
+SAMPLE_VALUES = {
+    "alpha": "1.3",
+    "n": "40",
+    "n_list": "16,32",
+    "dt": "0.002",
+    "t_final": "0.05",
+    "scheme": "grunwald",
+    "ic": "power",
+    "mu": "0.6",
+    "sigma2": "0.001",
+    "power_a": "-0.5",
+    "power_b": "2.5",
+    "n_reference": "1023",
+    "out": "result.json",
+    "format": "json",
+}
+
+
+class TestOneConfigPath:
+    def test_every_option_has_a_sample(self):
+        assert set(SAMPLE_VALUES) == set(OPTION_NAMES)
+
+    @pytest.mark.parametrize("name", OPTION_NAMES)
+    def test_flag_and_config_file_agree(self, name, tmp_path):
+        value = SAMPLE_VALUES[name]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{name} = {value}\n")
+        flag = "--" + name.replace("_", "-")
+        from_flag = parse_config(["solve", flag, value])
+        assert from_flag == parse_config(["solve", "--config", str(path)])
+        assert getattr(from_flag, name) != getattr(parse_config(["solve"]), name)
+
+    def test_negative_exponent_value_round_trips(self):
+        cfg = RunConfig(command="solve", power_a=-1e-05, power_b=-2.5e-07)
+        assert parse_config(render_config(cfg)) == cfg
+
+
+# Non-finite times, overflowing step counts and sizes below 3 in an n-list
+# are usage errors, never tracebacks.
+USAGE_ERRORS = [
+    ["solve", "--t-final", "inf"],
+    ["solve", "--t-final", "nan"],
+    ["solve", "--dt", "nan"],
+    ["solve", "--t-final", "1e308", "--dt", "1e-308"],
+    ["compare", "--n-list", "10", "--t-final", "nan"],
+    ["compare", "--n-list", "10", "--t-final", "inf"],
+    ["converge", "--ic", "eigen", "--n-list", "16", "--t-final", "nan"],
+    ["converge", "--ic", "eigen", "--n-list", "16", "--t-final", "inf"],
+    ["converge", "--ic", "power", "--n-list", "-1"],
+    ["converge", "--ic", "eigen", "--n-list", "-1"],
+    ["compare", "--n-list", "-1"],
+]
+
+
+class TestUsageErrors:
+    def assert_usage_error(self, argv, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "fracheat: usage error" in err or "fracheat: error:" in err
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_argv(self, argv, capsys):
+        self.assert_usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("line", ["scheme = bogus", "t_final = nan", "n = 1.5"])
+    def test_config_file_value(self, line, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        self.assert_usage_error(["solve", "--config", str(path)], capsys)
+
+
+FUZZ_BAD = ["nan", "inf", "-inf", "-1", "0", "1e999", "", "x", "1,,x"]
+FUZZ_GOOD = {
+    "alpha": ["1.3", "1.7", "2.0"],
+    "n": ["3", "16", "64"],
+    "n_list": ["8,16", "4,8", "64"],
+    "dt": ["0.001", "0.005"],
+    "t_final": ["0", "0.005", "0.02"],
+    "scheme": ["new", "grunwald"],
+    "ic": ["gaussian", "eigen", "power"],
+    "mu": ["0.3", "0.5"],
+    "sigma2": ["0.001", "0.01"],
+    "power_a": ["-0.5", "2"],
+    "power_b": ["0", "-1e-3"],
+    "n_reference": ["200", "600"],
+    "format": ["csv", "json"],
+}
+FUZZ_CONFIG_LINES = ["alpha = 1.5", "n_list = 8, 16", "scheme = bogus", "bogus = 1",
+                     "n = abc", "alpha 1.5", "t_final = nan", "# comment only"]
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exit_code_in_contract(self, seed, tmp_path, capsys):
+        rng = random.Random(seed)
+        command = rng.choice(["weights", "eigen", "solve", "converge", "compare"])
+        # small defaults first, so every run stays cheap; later flags override them
+        argv = [command, "--n", "16", "--n-list", "8,16", "--t-final", "0.01"]
+        for name in rng.sample(sorted(FUZZ_GOOD) + ["out"], rng.randrange(1, 4)):
+            if name == "out":
+                value = str(tmp_path / rng.choice(["o.csv", "missing/o.csv"]))
+            elif rng.random() < 0.5:
+                value = rng.choice(FUZZ_BAD)
+            else:
+                value = rng.choice(FUZZ_GOOD[name])
+            argv.append(f"--{name.replace('_', '-')}={value}")
+        if rng.random() < 0.3:
+            path = tmp_path / "run.cfg"
+            path.write_text("\n".join(rng.sample(FUZZ_CONFIG_LINES, 2)) + "\n")
+            argv += ["--config", str(path)]
+        code, _, _ = run_main(argv, capsys)
+        assert code in {0, 2, 3, 4}, argv
 
 
 class TestExitCodes:

@@ -20,6 +20,7 @@ from fracheat import (
     step,
 )
 from fracheat.errors import NumericalError
+from fracheat.evolution import step_count
 
 
 def grid(alpha, n, values):
@@ -234,3 +235,36 @@ class TestEvolve:
             EvolutionConfig(alpha=1.5, n=10, t_final=0.01, dt=-0.1)
         with pytest.raises(DomainError):
             EvolutionConfig(alpha=1.5, n=10, t_final=0.01, dt=0.02)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(alpha=2.5),
+            dict(alpha=2.5, t_final=0.0),  # evolve returns before building the operator
+            dict(alpha=math.nan),
+            dict(t_final=math.inf),
+            dict(t_final=math.nan),
+            dict(dt=math.nan),
+            dict(dt=math.inf),
+        ],
+    )
+    def test_rejects_bad_alpha_and_non_finite_times(self, kw):
+        with pytest.raises(DomainError):
+            EvolutionConfig(**{**dict(alpha=1.5, n=10, t_final=0.01), **kw})
+
+
+class TestStepCount:
+    def test_ceiling_with_tolerance(self):
+        assert step_count(0.01, 0.003) == 4
+        assert step_count(0.01, 0.005) == 2
+        assert step_count(0.001, 0.005) == 1
+
+    @pytest.mark.parametrize("t_final,dt", [(1e308, 1e-308), (0.01, 0.0), (math.nan, 0.1)])
+    def test_rejects_non_finite_count(self, t_final, dt):
+        with pytest.raises(DomainError):
+            step_count(t_final, dt)
+
+    def test_overflowing_config_is_a_domain_error(self):
+        cfg = EvolutionConfig(alpha=1.5, n=10, t_final=1e308, dt=1e-308)
+        with pytest.raises(DomainError):
+            evolve(cfg)

@@ -165,3 +165,25 @@ class TestFigureComparison:
             figure1_comparison(
                 sigma2=0.0005, mu=0.4, alpha=1.4, t_final=0.05, n_list=[50], n_reference=100
             )
+
+
+class TestGridSizeGuard:
+    @pytest.mark.parametrize("n_list", [[-1], [0, 16], [2, 8], []])
+    @pytest.mark.parametrize(
+        "study",
+        [
+            lambda ns: eigen_decay_study(1.4, ns, t_final=0.05),
+            lambda ns: operator_consistency_study(1.4, ns),
+            lambda ns: figure1_comparison(
+                sigma2=0.0005, mu=0.4, alpha=1.4, t_final=0.05, n_list=ns, n_reference=-1
+            ),
+        ],
+        ids=["eigen_decay", "operator_consistency", "figure1"],
+    )
+    def test_rejects_sizes_below_three(self, study, n_list):
+        with pytest.raises(DomainError):
+            study(n_list)
+
+    def test_rejects_out_of_domain_alpha_before_gamma(self):
+        with pytest.raises(DomainError):
+            operator_consistency_study(1e300, [8, 16])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracheat import DomainError, from_grid, power_interp_eval, project
+from fracheat import DomainError, from_grid, project
 
 
 class TestNodeReproduction:
@@ -74,10 +74,6 @@ class TestValidation:
             PowerInterpolant(alpha=1.5, n=4, y=np.zeros(4))
         with pytest.raises(DomainError):
             PowerInterpolant(alpha=1.5, n=3, y=np.array([1.0, 0, 0, 0, 0]))
-
-    def test_eval_helper(self):
-        p = from_grid(np.ones(5), alpha=1.5)
-        assert power_interp_eval(p, 0.5) == p(0.5)
 
 
 class TestLargeCellStability:

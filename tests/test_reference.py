@@ -39,6 +39,10 @@ class TestPrincipalEigenvalue:
         assert abs(mittag_leffler_e_alpha0(alpha, pair.c)) <= 1e-11
         assert pair.series_terms > 0
 
+    def test_frozen_series_terms(self):
+        # the eigen command prints this count; frozen from the series loop at the root
+        assert [principal_eigenvalue(a).series_terms for a in (1.1, 1.4, 2.0)] == [45, 31, 23]
+
     def test_monotone_in_alpha(self):
         cs = [principal_eigenvalue(a).c for a in (1.2, 1.5, 1.8, 2.0)]
         assert all(b < a for a, b in zip(cs, cs[1:]))

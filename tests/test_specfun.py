@@ -5,6 +5,7 @@ import pytest
 
 from fracheat import DomainError, gamma, gen_binomial, mittag_leffler_e_alpha0, polylog
 from fracheat.errors import ConvergenceError
+from fracheat.specfun import mittag_leffler_series
 
 
 class TestGamma:
@@ -78,6 +79,14 @@ class TestMittagLeffler:
 
     def test_pi_squared_root(self):
         assert abs(mittag_leffler_e_alpha0(2.0, -math.pi**2)) <= 1e-12
+
+    def test_series_reports_terms_used(self):
+        # E_{2,0}(1) = sum 1/(2n-1)!: 1/19! is the first term below 1e-16 * sinh(1)
+        value, terms = mittag_leffler_series(2.0, 1.0)
+        assert value == mittag_leffler_e_alpha0(2.0, 1.0)
+        assert terms == 10
+        assert mittag_leffler_series(2.0, 0.0) == (0.0, 0)
+        assert mittag_leffler_series(2.0, 1.0, max_terms=3)[1] == 3
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
