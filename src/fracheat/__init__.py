@@ -15,6 +15,7 @@ from .evolution import (
     evolve,
     factorize,
     initial_grid,
+    iter_states,
     resolvent_apply,
     step,
 )

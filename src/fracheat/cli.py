@@ -12,7 +12,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConvergenceError, DomainError, NumericalError
 from .evolution import (
@@ -20,9 +20,10 @@ from .evolution import (
     EvolutionConfig,
     GaussianIC,
     PowerLawIC,
-    evolve,
+    iter_states,
 )
 from .harness import eigen_decay_study, figure1_comparison, operator_consistency_study
+from .operators import GridFunction
 from .reference import principal_eigenvalue
 from .weights import Scheme, grunwald_weights, new_weights
 
@@ -132,38 +133,33 @@ def _echo(cfg: RunConfig) -> str:
     return json.dumps({k: getattr(cfg, k) for k in keys}, sort_keys=True)
 
 
-def _run_weights(cfg: RunConfig) -> str:
+def _json(obj) -> list[str]:
+    return [json.dumps(obj, sort_keys=True)]
+
+
+def _run_weights(cfg: RunConfig) -> Iterable[str]:
     n = cfg.n if cfg.n is not None else 64
     maker = new_weights if cfg.scheme is Scheme.NEW else grunwald_weights
     ws = maker(cfg.alpha, n)
     sums = ws.partial_sums()
     if cfg.format == "json":
-        return json.dumps(
-            {
-                "alpha": cfg.alpha,
-                "scheme": cfg.scheme.value,
-                "w": list(ws.w),
-                "partial_sum": list(sums),
-            },
-            sort_keys=True,
+        return _json(
+            {"alpha": cfg.alpha, "scheme": cfg.scheme.value, "w": list(ws.w), "partial_sum": list(sums)}
         )
     lines = [f"# {_echo(cfg)}", "k,w_k,partial_sum"]
     for k in range(n + 1):
         lines.append(f"{k},{float(ws.w[k])!r},{float(sums[k])!r}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def _run_eigen(cfg: RunConfig) -> str:
+def _run_eigen(cfg: RunConfig) -> Iterable[str]:
     pair = principal_eigenvalue(cfg.alpha)
     if cfg.format == "json":
-        return json.dumps(
-            {"alpha": pair.alpha, "c": pair.c, "series_terms": pair.series_terms},
-            sort_keys=True,
-        )
-    return (
+        return _json({"alpha": pair.alpha, "c": pair.c, "series_terms": pair.series_terms})
+    return [
         f"# {_echo(cfg)}\nalpha,c,series_terms\n"
         f"{pair.alpha!r},{pair.c!r},{pair.series_terms}\n"
-    )
+    ]
 
 
 def _ic_of(cfg: RunConfig):
@@ -174,35 +170,31 @@ def _ic_of(cfg: RunConfig):
     return PowerLawIC(a=cfg.power_a, b=cfg.power_b)
 
 
-def _run_solve(cfg: RunConfig) -> str:
+def _run_solve(cfg: RunConfig) -> Iterable[str]:
     n = cfg.n if cfg.n is not None else 100
     econf = EvolutionConfig(
-        alpha=cfg.alpha,
-        n=n,
-        t_final=cfg.t_final,
-        scheme=cfg.scheme,
-        dt=cfg.dt,
-        ic=_ic_of(cfg),
+        alpha=cfg.alpha, n=n, t_final=cfg.t_final, scheme=cfg.scheme, dt=cfg.dt, ic=_ic_of(cfg)
     )
-    traj = evolve(econf, keep_states=True)
-    x = traj.states[0].x
+    states = iter_states(econf)
     if cfg.format == "json":
-        return json.dumps(
-            {
-                "t": list(traj.times),
-                "x": list(x),
-                "u": [list(s.values) for s in traj.states],
-            },
-            sort_keys=True,
-        )
-    lines = [f"# {_echo(cfg)}", "t,x,u"]
-    for t, state in zip(traj.times, traj.states):
-        for xi, ui in zip(x, state.values):
-            lines.append(f"{float(t)!r},{float(xi)!r},{float(ui)!r}")
-    return "\n".join(lines) + "\n"
+        times, grids = zip(*states)
+        u = [list(g.values) for g in grids]
+        return _json({"t": list(times), "x": list(grids[0].x), "u": u})
+    return _csv_rows(f"# {_echo(cfg)}\nt,x,u\n", states)
 
 
-def _run_study(cfg: RunConfig) -> str:
+def _csv_rows(header: str, states: Iterable[tuple[float, GridFunction]]) -> Iterator[str]:
+    """The header, then one chunk of ``t,x,u`` rows per state, as the states are read."""
+    yield header
+    xs = None
+    for t, u in states:
+        if xs is None:
+            xs = [f",{xi!r}," for xi in u.x.tolist()]
+        tt = repr(t)
+        yield "".join([f"{tt}{xi}{ui!r}\n" for xi, ui in zip(xs, u.values.tolist())])
+
+
+def _run_study(cfg: RunConfig) -> Iterable[str]:
     n_list = cfg.n_list or (50, 100, 200, 400)
     if cfg.command == "compare" or cfg.ic == "gaussian":
         # default: a nested fine grid, so the coarse nodes are shared exactly
@@ -219,12 +211,16 @@ def _run_study(cfg: RunConfig) -> str:
         report = eigen_decay_study(cfg.alpha, n_list, cfg.t_final, scheme=cfg.scheme)
     else:
         report = operator_consistency_study(cfg.alpha, n_list)
-    return report.to_json() if cfg.format == "json" else report.to_csv()
+    return [report.to_json() if cfg.format == "json" else report.to_csv()]
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute a parsed config; writes to cfg.out or stdout. Returns exit status."""
-    body = {
+    """Execute a parsed config; writes to cfg.out or stdout. Returns exit status.
+
+    A command body does all its set-up before it returns its chunks, so a run
+    that fails there writes nothing and creates no output file.
+    """
+    chunks = {
         "weights": _run_weights,
         "eigen": _run_eigen,
         "solve": _run_solve,
@@ -232,10 +228,10 @@ def run(cfg: RunConfig) -> int:
         "compare": _run_study,
     }[cfg.command](cfg)
     if cfg.out is None:
-        sys.stdout.write(body)
+        sys.stdout.writelines(chunks)
     else:
         with open(cfg.out, "w") as fh:
-            fh.write(body)
+            fh.writelines(chunks)
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 from scipy.linalg import solve_banded, solve_triangular
@@ -84,14 +84,12 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class HessenbergFactorization:
-    alpha: float
     n: int
-    dt: float
     lower: np.ndarray = field(repr=False)   # dense unit lower triangular
     banded: np.ndarray = field(repr=False)  # (2, n) for solve_banded: pivots + superdiag
 
 
-def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float, dt: float) -> HessenbergFactorization:
+def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> HessenbergFactorization:
     """LU of sigma*I - tau*T without pivoting, T the Toeplitz stencil matrix."""
     w = op.weights.w
     n = op.n
@@ -117,14 +115,14 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float, dt: float) -> 
     banded = np.zeros((2, n))
     banded[0, 1:] = sup
     banded[1, :] = pivots
-    return HessenbergFactorization(alpha=op.alpha, n=n, dt=dt, lower=lower, banded=banded)
+    return HessenbergFactorization(n=n, lower=lower, banded=banded)
 
 
 def factorize(op: OperatorMatrix, dt: float) -> HessenbergFactorization:
     """Factor (I - dt*M_h) for the backward-Euler step."""
     if dt <= 0.0:
         raise DomainError(f"dt must be > 0, got {dt}")
-    return _factor_shifted(op, 1.0, dt / op.h**op.alpha, dt)
+    return _factor_shifted(op, 1.0, dt / op.h**op.alpha)
 
 
 def _solve(f: HessenbergFactorization, b: np.ndarray) -> np.ndarray:
@@ -145,7 +143,7 @@ def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunc
         raise DomainError(f"resolvent parameter must be >= 0, got {lam}")
     if g.n != op.n:
         raise DomainError(f"dimension mismatch: operator n={op.n}, grid n={g.n}")
-    f = _factor_shifted(op, lam, 1.0 / op.h**op.alpha, dt=0.0)
+    f = _factor_shifted(op, lam, 1.0 / op.h**op.alpha)
     return GridFunction(alpha=op.alpha, n=op.n, values=_solve(f, g.values))
 
 
@@ -167,13 +165,9 @@ def step_count(t_final: float, dt: float) -> int:
 class Trajectory:
     config: EvolutionConfig
     times: np.ndarray
-    states: Sequence[GridFunction]        # all steps, or [u0, u_final] if not kept
-    sup_norms: np.ndarray                 # per recorded time
+    final: GridFunction
+    sup_norms: np.ndarray  # per step, from t = 0
     l1_norms: np.ndarray
-
-    @property
-    def final(self) -> GridFunction:
-        return self.states[-1]
 
 
 def initial_grid(cfg: EvolutionConfig) -> GridFunction:
@@ -198,31 +192,40 @@ def initial_grid(cfg: EvolutionConfig) -> GridFunction:
     return GridFunction(alpha=cfg.alpha, n=cfg.n, values=vals)
 
 
-def evolve(cfg: EvolutionConfig, keep_states: bool = True) -> Trajectory:
-    """Integrate to t_final with backward Euler; one factorization reused throughout.
+def iter_states(cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:
+    """The backward-Euler states (t_k, u_k), k = 0..steps, with t_k = k*dt.
 
     The step count is ceil(t_final/dt) with dt shrunk to land on t_final
-    exactly. With ``keep_states=False`` only the initial and final grids are
-    retained (norms are always recorded per step).
+    exactly; one factorization is reused throughout. Every fallible set-up
+    (initial grid, step count, operator, factorization) runs before this
+    returns, and the states are then computed one at a time as they are read.
+    t_final = 0 yields only (0.0, u0).
     """
     u = initial_grid(cfg)
     if cfg.t_final == 0.0:
-        z = np.array([0.0])
-        return Trajectory(cfg, z, [u], np.array([u.sup_norm()]), np.array([u.l1_norm()]))
+        return _march(None, u, 0, 0.0)
     steps = step_count(cfg.t_final, cfg.effective_dt())
     dt = cfg.t_final / steps
     op = build_operator(cfg.alpha, cfg.n, cfg.scheme)
     f = factorize(op, dt)
-    times = np.arange(steps + 1) * dt
-    states = [u]
-    sups = [u.sup_norm()]
-    l1s = [u.l1_norm()]
-    for _ in range(steps):
+    return _march(f, u, steps, dt)
+
+
+def _march(
+    f: Optional[HessenbergFactorization], u: GridFunction, steps: int, dt: float
+) -> Iterator[tuple[float, GridFunction]]:
+    yield 0.0, u
+    for k in range(1, steps + 1):
         u = step(f, u)
+        yield k * dt, u
+
+
+def evolve(cfg: EvolutionConfig) -> Trajectory:
+    """Integrate to t_final over ``iter_states``, keeping the final grid and the
+    time and norms of every step."""
+    times, sups, l1s = [], [], []
+    for t, u in iter_states(cfg):
+        times.append(t)
         sups.append(u.sup_norm())
         l1s.append(u.l1_norm())
-        if keep_states:
-            states.append(u)
-    if not keep_states:
-        states.append(u)
-    return Trajectory(cfg, times, states, np.array(sups), np.array(l1s))
+    return Trajectory(cfg, np.array(times), u, np.array(sups), np.array(l1s))

@@ -173,7 +173,7 @@ def eigen_decay_study(
         cfg = EvolutionConfig(
             alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=dt, ic=CustomIC(u0)
         )
-        final = evolve(cfg, keep_states=False).final
+        final = evolve(cfg).final
         return dt, float(np.abs(final.values - decay * u0).max())
 
     report.rows.extend(_chain(scheme, alpha, sizes, run))
@@ -211,7 +211,7 @@ def figure1_comparison(
             dt=dt,
             ic=CustomIC(gaussian_ic(np.arange(1, n + 1) / (n + 1), mu, sigma2)),
         )
-        return evolve(cfg, keep_states=False).final
+        return evolve(cfg).final
 
     ref = run(Scheme.NEW, n_reference)
     ref_sup = ref.sup_norm()

@@ -54,11 +54,13 @@ def gen_binomial(alpha: float, j: int) -> float:
 
 
 def mittag_leffler_e_alpha0(alpha: float, z: float, max_terms: int = 300) -> float:
-    """E_{alpha,0}(z) = sum_{n>=1} z^n / Gamma(n*alpha) by direct series.
+    """E_{alpha,0}(z) = sum_{n>=1} z^n / Gamma(n*alpha) by direct Kahan-summed series.
 
-    Accuracy domain |z| <= 100; the asymptotic branch needed beyond that is
-    deliberately not implemented. Kahan summation limits cancellation for
-    negative z.
+    |z| <= 100 is an input guard, not an accuracy domain (no asymptotic branch
+    is implemented beyond it). For negative z the terms cancel; against mpmath
+    1.3.0 the relative error is 1e-5 at z = -20, 7.6e4 at z = -50 and 9e18 at
+    z = -100 for alpha = 1.1; 4e-5 at z = -50 and 6.0 at z = -100 for
+    alpha = 1.4; and 2e-11 at z = -100 for alpha = 2.0.
     """
     return mittag_leffler_series(alpha, z, max_terms)[0]
 

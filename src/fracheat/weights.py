@@ -36,9 +36,6 @@ class WeightSequence:
         check_alpha(self.alpha)
         self.w.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.w)
-
     @property
     def n_max(self) -> int:
         return len(self.w) - 1

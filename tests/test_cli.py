@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -143,21 +145,25 @@ USAGE_ERRORS = [
 
 
 class TestUsageErrors:
-    def assert_usage_error(self, argv, capsys):
-        code, out, err = run_main(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert "fracheat: usage error" in err or "fracheat: error:" in err
+    def assert_usage_error(self, argv, tmp_path, capsys):
+        # set-up fails before the first byte: nothing on stdout, no --out file
+        out_path = tmp_path / "x"
+        for args in (argv, argv + ["--out", str(out_path)]):
+            code, out, err = run_main(args, capsys)
+            assert code == 2
+            assert out == ""
+            assert "fracheat: usage error" in err or "fracheat: error:" in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
-    def test_argv(self, argv, capsys):
-        self.assert_usage_error(argv, capsys)
+    def test_argv(self, argv, tmp_path, capsys):
+        self.assert_usage_error(argv, tmp_path, capsys)
 
     @pytest.mark.parametrize("line", ["scheme = bogus", "t_final = nan", "n = 1.5"])
     def test_config_file_value(self, line, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")
-        self.assert_usage_error(["solve", "--config", str(path)], capsys)
+        self.assert_usage_error(["solve", "--config", str(path)], tmp_path, capsys)
 
 
 FUZZ_BAD = ["nan", "inf", "-inf", "-1", "0", "1e999", "", "x", "1,,x"]
@@ -288,6 +294,49 @@ class TestCommands:
         assert code == 0
         assert out == ""
         assert "alpha,c,series_terms" in path.read_text()
+
+
+# sha256 of `solve` output on stdout and in --out; the bytes of a fixed config never change
+SOLVE_DIGESTS = {
+    "--alpha 1.4 --n 20 --t-final 0.01 --ic eigen --format csv":
+        "e19d3a2c0f443083e48999aa840ae920b84584fcf5f9dd9ac1fed33e2ab37eeb",
+    "--alpha 1.4 --n 20 --t-final 0.01 --ic eigen --format json":
+        "0437a8b965f36b727cff2e861719055aa771b32788b3c7c154115e9af6cd4936",
+    "--alpha 1.7 --n 33 --t-final 0.02 --dt 0.001 --scheme grunwald --format csv":
+        "cd140b5c5da8f668d7c6ea1e684f2ca101255c699db006692445b94236966299",
+    "--alpha 1.7 --n 33 --t-final 0.02 --dt 0.001 --scheme grunwald --format json":
+        "929dd96b4fcb0a2c62b22ed5e30fa742ede77dfd72ef9ad9712de09972e75051",
+    "--t-final 0 --format csv":
+        "001925ad611f0bba3ca95c03f5e5d51c0473c62cb6c4f51a05bfc2976ca03a5d",
+    "--t-final 0 --format json":
+        "c2910d1363eb8f9971e8af72118c905f206f70c7c9373c05db32ffc8bb043bc2",
+}
+
+
+class TestSolveOutput:
+    @pytest.mark.parametrize("flags", sorted(SOLVE_DIGESTS))
+    def test_pinned_digest(self, flags, tmp_path, capsys):
+        argv = ["solve", *flags.split()]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_DIGESTS[flags]
+        path = tmp_path / "solve.out"
+        assert run_main(argv + ["--out", str(path)], capsys)[:2] == (0, "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SOLVE_DIGESTS[flags]
+
+    def test_rows_stream_in_small_memory(self, tmp_path):
+        # 2,000 steps at n = 64: 128,064 rows, 6.47 MB of CSV written as it is computed
+        path = tmp_path / "solve.csv"
+        argv = ["solve", "--alpha", "1.5", "--n", "64", "--t-final", "0.05", "--dt", "2.5e-5"]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 6_000_000
+        assert peak < 0.25 * size, f"tracemalloc peak {peak} B for {size} B of output"
 
 
 class TestDeterminism:

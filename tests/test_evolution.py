@@ -16,6 +16,7 @@ from fracheat import (
     evolve,
     factorize,
     initial_grid,
+    iter_states,
     resolvent_apply,
     step,
 )
@@ -178,8 +179,11 @@ class TestEvolve:
     def test_zero_time(self):
         cfg = EvolutionConfig(alpha=1.5, n=20, t_final=0.0)
         traj = evolve(cfg)
-        assert len(traj.states) == 1
-        assert traj.times[0] == 0.0
+        np.testing.assert_array_equal(traj.final.values, initial_grid(cfg).values)
+        assert list(traj.times) == [0.0]
+        [(t0, u0)] = iter_states(cfg)
+        assert t0 == 0.0
+        np.testing.assert_array_equal(u0.values, traj.final.values)
 
     def test_step_count_lands_on_t_final(self):
         cfg = EvolutionConfig(alpha=1.5, n=20, t_final=0.01, dt=0.003)
@@ -187,18 +191,20 @@ class TestEvolve:
         assert traj.times[-1] == pytest.approx(0.01, abs=1e-15)
         assert len(traj.times) == 5  # ceil(0.01/0.003) = 4 steps
 
-    def test_keep_states_flag(self):
+    def test_iter_states_matches_evolve(self):
         cfg = EvolutionConfig(alpha=1.4, n=20, t_final=0.01, dt=0.002)
-        full = evolve(cfg, keep_states=True)
-        slim = evolve(cfg, keep_states=False)
-        assert len(full.states) == 6
-        assert len(slim.states) == 2
-        np.testing.assert_array_equal(full.final.values, slim.final.values)
-        np.testing.assert_array_equal(full.sup_norms, slim.sup_norms)
+        traj = evolve(cfg)
+        states = list(iter_states(cfg))
+        assert len(states) == 6
+        times, grids = zip(*states)
+        np.testing.assert_array_equal(times, traj.times)
+        np.testing.assert_array_equal(grids[-1].values, traj.final.values)
+        np.testing.assert_array_equal([g.sup_norm() for g in grids], traj.sup_norms)
+        np.testing.assert_array_equal([g.l1_norm() for g in grids], traj.l1_norms)
 
     def test_norm_monotone_decay(self):
         cfg = EvolutionConfig(alpha=1.3, n=60, t_final=0.05)
-        traj = evolve(cfg, keep_states=False)
+        traj = evolve(cfg)
         assert np.all(np.diff(traj.sup_norms) <= 1e-14)
         assert np.all(np.diff(traj.l1_norms) <= 1e-14)
 
@@ -217,13 +223,13 @@ class TestEvolve:
         cfg = EvolutionConfig(
             alpha=2.0, n=n, t_final=t_final, dt=dt, ic=CustomIC(u0)
         )
-        traj = evolve(cfg, keep_states=False)
+        traj = evolve(cfg)
         np.testing.assert_allclose(traj.final.values, v, atol=1e-11)
 
     def test_scheme_selection_changes_result(self):
         kw = dict(alpha=1.4, n=50, t_final=0.01)
-        a = evolve(EvolutionConfig(scheme=Scheme.NEW, **kw), keep_states=False)
-        b = evolve(EvolutionConfig(scheme=Scheme.GRUNWALD, **kw), keep_states=False)
+        a = evolve(EvolutionConfig(scheme=Scheme.NEW, **kw))
+        b = evolve(EvolutionConfig(scheme=Scheme.GRUNWALD, **kw))
         assert np.abs(a.final.values - b.final.values).max() > 1e-6
 
     def test_config_validation(self):
