@@ -9,6 +9,7 @@ from .evolution import (
     EigenfunctionIC,
     EvolutionConfig,
     GaussianIC,
+    GohbergSemenculFactorization,
     HessenbergFactorization,
     PowerLawIC,
     Trajectory,

@@ -70,7 +70,7 @@ def mittag_leffler_series(alpha: float, z: float, max_terms: int = 300) -> tuple
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"mittag_leffler requires alpha in (1, 2], got {alpha}")
     if abs(z) > 100.0:
-        raise DomainError(f"|z| = {abs(z)} outside the accuracy domain |z| <= 100")
+        raise DomainError(f"|z| = {abs(z)} exceeds the input guard |z| <= 100 (not an accuracy bound)")
     if z == 0.0:
         return 0.0, 0
     log_az = math.log(abs(z))

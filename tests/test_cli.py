@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import fracheat
 from fracheat import Scheme
 from fracheat.cli import RunConfig, main, parse_config, render_config
 
@@ -134,6 +137,7 @@ USAGE_ERRORS = [
     ["solve", "--t-final", "nan"],
     ["solve", "--dt", "nan"],
     ["solve", "--t-final", "1e308", "--dt", "1e-308"],
+    ["solve", "--dt", "1e-30"],  # 1e28 steps: over the step budget
     ["compare", "--n-list", "10", "--t-final", "nan"],
     ["compare", "--n-list", "10", "--t-final", "inf"],
     ["converge", "--ic", "eigen", "--n-list", "16", "--t-final", "nan"],
@@ -351,10 +355,15 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_entry_point_subprocess(self, tmp_path):
+        # the child imports the fracheat under test, also when pytest's
+        # pythonpath setting (not the environment) put it on sys.path
+        src = str(Path(fracheat.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fracheat.cli", "eigen", "--alpha", "2.0"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "alpha,c,series_terms" in proc.stdout

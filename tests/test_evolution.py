@@ -21,7 +21,17 @@ from fracheat import (
     step,
 )
 from fracheat.errors import NumericalError
-from fracheat.evolution import step_count
+from fracheat.evolution import (
+    GS_CLIP_C,
+    GS_MIN_N,
+    MAX_STEPS,
+    GohbergSemenculFactorization,
+    HessenbergFactorization,
+    _clip_negative,
+    _fft_len,
+    step_count,
+)
+from fracheat.reference import gaussian_ic
 
 
 def grid(alpha, n, values):
@@ -153,6 +163,92 @@ class TestResolvent:
             resolvent_apply(op, -1.0, grid(1.5, 8, np.zeros(8)))
 
 
+class TestGohbergSemencul:
+    """The n >= GS_MIN_N solver against dense oracles."""
+
+    @pytest.mark.parametrize("n", [GS_MIN_N, 3200])
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_step_matches_dense_solve(self, scheme, alpha, n):
+        rng = np.random.default_rng(10)
+        op = build_operator(alpha, n, scheme)
+        m = op.dense()
+        b = np.column_stack([rng.standard_normal(n), rng.uniform(0.0, 1.0, n)])
+        for tau in (0.08, 10.0, 1600.0):
+            dt = tau * op.h**alpha
+            f = factorize(op, dt)
+            assert isinstance(f, GohbergSemenculFactorization)
+            a = m * -dt  # I - dt*M_h, one n x n temporary
+            a.flat[:: n + 1] += 1.0
+            want = np.linalg.solve(a, b)
+            for k in range(b.shape[1]):
+                got = step(f, grid(alpha, n, b[:, k])).values
+                err = np.abs(got - want[:, k]).max() / np.abs(want[:, k]).max()
+                assert err <= 1e-12, (tau, k, err)
+
+    @pytest.mark.parametrize(
+        "alpha,n", [(1.1, GS_MIN_N), (1.4, GS_MIN_N), (1.9, GS_MIN_N), (2.0, GS_MIN_N), (1.9, 3207)]
+    )
+    def test_resolvent_is_negative_closed_form_inverse(self, alpha, n):
+        # cond(M_h) ~ n^alpha: the dense factor misses by as much (1.45e-11 at
+        # alpha = 1.9, n = 3200); n = 3207 pads to an FFT length of 6480 > 2n
+        g = np.random.default_rng(12).standard_normal(n)
+        want = -closed_form_inverse(alpha, n) @ g
+        got = resolvent_apply(build_operator(alpha, n), 0.0, grid(alpha, n, g)).values
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_fft_len_is_smallest_5_smooth(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        for m in range(1, 2000):
+            want = next(k for k in range(m, 2 * m + 1) if smooth(k))
+            assert _fft_len(m) == want
+
+    def test_size_rule(self):
+        op = build_operator(1.4, GS_MIN_N - 1)
+        assert isinstance(factorize(op, 1e-3), HessenbergFactorization)
+
+    def test_factorization_is_small(self):
+        f = factorize(build_operator(1.4, 3200), 1e-3)
+        held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
+        assert held < 1e6
+
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_figure1_reference_stays_nonnegative(self, scheme):
+        # the Figure-1 reference set-up at t_final = 0.01; unprojected, GS
+        # leaves negatives here that build up over the 884 steps
+        n, alpha, t_final = 3200, 1.4, 0.01
+        dt = t_final / step_count(t_final, (1.0 / 401) ** (alpha + 0.5))
+        x = np.arange(1, n + 1) / (n + 1)
+        cfg = EvolutionConfig(
+            alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=dt,
+            ic=CustomIC(gaussian_ic(x, 0.4, 0.0005)),
+        )
+        for _, u in iter_states(cfg):
+            assert u.values.min() >= 0.0
+
+    def test_guard_raises_past_the_rounding_bound(self):
+        n = 3200
+        b = gaussian_ic(np.arange(1, n + 1) / (n + 1), 0.4, 0.0005)
+        v = factorize(build_operator(1.4, n), 1e-3).solve(b)
+        bound = GS_CLIP_C * np.finfo(float).eps * math.log2(n) * b.max()
+        inside = v.copy()
+        inside[7] = -0.5 * bound
+        clipped = _clip_negative(inside, b)
+        assert clipped.min() == 0.0 and clipped[7] == 0.0
+        past = v.copy()
+        past[7] = -2.0 * bound
+        with pytest.raises(NumericalError):
+            _clip_negative(past, b)
+        # b with negative entries: A^-1 b may be negative, the result is kept
+        signed = past.copy()
+        np.testing.assert_array_equal(_clip_negative(signed, -b), past)
+
+
 class TestInitialGrid:
     def test_gaussian_peak(self):
         cfg = EvolutionConfig(alpha=1.5, n=99, t_final=0.01, ic=GaussianIC())
@@ -269,6 +365,13 @@ class TestStepCount:
     def test_rejects_non_finite_count(self, t_final, dt):
         with pytest.raises(DomainError):
             step_count(t_final, dt)
+
+    def test_step_budget(self):
+        assert step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+        with pytest.raises(DomainError, match="exceeds"):
+            step_count(1.0, 0.5 / MAX_STEPS)
+        with pytest.raises(DomainError):
+            step_count(0.1, 1e-30)
 
     def test_overflowing_config_is_a_domain_error(self):
         cfg = EvolutionConfig(alpha=1.5, n=10, t_final=1e308, dt=1e-308)

@@ -89,7 +89,7 @@ class TestMittagLeffler:
         assert mittag_leffler_series(2.0, 1.0, max_terms=3)[1] == 3
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="input guard"):
             mittag_leffler_e_alpha0(2.0, 101.0)
         with pytest.raises(DomainError):
             mittag_leffler_e_alpha0(1.0, 1.0)
