@@ -8,14 +8,16 @@ product-integration quadrature, and the standard Gaussian initial condition.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConvergenceError, DomainError, NumericalError
 from .specfun import gamma, mittag_leffler_e_alpha0, mittag_leffler_series
+from .weights import check_alpha
 
 
 @dataclass(frozen=True)
@@ -101,39 +103,70 @@ def exact_decay_solution(alpha: float, t: float, x: float, pair: EigenPair | Non
     return math.exp(pair.c * t) * eigenfunction_u_c(alpha, pair.c, x)
 
 
+@lru_cache(maxsize=8)
+def _unit_weights(alpha: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_k = k/panels and product-integration weights on [0, 1].
+
+    Sum_k w_k g(s_k) is the integral of (1-y)^(alpha-1)/Gamma(alpha) times
+    the piecewise-linear interpolant of g on the nodes: per panel, m0 is the
+    exact moment of the kernel and m1 its first moment divided by the panel
+    width. Both arrays are read-only, as every caller shares them.
+    """
+    s = np.linspace(0.0, 1.0, panels + 1)
+    u = 1.0 - s
+    p = u**alpha
+    q = u ** (alpha + 1.0)
+    m0 = (p[:-1] - p[1:]) / alpha
+    m1 = panels * (u[:-1] * m0 - (q[:-1] - q[1:]) / (alpha + 1.0))
+    w = np.zeros(panels + 1)
+    w[:-1] += m0 - m1
+    w[1:] += m1
+    w /= gamma(alpha)
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
+
+
 def continuous_inverse_apply(
     alpha: float, g: Callable[[np.ndarray], np.ndarray], x: float, panels: int = 10**4
 ) -> float:
     """Inverse of the continuous generator applied to g, evaluated at x.
 
-    Computes int_0^x (x-y)^(a-1)/Gamma(a) g(y) dy
-           - x^(a-1) * int_0^1 (1-y)^(a-1)/Gamma(a) g(y) dy
-    by product integration: g is replaced by its piecewise-linear interpolant
-    on uniform panels and the weakly singular factor is integrated exactly per
-    panel, which keeps the target 1e-8 accuracy near y = x where plain
-    trapezoid degrades.
+    Computes f(x) = I(x) - x^(a-1) * I(1), where
+    I(c) = int_0^c (c-y)^(a-1)/Gamma(a) g(y) dy, by product integration: g is
+    replaced by its piecewise-linear interpolant on ``panels`` uniform panels
+    of [0, c] and the weakly singular kernel is integrated exactly per panel,
+    which keeps the target 1e-8 accuracy near y = x where plain trapezoid
+    degrades. Under y = c*s these panel moments scale exactly as c^a times
+    those of c = 1, so I(c) = c^a * sum_k w_k g(c*s_k) with one weight vector
+    w on the nodes s_k = k/panels of [0, 1]. (s, w) depend only on
+    (alpha, panels) and are cached (8 entries), never on g; each integral is one
+    evaluation of g and one dot product.
+
+    Raises DomainError for alpha outside (1, 2], x outside [0, 1] (nan
+    included) or a ``panels`` that is not an integer >= 1.
     """
-    ga = gamma(alpha)
+    check_alpha(alpha)
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"x must be a finite number in [0, 1], got {x}")
+    if not isinstance(panels, numbers.Integral) or panels < 1:
+        raise DomainError(f"panels must be an integer >= 1, got {panels!r}")
+    s, w = _unit_weights(alpha, panels)
 
     def weighted_integral(c: float) -> float:
-        if c <= 0.0:
+        if c == 0.0:
             return 0.0
-        yk = np.linspace(0.0, c, panels + 1)
-        gk = np.asarray(g(yk), dtype=float)
-        u0 = c - yk[:-1]
-        u1 = c - yk[1:]
-        m0 = (u0**alpha - u1**alpha) / alpha  # int (c-y)^(a-1) dy per panel
-        m1 = u0 * m0 - (u0 ** (alpha + 1.0) - u1 ** (alpha + 1.0)) / (alpha + 1.0)
-        d = yk[1] - yk[0]
-        return float(np.sum(gk[:-1] * m0 + (gk[1:] - gk[:-1]) * m1 / d))
+        # numpy's pairwise sum, not np.dot: at this length BLAS ddot wakes a
+        # second thread that doubles the CPU time without saving wall time,
+        # and the sum is 10x closer to the per-panel rule than einsum's
+        gk = np.asarray(g(c * s), dtype=float)
+        return c**alpha * float((w * gk).sum())
 
-    return (weighted_integral(x) - x ** (alpha - 1.0) * weighted_integral(1.0)) / ga
+    return weighted_integral(x) - x ** (alpha - 1.0) * weighted_integral(1.0)
 
 
 def gaussian_ic(x, mu: float = 0.4, sigma2: float = 0.0005):
     """Gaussian density with mean mu and variance sigma2 (the Figure-1 data)."""
     if sigma2 <= 0.0:
-        from .errors import DomainError
-
         raise DomainError(f"sigma2 must be > 0, got {sigma2}")
     return np.exp(-((x - mu) ** 2) / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)

@@ -17,6 +17,50 @@ from fracheat import (
     observed_order,
     principal_eigenvalue,
 )
+from fracheat.reference import _unit_weights
+
+INVERSE_ALPHAS = [1.01, 1.1, 1.5, 1.9, 2.0]
+INVERSE_XS = np.linspace(0.0, 1.0, 41)
+
+
+def per_panel_inverse(alpha, g, x, panels=10**4):
+    """The product-integration rule panel by panel on [0, c], kept as the reference."""
+    ga = gamma(alpha)
+
+    def weighted_integral(c):
+        if c <= 0.0:
+            return 0.0
+        yk = np.linspace(0.0, c, panels + 1)
+        gk = np.asarray(g(yk), dtype=float)
+        u0 = c - yk[:-1]
+        u1 = c - yk[1:]
+        m0 = (u0**alpha - u1**alpha) / alpha
+        m1 = u0 * m0 - (u0 ** (alpha + 1.0) - u1 ** (alpha + 1.0)) / (alpha + 1.0)
+        d = yk[1] - yk[0]
+        return float(np.sum(gk[:-1] * m0 + (gk[1:] - gk[:-1]) * m1 / d))
+
+    return (weighted_integral(x) - x ** (alpha - 1.0) * weighted_integral(1.0)) / ga
+
+
+def bump(y):
+    return np.exp(-((np.asarray(y) - 0.5) ** 2) / 0.02)
+
+
+# product integration is exact on linear g; these are the closed forms
+def ones(y):
+    return np.ones_like(y)
+
+
+def identity(y):
+    return y
+
+
+def inverse_of_one(alpha, x):
+    return (x**alpha - x ** (alpha - 1.0)) / gamma(alpha + 1.0)
+
+
+def inverse_of_y(alpha, x):
+    return (x ** (alpha + 1.0) - x ** (alpha - 1.0)) / gamma(alpha + 2.0)
 
 
 class TestPrincipalEigenvalue:
@@ -145,6 +189,62 @@ class TestContinuousInverse:
             hs.append(h)
         slope = observed_order(list(zip(hs, errs)))
         assert slope >= alpha - 0.3
+
+
+class TestContinuousInverseQuadrature:
+    @pytest.mark.parametrize("alpha", INVERSE_ALPHAS)
+    def test_exact_on_linear_g(self, alpha):
+        for g, closed in ((ones, inverse_of_one), (identity, inverse_of_y)):
+            for x in INVERSE_XS:
+                v, want = continuous_inverse_apply(alpha, g, x), closed(alpha, x)
+                assert abs(v - want) <= 1e-12 * abs(want), (x, v, want)
+
+    @pytest.mark.parametrize("alpha", INVERSE_ALPHAS)
+    @pytest.mark.parametrize(
+        "g", [bump, lambda y: np.sin(np.pi * y), np.exp], ids=["bump", "sin", "exp"]
+    )
+    def test_matches_per_panel_rule(self, alpha, g):
+        got = np.array([continuous_inverse_apply(alpha, g, x) for x in INVERSE_XS])
+        want = np.array([per_panel_inverse(alpha, g, x) for x in INVERSE_XS])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert got[0] == 0.0 and got[-1] == 0.0
+
+    def test_cached_weights_are_read_only(self):
+        s, w = _unit_weights(1.5, 64)
+        assert not s.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+    def test_cache_holds_nothing_of_g(self):
+        _unit_weights.cache_clear()
+        alpha = 1.3
+        for x in (0.25, 0.5, 0.75):
+            v1 = continuous_inverse_apply(alpha, ones, x)
+            v2 = continuous_inverse_apply(alpha, identity, x)
+            assert v1 == pytest.approx(inverse_of_one(alpha, x), rel=1e-12)
+            assert v2 == pytest.approx(inverse_of_y(alpha, x), rel=1e-12)
+        info = _unit_weights.cache_info()
+        # one entry, keyed on (alpha, panels) only, shared by both g
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 5)
+
+    @pytest.mark.parametrize(
+        "alpha, x, panels",
+        [
+            (1.5, -0.2, 10**4),
+            (1.5, 1.2, 10**4),
+            (1.5, math.nan, 10**4),
+            (1.5, math.inf, 10**4),
+            (1.5, 0.5, 0),
+            (1.5, 0.5, -3),
+            (1.5, 0.5, 2.5),
+            (0.5, 0.5, 10**4),
+            (2.5, 0.5, 10**4),
+            (math.nan, 0.5, 10**4),
+        ],
+    )
+    def test_rejects_bad_input(self, alpha, x, panels):
+        with pytest.raises(DomainError):
+            continuous_inverse_apply(alpha, bump, x, panels=panels)
 
 
 class TestGaussianIC:
