@@ -12,7 +12,6 @@ from .evolution import (
     GohbergSemenculFactorization,
     HessenbergFactorization,
     PowerLawIC,
-    Trajectory,
     evolve,
     factorize,
     initial_grid,

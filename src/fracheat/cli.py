@@ -86,18 +86,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> list[str]:
     """The file's ``key = value`` lines as ``--key=value`` argv tokens."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     tokens = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _OPTIONS:
-                raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-            tokens.append(f"{_flag(key)}={value}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key not in _OPTIONS:
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        tokens.append(f"{_flag(key)}={value}")
     return tokens
 
 

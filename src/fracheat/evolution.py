@@ -26,6 +26,7 @@ from scipy.linalg import solve_banded, solve_triangular
 
 from .errors import DomainError, NumericalError
 from .operators import GridFunction, OperatorMatrix, build_operator
+from .reference import eigenfunction_u_c, gaussian_ic, principal_eigenvalue
 from .weights import Scheme, check_alpha
 
 
@@ -275,7 +276,7 @@ def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunc
 
 
 # ---------------------------------------------------------------------------
-# full trajectories
+# time marching
 
 # At most this many backward-Euler steps per run; beyond it a run would not end
 # in useful time (54 us a step at n = 3 makes 1e8 steps 1.5 hours), so more is
@@ -298,26 +299,13 @@ def step_count(t_final: float, dt: float) -> int:
     return steps
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    config: EvolutionConfig
-    times: np.ndarray
-    final: GridFunction
-    sup_norms: np.ndarray  # per step, from t = 0
-    l1_norms: np.ndarray
-
-
 def initial_grid(cfg: EvolutionConfig) -> GridFunction:
     """Sample the configured initial condition at the interior nodes."""
     x = np.arange(1, cfg.n + 1) * cfg.h
     ic = cfg.ic
     if isinstance(ic, GaussianIC):
-        from .reference import gaussian_ic
-
         vals = gaussian_ic(x, ic.mu, ic.sigma2)
     elif isinstance(ic, EigenfunctionIC):
-        from .reference import eigenfunction_u_c, principal_eigenvalue
-
         pair = principal_eigenvalue(cfg.alpha)
         vals = np.array([eigenfunction_u_c(cfg.alpha, pair.c, xi) for xi in x])
     elif isinstance(ic, PowerLawIC):
@@ -357,12 +345,8 @@ def _march(
         yield k * dt, u
 
 
-def evolve(cfg: EvolutionConfig) -> Trajectory:
-    """Integrate to t_final over ``iter_states``, keeping the final grid and the
-    time and norms of every step."""
-    times, sups, l1s = [], [], []
-    for t, u in iter_states(cfg):
-        times.append(t)
-        sups.append(u.sup_norm())
-        l1s.append(u.l1_norm())
-    return Trajectory(cfg, np.array(times), u, np.array(sups), np.array(l1s))
+def evolve(cfg: EvolutionConfig) -> GridFunction:
+    """The grid at t_final: the last state of ``iter_states``."""
+    for _, u in iter_states(cfg):
+        pass
+    return u

@@ -16,14 +16,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError
-from .evolution import CustomIC, EvolutionConfig, evolve, step_count
+from .evolution import CustomIC, EigenfunctionIC, EvolutionConfig, evolve, iter_states, step_count
 from .interp import from_grid
 from .operators import GridFunction, apply, build_operator
-from .reference import (
-    eigenfunction_u_c,
-    gaussian_ic,
-    principal_eigenvalue,
-)
+from .reference import gaussian_ic, principal_eigenvalue
 from .specfun import gamma
 from .weights import Scheme, check_alpha
 
@@ -47,12 +43,13 @@ class ErrorReport:
     rows: list[ErrorRow] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def chain(self, scheme: Scheme | str, norm: str = "sup") -> list[tuple[float, float]]:
+    def chain(self, scheme: Scheme | str) -> list[tuple[float, float]]:
+        """(h, error) of the scheme's sup-norm rows."""
         name = scheme.value if isinstance(scheme, Scheme) else scheme
-        return [(r.h, r.error) for r in self.rows if r.scheme == name and r.norm == norm]
+        return [(r.h, r.error) for r in self.rows if r.scheme == name and r.norm == "sup"]
 
-    def overall_order(self, scheme: Scheme | str, norm: str = "sup") -> float:
-        return observed_order(self.chain(scheme, norm))
+    def overall_order(self, scheme: Scheme | str) -> float:
+        return observed_order(self.chain(scheme))
 
     def to_csv(self) -> str:
         lines = [f"# {json.dumps(self.meta, sort_keys=True)}", CSV_HEADER]
@@ -168,13 +165,14 @@ def eigen_decay_study(
 
     def run(n: int, h: float) -> tuple[float, float]:
         dt = t_final / step_count(t_final, h**dt_exponent)
-        x = np.arange(1, n + 1) * h
-        u0 = np.array([eigenfunction_u_c(alpha, pair.c, xi) for xi in x])
         cfg = EvolutionConfig(
-            alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=dt, ic=CustomIC(u0)
+            alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=dt, ic=EigenfunctionIC()
         )
-        final = evolve(cfg).final
-        return dt, float(np.abs(final.values - decay * u0).max())
+        states = iter_states(cfg)
+        _, u0 = next(states)
+        for _, final in states:
+            pass
+        return dt, float(np.abs(final.values - decay * u0.values).max())
 
     report.rows.extend(_chain(scheme, alpha, sizes, run))
     return report
@@ -211,7 +209,7 @@ def figure1_comparison(
             dt=dt,
             ic=CustomIC(gaussian_ic(np.arange(1, n + 1) / (n + 1), mu, sigma2)),
         )
-        return evolve(cfg).final
+        return evolve(cfg)
 
     ref = run(Scheme.NEW, n_reference)
     ref_sup = ref.sup_norm()

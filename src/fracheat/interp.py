@@ -5,7 +5,6 @@ Reduces to piecewise linear interpolation at alpha = 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,29 +37,28 @@ class PowerInterpolant:
         return 1.0 / (self.n + 1)
 
     def __call__(self, x):
-        if np.isscalar(x):
-            return self._eval_one(float(x))
-        return np.array([self._eval_one(float(v)) for v in np.asarray(x).ravel()])
-
-    def _eval_one(self, x: float) -> float:
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"evaluation point {x} outside [0, 1]")
-        if x == 1.0:
-            return float(self.y[self.n + 1])
+        """The interpolant at x in [0, 1]: a float for a scalar x, else an array of x's shape."""
+        scalar = np.ndim(x) == 0
+        # 1-d even for a scalar: numpy scalar math rounds ** apart from the array kernels
+        x = np.array(x, dtype=float, ndmin=1)
+        outside = ~((x >= 0.0) & (x <= 1.0))  # nan included
+        if outside.any():
+            raise DomainError(f"evaluation point {x[outside].flat[0]} outside [0, 1]")
         h = self.h
         beta = self.alpha - 1.0
-        i = min(int(x / h), self.n)  # ties resolve to the left cell
-        if i == 0:
-            return float(self.y[1]) * (x / h) ** beta
-        yi, yi1 = float(self.y[i]), float(self.y[i + 1])
-        if x == i * h:
-            return yi
+        i = np.minimum((x / h).astype(np.intp), self.n)  # ties resolve to the left cell
+        yi, yi1 = self.y[i], self.y[i + 1]
         # value = y_i + (y_{i+1}-y_i) * (x^b - x_i^b)/(x_{i+1}^b - x_i^b),
         # both differences via expm1 to survive the shrinking denominators
-        # (~ h * x_i^(alpha-2)) at large i.
-        num = math.expm1(beta * math.log(x / (i * h)))
-        den = math.expm1(beta * math.log1p(1.0 / i))
-        return yi + (yi1 - yi) * num / den
+        # (~ h * x_i^(alpha-2)) at large i. At x = x_i, num = expm1(0) = 0
+        # gives y_i exactly. The first cell (i = 0, 0/0 here) is y_1*(x/h)^b.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num = np.expm1(beta * np.log(x / (i * h)))
+            den = np.expm1(beta * np.log1p(1.0 / i))
+            v = yi + (yi1 - yi) * num / den
+        v = np.where(i == 0, self.y[1] * (x / h) ** beta, v)
+        v = np.where(x == 1.0, self.y[self.n + 1], v)
+        return float(v[0]) if scalar else v
 
 
 def from_grid(values: np.ndarray, alpha: float, right_value: float = 0.0) -> PowerInterpolant:

@@ -163,11 +163,16 @@ class TestUsageErrors:
     def test_argv(self, argv, tmp_path, capsys):
         self.assert_usage_error(argv, tmp_path, capsys)
 
-    @pytest.mark.parametrize("line", ["scheme = bogus", "t_final = nan", "n = 1.5"])
+    # the last line is not UTF-8: a usage error naming the file, not a traceback
+    @pytest.mark.parametrize(
+        "line", ["scheme = bogus", "t_final = nan", "n = 1.5", b"\xff\xfe alpha = 1.4"]
+    )
     def test_config_file_value(self, line, tmp_path, capsys):
         path = tmp_path / "run.cfg"
-        path.write_text(line + "\n")
+        path.write_bytes((line if isinstance(line, bytes) else line.encode()) + b"\n")
         self.assert_usage_error(["solve", "--config", str(path)], tmp_path, capsys)
+        if isinstance(line, bytes):
+            assert str(path) in run_main(["solve", "--config", str(path)], capsys)[2]
 
 
 FUZZ_BAD = ["nan", "inf", "-inf", "-1", "0", "1e999", "", "x", "1,,x"]

@@ -6,6 +6,7 @@ import pytest
 from fracheat import (
     CustomIC,
     DomainError,
+    EigenfunctionIC,
     EvolutionConfig,
     GaussianIC,
     GridFunction,
@@ -274,35 +275,40 @@ class TestInitialGrid:
 class TestEvolve:
     def test_zero_time(self):
         cfg = EvolutionConfig(alpha=1.5, n=20, t_final=0.0)
-        traj = evolve(cfg)
-        np.testing.assert_array_equal(traj.final.values, initial_grid(cfg).values)
-        assert list(traj.times) == [0.0]
+        np.testing.assert_array_equal(evolve(cfg).values, initial_grid(cfg).values)
         [(t0, u0)] = iter_states(cfg)
         assert t0 == 0.0
-        np.testing.assert_array_equal(u0.values, traj.final.values)
+        np.testing.assert_array_equal(u0.values, initial_grid(cfg).values)
 
     def test_step_count_lands_on_t_final(self):
         cfg = EvolutionConfig(alpha=1.5, n=20, t_final=0.01, dt=0.003)
-        traj = evolve(cfg)
-        assert traj.times[-1] == pytest.approx(0.01, abs=1e-15)
-        assert len(traj.times) == 5  # ceil(0.01/0.003) = 4 steps
+        times = [t for t, _ in iter_states(cfg)]
+        assert times[-1] == pytest.approx(0.01, abs=1e-15)
+        assert len(times) == 5  # ceil(0.01/0.003) = 4 steps
 
     def test_iter_states_matches_evolve(self):
         cfg = EvolutionConfig(alpha=1.4, n=20, t_final=0.01, dt=0.002)
-        traj = evolve(cfg)
         states = list(iter_states(cfg))
         assert len(states) == 6
         times, grids = zip(*states)
-        np.testing.assert_array_equal(times, traj.times)
-        np.testing.assert_array_equal(grids[-1].values, traj.final.values)
-        np.testing.assert_array_equal([g.sup_norm() for g in grids], traj.sup_norms)
-        np.testing.assert_array_equal([g.l1_norm() for g in grids], traj.l1_norms)
+        np.testing.assert_allclose(times, np.arange(6) * 0.002, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(grids[-1].values, evolve(cfg).values)
+
+    @pytest.mark.parametrize("n", [GS_MIN_N - 1, GS_MIN_N])
+    def test_evolve_is_last_state(self, n):
+        # both solver paths: the dense factor below GS_MIN_N, Gohberg-Semencul from it on
+        cfg = EvolutionConfig(alpha=1.4, n=n, t_final=0.01, ic=EigenfunctionIC())
+        final = evolve(cfg)
+        assert isinstance(final, GridFunction)
+        *_, (t_last, u_last) = iter_states(cfg)
+        assert t_last == pytest.approx(0.01, abs=1e-15)
+        np.testing.assert_array_equal(final.values, u_last.values)
 
     def test_norm_monotone_decay(self):
         cfg = EvolutionConfig(alpha=1.3, n=60, t_final=0.05)
-        traj = evolve(cfg)
-        assert np.all(np.diff(traj.sup_norms) <= 1e-14)
-        assert np.all(np.diff(traj.l1_norms) <= 1e-14)
+        grids = [u for _, u in iter_states(cfg)]
+        assert np.all(np.diff([u.sup_norm() for u in grids]) <= 1e-14)
+        assert np.all(np.diff([u.l1_norm() for u in grids]) <= 1e-14)
 
     def test_classical_against_textbook_tridiagonal(self):
         # independent implicit solver for u_t = u_xx with the standard stencil
@@ -319,14 +325,13 @@ class TestEvolve:
         cfg = EvolutionConfig(
             alpha=2.0, n=n, t_final=t_final, dt=dt, ic=CustomIC(u0)
         )
-        traj = evolve(cfg)
-        np.testing.assert_allclose(traj.final.values, v, atol=1e-11)
+        np.testing.assert_allclose(evolve(cfg).values, v, atol=1e-11)
 
     def test_scheme_selection_changes_result(self):
         kw = dict(alpha=1.4, n=50, t_final=0.01)
         a = evolve(EvolutionConfig(scheme=Scheme.NEW, **kw))
         b = evolve(EvolutionConfig(scheme=Scheme.GRUNWALD, **kw))
-        assert np.abs(a.final.values - b.final.values).max() > 1e-6
+        assert np.abs(a.values - b.values).max() > 1e-6
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,53 @@ class TestNodeReproduction:
             assert p(i * h) == pytest.approx(vals[i - 1], abs=1e-14)
         assert p(0.0) == 0.0
         assert p(1.0) == 0.0
+
+
+class TestScalarArrayAgreement:
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_scalar_calls_match_array_bit_for_bit(self, alpha):
+        rng = np.random.default_rng(17)
+        n = 37
+        p = from_grid(rng.standard_normal(n), alpha, right_value=0.8)
+        h = 1.0 / (n + 1)
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 500), np.arange(n + 2) * h, [0.0, h / 3, 1.0]])
+        xs = np.minimum(xs, 1.0)
+        values = p(xs)
+        scalars = [p(float(x)) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        np.testing.assert_array_equal(values, scalars)
+        assert np.signbit(values).tolist() == np.signbit(scalars).tolist()
+        assert p(np.float64(xs[0])) == values[0]
+        assert p(0.25 * h) == pytest.approx(p.y[1] * 0.25 ** (alpha - 1.0), rel=1e-15)
+        assert p(1.0) == 0.8
+
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_matches_pointwise_math_reference(self, alpha):
+        # the per-point evaluation with the math module; numpy's array kernels
+        # for log, expm1 and ** may round one ulp apart
+        rng = np.random.default_rng(23)
+        n = 37
+        p = from_grid(rng.standard_normal(n), alpha, right_value=0.8)
+        y, h, beta = p.y, p.h, alpha - 1.0
+
+        def reference(x):
+            if x == 1.0:
+                return y[n + 1]
+            i = min(int(x / h), n)
+            if i == 0:
+                return y[1] * (x / h) ** beta
+            if x == i * h:
+                return y[i]
+            num = math.expm1(beta * math.log(x / (i * h)))
+            den = math.expm1(beta * math.log1p(1.0 / i))
+            return y[i] + (y[i + 1] - y[i]) * num / den
+
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 500), np.arange(n + 2) * h, [1.0]])
+        xs = np.minimum(xs, 1.0)
+        want = [reference(float(x)) for x in xs]
+        atol = 8 * np.finfo(float).eps * np.abs(y).max()
+        np.testing.assert_allclose(p(xs), want, rtol=0, atol=atol)
 
 
 class TestPowerExactness:
@@ -66,6 +115,14 @@ class TestValidation:
             p(1.5)
         with pytest.raises(DomainError):
             p(-0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.2])
+    def test_rejects_out_of_range_point_in_array(self, bad):
+        p = from_grid(np.ones(5), alpha=1.5)
+        with pytest.raises(DomainError):
+            p(np.array([0.3, bad, 0.7]))
+        with pytest.raises(DomainError):
+            p(bad)
 
     def test_rejects_bad_lengths(self):
         from fracheat.interp import PowerInterpolant
