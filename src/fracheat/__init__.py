@@ -45,7 +45,7 @@ from .reference import (
     gaussian_ic,
     principal_eigenvalue,
 )
-from .specfun import gamma, gen_binomial, mittag_leffler_e_alpha0, polylog
+from .specfun import gamma, mittag_leffler_e_alpha0, polylog
 from .weights import (
     QMatrixReport,
     Scheme,

@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .evolution import CustomIC, EigenfunctionIC, EvolutionConfig, evolve, iter_states, step_count
+from .evolution import EigenfunctionIC, EvolutionConfig, GaussianIC, evolve, iter_states, step_count
 from .interp import from_grid
 from .operators import GridFunction, apply, build_operator
-from .reference import gaussian_ic, principal_eigenvalue
+from .reference import principal_eigenvalue
 from .specfun import gamma
 from .weights import Scheme, check_alpha
 
@@ -33,7 +33,7 @@ class ErrorRow:
     n: int
     h: float
     dt: float
-    norm: str  # "sup" or "L1"
+    norm: str  # always "sup"; ErrorReport.meta["norm"] names the quantity
     error: float
     observed_order: Optional[float] = None
 
@@ -68,26 +68,19 @@ class ErrorReport:
         )
 
 
-def error_norms(
-    u: GridFunction, ref: Union[Callable[[float], float], GridFunction]
-) -> dict[str, float]:
-    """Sup and L1 error of u against a callable or a finer-grid reference.
+def error_norms(u: GridFunction, ref: GridFunction) -> dict[str, float]:
+    """Sup and L1 error of u against a finer-grid reference.
 
-    A finer GridFunction reference is read at the coarse nodes directly when
-    the node sets nest, and through its power interpolant otherwise.
+    The reference is read at the coarse nodes directly when the node sets
+    nest, and through its power interpolant otherwise.
     """
-    x = u.x
-    if isinstance(ref, GridFunction):
-        if ref.n < u.n:
-            raise DomainError("reference grid must be at least as fine")
-        if (ref.n + 1) % (u.n + 1) == 0:
-            stride = (ref.n + 1) // (u.n + 1)
-            rv = ref.values[stride - 1 :: stride][: u.n]
-        else:
-            p = from_grid(ref.values, ref.alpha)
-            rv = p(x)
+    if ref.n < u.n:
+        raise DomainError("reference grid must be at least as fine")
+    if (ref.n + 1) % (u.n + 1) == 0:
+        stride = (ref.n + 1) // (u.n + 1)
+        rv = ref.values[stride - 1 :: stride][: u.n]
     else:
-        rv = np.array([ref(xi) for xi in x])
+        rv = from_grid(ref.values, ref.alpha)(u.x)
     diff = np.abs(u.values - rv)
     return {"sup": float(diff.max()), "L1": float(u.h * diff.sum())}
 
@@ -138,16 +131,14 @@ def eigen_decay_study(
     n_list: Sequence[int],
     t_final: float,
     scheme: Scheme = Scheme.NEW,
-    dt_exponent: Optional[float] = None,
 ) -> ErrorReport:
     """Evolve the projected principal eigenfunction and compare with e^(ct) u_c.
 
-    dt = h^(alpha+0.5) by default: the extra half order keeps the O(dt) Euler
-    error below the O(h^alpha) spatial target across the chain.
+    dt = h^(alpha+0.5): the extra half order keeps the O(dt) Euler error
+    below the O(h^alpha) spatial target across the chain.
     """
     sizes = _grid_sizes(n_list)
-    if dt_exponent is None:
-        dt_exponent = alpha + 0.5
+    dt_exponent = alpha + 0.5
     pair = principal_eigenvalue(alpha)
     if t_final <= (1.0 / (sizes[0] + 1)) ** alpha:
         raise DomainError("t_final must exceed the coarsest h^alpha")
@@ -207,7 +198,7 @@ def figure1_comparison(
             t_final=t_final,
             scheme=scheme,
             dt=dt,
-            ic=CustomIC(gaussian_ic(np.arange(1, n + 1) / (n + 1), mu, sigma2)),
+            ic=GaussianIC(mu=mu, sigma2=sigma2),
         )
         return evolve(cfg)
 

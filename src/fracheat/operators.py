@@ -53,7 +53,6 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    alpha: float
     n: int
     weights: WeightSequence
 
@@ -64,6 +63,10 @@ class OperatorMatrix:
             raise DomainError(
                 f"weight vector too short: {self.weights.n_max + 1} < {self.n + 1}"
             )
+
+    @property
+    def alpha(self) -> float:
+        return self.weights.alpha
 
     @property
     def h(self) -> float:
@@ -87,7 +90,7 @@ def build_operator(alpha: float, n: int, scheme: Scheme = Scheme.NEW) -> Operato
     if n < 3:
         raise DomainError(f"build_operator needs n >= 3, got {n}")
     maker = new_weights if scheme is Scheme.NEW else grunwald_weights
-    return OperatorMatrix(alpha=alpha, n=n, weights=maker(alpha, n))
+    return OperatorMatrix(n=n, weights=maker(alpha, n))
 
 
 def apply(op: OperatorMatrix, u: GridFunction) -> GridFunction:
@@ -124,14 +127,12 @@ def exactness_residual(alpha: float, n: int) -> float:
     return float(np.abs(v[: n - 1] - target[: n - 1]).max() / spike)
 
 
-def closed_form_inverse(alpha: float, n: int, scheme: Scheme = Scheme.NEW) -> np.ndarray:
+def closed_form_inverse(alpha: float, n: int) -> np.ndarray:
     """Dense inverse of the new-scheme generator from its closed form.
 
     X[i][j] = h*(H(i-j)*((i-j)h)^(a-1) - (ih)^(a-1)(1-jh)^(a-1))/Gamma(alpha),
     1-based i, j, with H(0)*0^(a-1) taken as 0 (the factor vanishes for a > 1).
     """
-    if scheme is not Scheme.NEW:
-        raise DomainError("the closed-form inverse holds for the new scheme only")
     h = 1.0 / (n + 1)
     i = np.arange(1, n + 1, dtype=float)[:, None]
     j = np.arange(1, n + 1, dtype=float)[None, :]

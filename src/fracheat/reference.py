@@ -8,7 +8,6 @@ product-integration quadrature, and the standard Gaussian initial condition.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -27,18 +26,28 @@ class EigenPair:
     series_terms: int
 
 
+# Below it the secant polish stalls above its 1e-11 residual at many alpha
+# (1.001 to 1.006, 1.008, 1.0095). From it to 2 every root is in [-9.87, -4.5].
+EIGEN_MIN_ALPHA = 1.01
+
+
 @lru_cache(maxsize=None)
 def principal_eigenvalue(alpha: float) -> EigenPair:
     """Largest negative root of E_{alpha,0}: coarse scan, bisection, secant polish.
 
-    Scans c from -0.25 downward in steps of 0.25 to -60 for a sign change;
-    failure to find one is reported rather than the window widened silently.
+    Serves alpha in [1.01, 2] and raises DomainError below. Scans c from -0.25
+    downward in steps of 0.25 to -11.75 for a sign change; failure to find one
+    is reported rather than the window widened silently.
     """
+    if not EIGEN_MIN_ALPHA <= alpha <= 2.0:
+        raise DomainError(
+            f"eigen paths serve alpha in [{EIGEN_MIN_ALPHA}, 2], got {alpha}"
+        )
     f = lambda c: mittag_leffler_e_alpha0(alpha, c)
     x = -0.25
     prev = f(x)
     lo = hi = None
-    while x > -60.0:
+    while x > -11.75:
         xn = x - 0.25
         cur = f(xn)
         if prev == 0.0:
@@ -50,7 +59,7 @@ def principal_eigenvalue(alpha: float) -> EigenPair:
         x, prev = xn, cur
     if lo is None:
         raise ConvergenceError(
-            f"no sign change of E_alpha0 found in [-60, 0) for alpha={alpha}"
+            f"no sign change of E_alpha0 found in [-11.75, 0) for alpha={alpha}"
         )
     flo = f(lo)
     for _ in range(200):
@@ -103,22 +112,25 @@ def exact_decay_solution(alpha: float, t: float, x: float, pair: EigenPair | Non
     return math.exp(pair.c * t) * eigenfunction_u_c(alpha, pair.c, x)
 
 
+PANELS = 10**4  # uniform panels of the product-integration rule
+
+
 @lru_cache(maxsize=8)
-def _unit_weights(alpha: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s_k = k/panels and product-integration weights on [0, 1].
+def _unit_weights(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_k = k/PANELS and product-integration weights on [0, 1].
 
     Sum_k w_k g(s_k) is the integral of (1-y)^(alpha-1)/Gamma(alpha) times
     the piecewise-linear interpolant of g on the nodes: per panel, m0 is the
     exact moment of the kernel and m1 its first moment divided by the panel
     width. Both arrays are read-only, as every caller shares them.
     """
-    s = np.linspace(0.0, 1.0, panels + 1)
+    s = np.linspace(0.0, 1.0, PANELS + 1)
     u = 1.0 - s
     p = u**alpha
     q = u ** (alpha + 1.0)
     m0 = (p[:-1] - p[1:]) / alpha
-    m1 = panels * (u[:-1] * m0 - (q[:-1] - q[1:]) / (alpha + 1.0))
-    w = np.zeros(panels + 1)
+    m1 = PANELS * (u[:-1] * m0 - (q[:-1] - q[1:]) / (alpha + 1.0))
+    w = np.zeros(PANELS + 1)
     w[:-1] += m0 - m1
     w[1:] += m1
     w /= gamma(alpha)
@@ -127,31 +139,27 @@ def _unit_weights(alpha: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return s, w
 
 
-def continuous_inverse_apply(
-    alpha: float, g: Callable[[np.ndarray], np.ndarray], x: float, panels: int = 10**4
-) -> float:
+def continuous_inverse_apply(alpha: float, g: Callable[[np.ndarray], np.ndarray], x: float) -> float:
     """Inverse of the continuous generator applied to g, evaluated at x.
 
     Computes f(x) = I(x) - x^(a-1) * I(1), where
     I(c) = int_0^c (c-y)^(a-1)/Gamma(a) g(y) dy, by product integration: g is
-    replaced by its piecewise-linear interpolant on ``panels`` uniform panels
-    of [0, c] and the weakly singular kernel is integrated exactly per panel,
+    replaced by its piecewise-linear interpolant on PANELS = 10^4 uniform
+    panels of [0, c] and the weakly singular kernel is integrated exactly per panel,
     which keeps the target 1e-8 accuracy near y = x where plain trapezoid
     degrades. Under y = c*s these panel moments scale exactly as c^a times
     those of c = 1, so I(c) = c^a * sum_k w_k g(c*s_k) with one weight vector
-    w on the nodes s_k = k/panels of [0, 1]. (s, w) depend only on
-    (alpha, panels) and are cached (8 entries), never on g; each integral is one
-    evaluation of g and one dot product.
+    w on the nodes s_k = k/PANELS of [0, 1]. (s, w) depend only on alpha and
+    are cached (8 entries), never on g; each integral is one evaluation of g
+    and one dot product.
 
-    Raises DomainError for alpha outside (1, 2], x outside [0, 1] (nan
-    included) or a ``panels`` that is not an integer >= 1.
+    Raises DomainError for alpha outside (1, 2] or x outside [0, 1] (nan
+    included).
     """
     check_alpha(alpha)
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must be a finite number in [0, 1], got {x}")
-    if not isinstance(panels, numbers.Integral) or panels < 1:
-        raise DomainError(f"panels must be an integer >= 1, got {panels!r}")
-    s, w = _unit_weights(alpha, panels)
+    s, w = _unit_weights(alpha)
 
     def weighted_integral(c: float) -> float:
         if c == 0.0:

@@ -1,4 +1,4 @@
-"""Scalar special functions: gamma, generalized binomial, Mittag-Leffler, polylog.
+"""Scalar special functions: gamma, Mittag-Leffler, polylog.
 
 All functions here are pure and thread-safe. ``gamma`` uses a Lanczos
 approximation (g=7, 9 coefficients) so the library carries no dependency on
@@ -27,6 +27,9 @@ _LANCZOS_COEF = (
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+_ML_MAX_TERMS = 300
+_POLYLOG_MAX_TERMS = 10**6  # past it, polylog raises ConvergenceError
+
 
 def gamma(x: float) -> float:
     """Gamma function for real x excluding the poles 0, -1, -2, ..."""
@@ -43,40 +46,32 @@ def gamma(x: float) -> float:
     return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * a
 
 
-def gen_binomial(alpha: float, j: int) -> float:
-    """Generalized binomial coefficient binom(alpha, j) by the product recurrence."""
-    if j < 0:
-        raise DomainError(f"gen_binomial needs j >= 0, got {j}")
-    b = 1.0
-    for k in range(1, j + 1):
-        b *= (alpha - k + 1) / k
-    return b
-
-
-def mittag_leffler_e_alpha0(alpha: float, z: float, max_terms: int = 300) -> float:
+def mittag_leffler_e_alpha0(alpha: float, z: float) -> float:
     """E_{alpha,0}(z) = sum_{n>=1} z^n / Gamma(n*alpha) by direct Kahan-summed series.
 
-    |z| <= 100 is an input guard, not an accuracy domain (no asymptotic branch
-    is implemented beyond it). For negative z the terms cancel; against mpmath
-    1.3.0 the relative error is 1e-5 at z = -20, 7.6e4 at z = -50 and 9e18 at
-    z = -100 for alpha = 1.1; 4e-5 at z = -50 and 6.0 at z = -100 for
-    alpha = 1.4; and 2e-11 at z = -100 for alpha = 2.0.
+    Served on |z| <= 12, which covers every library use: the eigenvalue scan
+    stops at z = -11.75 and u_c samples z = c*x^alpha with |c| <= 9.87. There,
+    against mpmath 1.3.0 (481 points of [-12, 12]), the error is at most
+    max(1, |E|) times 3.8e-10 for alpha = 1.01, 7.2e-11 for 1.1, 1.3e-12 for
+    1.4, 3.2e-14 for 1.7 and 8.9e-15 for 2.0, the worst near z = -12. For
+    negative z the terms cancel, and the error grows fast beyond the guard
+    (7.6e4 relative at z = -50 for alpha = 1.1).
     """
-    return mittag_leffler_series(alpha, z, max_terms)[0]
+    return mittag_leffler_series(alpha, z)[0]
 
 
-def mittag_leffler_series(alpha: float, z: float, max_terms: int = 300) -> tuple[float, int]:
+def mittag_leffler_series(alpha: float, z: float) -> tuple[float, int]:
     """E_{alpha,0}(z) as in ``mittag_leffler_e_alpha0``, and the number of terms summed."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"mittag_leffler requires alpha in (1, 2], got {alpha}")
-    if abs(z) > 100.0:
-        raise DomainError(f"|z| = {abs(z)} exceeds the input guard |z| <= 100 (not an accuracy bound)")
+    if abs(z) > 12.0:
+        raise DomainError(f"|z| = {abs(z)} is outside the served domain |z| <= 12")
     if z == 0.0:
         return 0.0, 0
     log_az = math.log(abs(z))
     total = 0.0
     comp = 0.0  # Kahan compensation
-    for n in range(1, max_terms + 1):
+    for n in range(1, _ML_MAX_TERMS + 1):
         term = math.exp(n * log_az - math.lgamma(n * alpha))
         if z < 0.0 and n % 2 == 1:
             term = -term
@@ -89,7 +84,7 @@ def mittag_leffler_series(alpha: float, z: float, max_terms: int = 300) -> tuple
     return total, n
 
 
-def polylog(s: float, t: float, max_terms: int = 10**6) -> float:
+def polylog(s: float, t: float) -> float:
     """Li_s(t) = sum_{j>=1} j^{-s} t^j for |t| < 1."""
     if not -1.0 < t < 1.0:
         raise DomainError(f"polylog requires |t| < 1, got t={t}")
@@ -97,12 +92,12 @@ def polylog(s: float, t: float, max_terms: int = 10**6) -> float:
         return 0.0
     total = 0.0
     tp = 1.0
-    for j in range(1, max_terms + 1):
+    for j in range(1, _POLYLOG_MAX_TERMS + 1):
         tp *= t
         term = j ** (-s) * tp
         total += term
         if abs(term) <= 1e-16 * abs(total):
             return total
     raise ConvergenceError(
-        f"polylog series did not converge within {max_terms} terms at s={s}, t={t}"
+        f"polylog series did not converge within {_POLYLOG_MAX_TERMS} terms at s={s}, t={t}"
     )

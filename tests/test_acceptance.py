@@ -110,9 +110,8 @@ def test_criterion_05_generating_identity():
 
 
 def _decay_order(scheme: Scheme) -> float:
-    rep = eigen_decay_study(
-        1.4, [50, 100, 200, 400], t_final=0.05, scheme=scheme, dt_exponent=1.9
-    )
+    # dt = h^(alpha+0.5) = h^1.9
+    rep = eigen_decay_study(1.4, [50, 100, 200, 400], t_final=0.05, scheme=scheme)
     return rep.overall_order(scheme)
 
 

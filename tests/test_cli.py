@@ -130,8 +130,8 @@ class TestOneConfigPath:
         assert parse_config(render_config(cfg)) == cfg
 
 
-# Non-finite times, overflowing step counts and sizes below 3 in an n-list
-# are usage errors, never tracebacks.
+# Non-finite times, overflowing step counts, sizes below 3 in an n-list and
+# alpha below 1.01 on eigen paths are usage errors, never tracebacks.
 USAGE_ERRORS = [
     ["solve", "--t-final", "inf"],
     ["solve", "--t-final", "nan"],
@@ -145,6 +145,9 @@ USAGE_ERRORS = [
     ["converge", "--ic", "power", "--n-list", "-1"],
     ["converge", "--ic", "eigen", "--n-list", "-1"],
     ["compare", "--n-list", "-1"],
+    ["eigen", "--alpha", "1.005"],
+    ["solve", "--ic", "eigen", "--alpha", "1.005"],
+    ["converge", "--ic", "eigen", "--alpha", "1.0095", "--n-list", "16"],
 ]
 
 
@@ -322,16 +325,54 @@ SOLVE_DIGESTS = {
 }
 
 
+# sha256 of the other commands' output. Grids stay below GS_MIN_N and `compare`
+# references nest, so no digest rests on SIMD rounding in the power interpolant.
+COMMAND_DIGESTS = {
+    "weights --alpha 1.4 --n 20 --format csv":
+        "2f1d26bbf7eff2abe00c23380cdeebfa9fe7e807ab3c9041ae266f14a6ef23ad",
+    "weights --alpha 1.4 --n 20 --format json":
+        "1e874b249a7841f6ace4ce964fab65cd3f372288891dc4b63cd62693477da1aa",
+    "weights --alpha 1.7 --n 33 --scheme grunwald --format csv":
+        "8f9934d4075f934e40a2581baead1e2f529785b7bb31fec94d0f29b6dcc4d280",
+    "weights --alpha 1.7 --n 33 --scheme grunwald --format json":
+        "48fd2690d6831a152e66e46eea1311610f1628f11c06ea8da567e48e6683f760",
+    "eigen --alpha 1.4 --format csv":
+        "99433828c88334453fc4d095ae2795180d22b1e826845bd51395558693ed4633",
+    "eigen --alpha 1.4 --format json":
+        "e2c70b123109ed3e350c0b1fff9c030a7f9f7bddfc4da0bc9d205be84fc6cea1",
+    "eigen --alpha 1.01 --format csv":
+        "6974a3c70cc9df6db6fdc2945e1b6565424f797d59396c9f36a3b64857d196a0",
+    "eigen --alpha 2.0 --format json":
+        "a2db15d7858760a53606d79de76e8b315f344a6e985168cb36a12b579730e776",
+    "converge --ic eigen --alpha 1.4 --n-list 16,32 --t-final 0.05 --format csv":
+        "f58c41a40c21fb2af5b376bc95067920c2fca020e9f8aa951b99cf35b5785d0d",
+    "converge --ic eigen --alpha 1.4 --n-list 16,32 --t-final 0.05 --format json":
+        "134c644ca11c678859ac8090f836dcf3317e1a65abdd4f6a12c4cf5e839b3ccd",
+    "converge --ic power --alpha 1.4 --n-list 16,32,64 --format csv":
+        "786a63f7175de78f055b13d17dc04ea3862ca78558896c5d56bb33a9a1d698c7",
+    "converge --ic power --alpha 1.4 --n-list 16,32,64 --format json":
+        "f18341b7297e4aee83e64d2bc5a4eda1d7a1e0c749b40e56a9a1caea3d3b1e20",
+    "compare --alpha 1.4 --n-list 10,20 --t-final 0.01 --format csv":
+        "ab2f902c2fb070745237e026be5faa16e4cf9885c2e33214772d9c1ecb24b66b",
+    "compare --alpha 1.4 --n-list 10,20 --t-final 0.01 --format json":
+        "226d6fa9e07080bdca01696ca7439485a496735cb9de2cbe0249810556fa0414",
+}
+
+
+def assert_digest(argv, want, tmp_path, capsys):
+    """The run's stdout and its --out file both hash to want."""
+    code, out, _ = run_main(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+    path = tmp_path / "run.out"
+    assert run_main(argv + ["--out", str(path)], capsys)[:2] == (0, "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
 class TestSolveOutput:
     @pytest.mark.parametrize("flags", sorted(SOLVE_DIGESTS))
     def test_pinned_digest(self, flags, tmp_path, capsys):
-        argv = ["solve", *flags.split()]
-        code, out, _ = run_main(argv, capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == SOLVE_DIGESTS[flags]
-        path = tmp_path / "solve.out"
-        assert run_main(argv + ["--out", str(path)], capsys)[:2] == (0, "")
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == SOLVE_DIGESTS[flags]
+        assert_digest(["solve", *flags.split()], SOLVE_DIGESTS[flags], tmp_path, capsys)
 
     def test_rows_stream_in_small_memory(self, tmp_path):
         # 2,000 steps at n = 64: 128,064 rows, 6.47 MB of CSV written as it is computed
@@ -346,6 +387,12 @@ class TestSolveOutput:
         size = path.stat().st_size
         assert size > 6_000_000
         assert peak < 0.25 * size, f"tracemalloc peak {peak} B for {size} B of output"
+
+
+class TestCommandOutput:
+    @pytest.mark.parametrize("argv", sorted(COMMAND_DIGESTS))
+    def test_pinned_digest(self, argv, tmp_path, capsys):
+        assert_digest(argv.split(), COMMAND_DIGESTS[argv], tmp_path, capsys)
 
 
 class TestDeterminism:

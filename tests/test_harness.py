@@ -24,13 +24,6 @@ def grid(alpha, n, values):
 
 
 class TestErrorNorms:
-    def test_against_callable(self):
-        n = 9
-        u = grid(1.5, n, np.zeros(n))
-        e = error_norms(u, lambda x: 1.0)
-        assert e["sup"] == 1.0
-        assert e["L1"] == pytest.approx(0.9)
-
     def test_against_nested_grid(self):
         # fine grid with (ref.n+1) divisible by (u.n+1): shared nodes read directly
         alpha = 1.5

@@ -6,7 +6,7 @@ import pytest
 from fracheat import (
     DomainError,
     GridFunction,
-    Scheme,
+    OperatorMatrix,
     apply,
     build_operator,
     closed_form_inverse,
@@ -28,6 +28,13 @@ class TestBuildAndDense:
         h = 0.25
         expected = np.array([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], dtype=float) / h**2
         np.testing.assert_allclose(op.dense(), expected, atol=1e-10)
+
+    def test_alpha_is_read_from_the_weights(self):
+        # no second alpha can disagree with the one the weights were built for
+        op = OperatorMatrix(n=10, weights=new_weights(1.4, 10))
+        assert op.alpha == 1.4
+        with pytest.raises(TypeError):
+            OperatorMatrix(alpha=1.9, n=10, weights=new_weights(1.4, 10))
 
     def test_first_column_and_superdiagonal(self):
         op = build_operator(1.5, 3)
@@ -132,10 +139,6 @@ class TestClosedFormInverse:
         mu = apply(op, grid(alpha, n, u)).values
         np.testing.assert_allclose(x @ mu, u, atol=1e-8 * np.abs(u).max())
 
-    def test_new_scheme_only(self):
-        with pytest.raises(DomainError):
-            closed_form_inverse(1.4, 16, scheme=Scheme.GRUNWALD)
-
 
 class TestGridFunction:
     def test_rejects_nonfinite(self):
@@ -153,6 +156,4 @@ class TestGridFunction:
 
     def test_weights_length_guard(self):
         with pytest.raises(DomainError):
-            from fracheat.operators import OperatorMatrix
-
-            OperatorMatrix(alpha=1.5, n=10, weights=new_weights(1.5, 4))
+            OperatorMatrix(n=10, weights=new_weights(1.5, 4))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracheat import DomainError, gamma, gen_binomial, mittag_leffler_e_alpha0, polylog
+from fracheat import DomainError, gamma, mittag_leffler_e_alpha0, polylog
 from fracheat.errors import ConvergenceError
 from fracheat.specfun import mittag_leffler_series
 
@@ -36,26 +36,6 @@ class TestGamma:
             gamma(x)
 
 
-class TestGenBinomial:
-    def test_terminating(self):
-        assert gen_binomial(2.0, 1) == 2.0
-        assert gen_binomial(2.0, 3) == 0.0
-
-    def test_fractional(self):
-        assert gen_binomial(1.5, 2) == pytest.approx(0.375, abs=1e-15)
-
-    def test_pascal_identity(self):
-        for alpha in (1.2, 1.5, 1.9):
-            for j in range(1, 20):
-                lhs = gen_binomial(alpha, j)
-                rhs = gen_binomial(alpha - 1, j) + gen_binomial(alpha - 1, j - 1)
-                assert lhs == pytest.approx(rhs, abs=1e-13)
-
-    def test_negative_j_rejected(self):
-        with pytest.raises(DomainError):
-            gen_binomial(1.5, -1)
-
-
 class TestMittagLeffler:
     def test_zero(self):
         assert mittag_leffler_e_alpha0(2.0, 0.0) == 0.0
@@ -86,11 +66,15 @@ class TestMittagLeffler:
         assert value == mittag_leffler_e_alpha0(2.0, 1.0)
         assert terms == 10
         assert mittag_leffler_series(2.0, 0.0) == (0.0, 0)
-        assert mittag_leffler_series(2.0, 1.0, max_terms=3)[1] == 3
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError, match="input guard"):
-            mittag_leffler_e_alpha0(2.0, 101.0)
+        # the served domain |z| <= 12 covers the eigenvalue scan down to -11.75
+        assert mittag_leffler_series(2.0, -12.0)[0] == pytest.approx(
+            -(12**0.5) * math.sin(12**0.5), abs=1e-13
+        )
+        for z in (-12.5, 12.5):
+            with pytest.raises(DomainError, match="served domain"):
+                mittag_leffler_series(1.4, z)
         with pytest.raises(DomainError):
             mittag_leffler_e_alpha0(1.0, 1.0)
 
@@ -122,4 +106,4 @@ class TestPolylog:
 
     def test_convergence_budget(self):
         with pytest.raises(ConvergenceError):
-            polylog(-0.5, 0.999, max_terms=50)
+            polylog(-0.5, 0.999999)  # about 2.4e7 terms needed, 1e6 allowed
