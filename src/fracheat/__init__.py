@@ -5,7 +5,6 @@ difference scheme with a shifted-Grunwald baseline and a convergence harness.
 
 from .errors import ConvergenceError, DomainError, FracheatError, NumericalError
 from .evolution import (
-    CustomIC,
     EigenfunctionIC,
     EvolutionConfig,
     GaussianIC,
@@ -28,7 +27,7 @@ from .harness import (
     observed_order,
     operator_consistency_study,
 )
-from .interp import PowerInterpolant, from_grid, project
+from .interp import PowerInterpolant, from_grid
 from .operators import (
     GridFunction,
     OperatorMatrix,
@@ -41,7 +40,6 @@ from .reference import (
     EigenPair,
     continuous_inverse_apply,
     eigenfunction_u_c,
-    exact_decay_solution,
     gaussian_ic,
     principal_eigenvalue,
 )

@@ -52,12 +52,7 @@ class PowerLawIC:
     b: float = 0.0
 
 
-@dataclass(frozen=True)
-class CustomIC:
-    values: np.ndarray = field(repr=False)
-
-
-InitialCondition = Union[GaussianIC, EigenfunctionIC, PowerLawIC, CustomIC]
+InitialCondition = Union[GaussianIC, EigenfunctionIC, PowerLawIC]
 
 
 @dataclass(frozen=True)
@@ -310,8 +305,6 @@ def initial_grid(cfg: EvolutionConfig) -> GridFunction:
         vals = np.array([eigenfunction_u_c(cfg.alpha, pair.c, xi) for xi in x])
     elif isinstance(ic, PowerLawIC):
         vals = ic.a * x ** (cfg.alpha - 1.0) + ic.b * x ** (2.0 * cfg.alpha - 1.0)
-    elif isinstance(ic, CustomIC):
-        vals = np.asarray(ic.values, dtype=float)
     else:
         raise DomainError(f"unknown initial condition {ic!r}")
     return GridFunction(alpha=cfg.alpha, n=cfg.n, values=vals)

@@ -1,9 +1,10 @@
 """Grid-refinement convergence studies and the Figure-1 style scheme comparison.
 
-Error reports are plain rows (scheme, alpha, n, h, dt, norm, error,
-observed_order) emitted as CSV or JSON. Observed orders on a row are the
-log-ratio against the previous row of the same chain; ``observed_order``
-computes the least-squares slope over a whole chain.
+Error reports are plain rows (scheme, alpha, n, h, dt, error, observed_order)
+emitted as CSV or JSON; the report's ``meta["norm"]`` names the error quantity.
+Observed orders on a row are the log-ratio against the previous row of the
+same chain; ``observed_order`` computes the least-squares slope over a whole
+chain.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .reference import principal_eigenvalue
 from .specfun import gamma
 from .weights import Scheme, check_alpha
 
-CSV_HEADER = "scheme,alpha,n,h,dt,norm,error,observed_order"
+CSV_HEADER = "scheme,alpha,n,h,dt,error,observed_order"
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,6 @@ class ErrorRow:
     n: int
     h: float
     dt: float
-    norm: str  # always "sup"; ErrorReport.meta["norm"] names the quantity
     error: float
     observed_order: Optional[float] = None
 
@@ -44,9 +44,8 @@ class ErrorReport:
     meta: dict = field(default_factory=dict)
 
     def chain(self, scheme: Scheme | str) -> list[tuple[float, float]]:
-        """(h, error) of the scheme's sup-norm rows."""
-        name = scheme.value if isinstance(scheme, Scheme) else scheme
-        return [(r.h, r.error) for r in self.rows if r.scheme == name and r.norm == "sup"]
+        """(h, error) of the scheme's rows."""
+        return [(r.h, r.error) for r in self.rows if r.scheme == scheme]
 
     def overall_order(self, scheme: Scheme | str) -> float:
         return observed_order(self.chain(scheme))
@@ -56,7 +55,7 @@ class ErrorReport:
         for r in self.rows:
             oo = "" if r.observed_order is None else repr(r.observed_order)
             lines.append(
-                f"{r.scheme},{r.alpha!r},{r.n},{r.h!r},{r.dt!r},{r.norm},{r.error!r},{oo}"
+                f"{r.scheme},{r.alpha!r},{r.n},{r.h!r},{r.dt!r},{r.error!r},{oo}"
             )
         return "\n".join(lines) + "\n"
 
@@ -110,7 +109,7 @@ def _chain(
     sizes: Sequence[int],
     run: Callable[[int, float], tuple[float, float]],
 ) -> list[ErrorRow]:
-    """Rows of one refinement chain; run(n, h) returns (dt, sup error).
+    """Rows of one refinement chain; run(n, h) returns (dt, error).
 
     Each row's observed order is the log-ratio against the previous row.
     """
@@ -122,7 +121,7 @@ def _chain(
         order = None
         if prev is not None and not (prev.error <= 0.0 or err <= 0.0):
             order = math.log(prev.error / err) / math.log(prev.h / h)
-        rows.append(ErrorRow(scheme.value, alpha, n, h, dt, "sup", err, order))
+        rows.append(ErrorRow(scheme.value, alpha, n, h, dt, err, order))
     return rows
 
 

@@ -6,7 +6,6 @@ Reduces to piecewise linear interpolation at alpha = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -61,22 +60,8 @@ class PowerInterpolant:
         return float(v[0]) if scalar else v
 
 
-def from_grid(values: np.ndarray, alpha: float, right_value: float = 0.0) -> PowerInterpolant:
-    """Wrap interior node values u_1..u_n as a PowerInterpolant."""
+def from_grid(values: np.ndarray, alpha: float) -> PowerInterpolant:
+    """Wrap interior node values u_1..u_n as a PowerInterpolant with y_0 = y_{n+1} = 0."""
     values = np.asarray(values, dtype=float)
-    y = np.concatenate(([0.0], values, [right_value]))
+    y = np.concatenate(([0.0], values, [0.0]))
     return PowerInterpolant(alpha=alpha, n=len(values), y=y)
-
-
-def project(
-    f: Callable[[float], float], alpha: float, n: int, dirichlet: bool = True
-) -> PowerInterpolant:
-    """Projection Pi_n f: sample f at the interior nodes and wrap.
-
-    With ``dirichlet=False`` the right boundary value f(1) is kept, extending
-    the projection to data that vanish only at x = 0.
-    """
-    h = 1.0 / (n + 1)
-    vals = np.array([f(i * h) for i in range(1, n + 1)], dtype=float)
-    right = 0.0 if dirichlet else float(f(1.0))
-    return from_grid(vals, alpha, right_value=right)

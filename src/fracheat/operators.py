@@ -72,10 +72,6 @@ class OperatorMatrix:
     def h(self) -> float:
         return 1.0 / (self.n + 1)
 
-    @property
-    def scheme(self) -> Scheme:
-        return self.weights.scheme
-
     def dense(self) -> np.ndarray:
         """Densified n x n matrix; O(n^2) memory, for solvers and oracles only."""
         w = self.weights.w
@@ -87,8 +83,6 @@ class OperatorMatrix:
 
 
 def build_operator(alpha: float, n: int, scheme: Scheme = Scheme.NEW) -> OperatorMatrix:
-    if n < 3:
-        raise DomainError(f"build_operator needs n >= 3, got {n}")
     maker = new_weights if scheme is Scheme.NEW else grunwald_weights
     return OperatorMatrix(n=n, weights=maker(alpha, n))
 

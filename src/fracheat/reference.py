@@ -1,8 +1,8 @@
 """Analytic reference solutions and continuous-problem oracles.
 
 Principal eigenpair of the fractional generator, the slowest-decaying
-eigenfunction, the exact decay solution, the continuous inverse via
-product-integration quadrature, and the standard Gaussian initial condition.
+eigenfunction, the continuous inverse via product-integration quadrature,
+and the standard Gaussian initial condition.
 """
 
 from __future__ import annotations
@@ -103,13 +103,6 @@ def eigenfunction_u_c(alpha: float, c: float, x: float) -> float:
             2.0 * alpha
         )
     return mittag_leffler_e_alpha0(alpha, c * x**alpha) / (c * x)
-
-
-def exact_decay_solution(alpha: float, t: float, x: float, pair: EigenPair | None = None) -> float:
-    """e^(c*t) * u_c(x), the slowest-decaying mode of the Dirichlet problem."""
-    if pair is None:
-        pair = principal_eigenvalue(alpha)
-    return math.exp(pair.c * t) * eigenfunction_u_c(alpha, pair.c, x)
 
 
 PANELS = 10**4  # uniform panels of the product-integration rule

@@ -12,7 +12,6 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 
 from fracheat import (
-    CustomIC,
     EvolutionConfig,
     Scheme,
     build_operator,

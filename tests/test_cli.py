@@ -286,7 +286,7 @@ class TestCommands:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[1] == "scheme,alpha,n,h,dt,norm,error,observed_order"
+        assert lines[1] == "scheme,alpha,n,h,dt,error,observed_order"
         assert len(lines) == 4
 
     def test_compare_has_both_schemes(self, capsys):
@@ -345,17 +345,17 @@ COMMAND_DIGESTS = {
     "eigen --alpha 2.0 --format json":
         "a2db15d7858760a53606d79de76e8b315f344a6e985168cb36a12b579730e776",
     "converge --ic eigen --alpha 1.4 --n-list 16,32 --t-final 0.05 --format csv":
-        "f58c41a40c21fb2af5b376bc95067920c2fca020e9f8aa951b99cf35b5785d0d",
+        "c7c15ece01434fca8a8f6c2652e33ce6385bb7025ea9dc9eaef0c7c894f560a7",
     "converge --ic eigen --alpha 1.4 --n-list 16,32 --t-final 0.05 --format json":
-        "134c644ca11c678859ac8090f836dcf3317e1a65abdd4f6a12c4cf5e839b3ccd",
+        "8bdcfb4fe752e204c491a676668913ef24c9c5d3fe1e3a58ea672eed7f2c66cb",
     "converge --ic power --alpha 1.4 --n-list 16,32,64 --format csv":
-        "786a63f7175de78f055b13d17dc04ea3862ca78558896c5d56bb33a9a1d698c7",
+        "52ab175c1c28675ac6d719fa9713d34cace3bc37770ac7dfb777da9902e4d65c",
     "converge --ic power --alpha 1.4 --n-list 16,32,64 --format json":
-        "f18341b7297e4aee83e64d2bc5a4eda1d7a1e0c749b40e56a9a1caea3d3b1e20",
+        "e4cac8dae363e19875141c39d9c7ef04377656c5ba2920f8a1283f73e8b88ebd",
     "compare --alpha 1.4 --n-list 10,20 --t-final 0.01 --format csv":
-        "ab2f902c2fb070745237e026be5faa16e4cf9885c2e33214772d9c1ecb24b66b",
+        "80acbc4c21262af87f7cc4f8fd8db443e48bb7455d8d1c2add63689bd145a428",
     "compare --alpha 1.4 --n-list 10,20 --t-final 0.01 --format json":
-        "226d6fa9e07080bdca01696ca7439485a496735cb9de2cbe0249810556fa0414",
+        "11a4c1f4c21862183fc4bfb92b49a90abcd50800a2d8591d108bf02a42179b15",
 }
 
 

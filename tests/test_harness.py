@@ -16,7 +16,7 @@ from fracheat import (
     operator_consistency_study,
 )
 
-CSV_HEADER = "scheme,alpha,n,h,dt,norm,error,observed_order"
+CSV_HEADER = "scheme,alpha,n,h,dt,error,observed_order"
 
 
 def grid(alpha, n, values):
@@ -67,9 +67,9 @@ class TestObservedOrder:
 class TestErrorReport:
     def _report(self):
         rows = [
-            ErrorRow("new", 1.5, 9, 0.1, 0.01, "sup", 1e-2, None),
-            ErrorRow("new", 1.5, 19, 0.05, 0.01, "sup", 3.5e-3, 1.5),
-            ErrorRow("grunwald", 1.5, 9, 0.1, 0.01, "sup", 5e-2, None),
+            ErrorRow("new", 1.5, 9, 0.1, 0.01, 1e-2, None),
+            ErrorRow("new", 1.5, 19, 0.05, 0.01, 3.5e-3, 1.5),
+            ErrorRow("grunwald", 1.5, 9, 0.1, 0.01, 5e-2, None),
         ]
         return ErrorReport(rows=rows, meta={"study": "demo"})
 
@@ -91,8 +91,8 @@ class TestErrorReport:
         assert len(lines) == 5
         first = lines[2].split(",")
         assert first[0] == "new"
-        assert float(first[6]) == 1e-2
-        assert first[7] == ""  # no observed order on the first row
+        assert float(first[5]) == 1e-2
+        assert first[6] == ""  # no observed order on the first row
 
     def test_json_round_trip(self):
         data = json.loads(self._report().to_json())

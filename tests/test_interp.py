@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fracheat import DomainError, from_grid, project
+from fracheat import DomainError, PowerInterpolant, from_grid
+
+
+def free_right(vals, alpha, right):
+    """Interpolant of interior values vals with y_{n+1} = right, not 0."""
+    return PowerInterpolant(alpha, len(vals), np.concatenate(([0.0], vals, [right])))
 
 
 class TestNodeReproduction:
@@ -24,7 +29,7 @@ class TestScalarArrayAgreement:
     def test_scalar_calls_match_array_bit_for_bit(self, alpha):
         rng = np.random.default_rng(17)
         n = 37
-        p = from_grid(rng.standard_normal(n), alpha, right_value=0.8)
+        p = free_right(rng.standard_normal(n), alpha, 0.8)
         h = 1.0 / (n + 1)
         xs = np.concatenate([rng.uniform(0.0, 1.0, 500), np.arange(n + 2) * h, [0.0, h / 3, 1.0]])
         xs = np.minimum(xs, 1.0)
@@ -44,7 +49,7 @@ class TestScalarArrayAgreement:
         # for log, expm1 and ** may round one ulp apart
         rng = np.random.default_rng(23)
         n = 37
-        p = from_grid(rng.standard_normal(n), alpha, right_value=0.8)
+        p = free_right(rng.standard_normal(n), alpha, 0.8)
         y, h, beta = p.y, p.h, alpha - 1.0
 
         def reference(x):
@@ -71,12 +76,14 @@ class TestPowerExactness:
     def test_exact_on_power_function(self, alpha):
         rng = np.random.default_rng(11)
         a = 2.5
-        p = project(lambda x: a * x ** (alpha - 1.0), alpha, 50, dirichlet=False)
+        n = 50
+        nodes = np.arange(n + 2) * (1.0 / (n + 1))  # x_0 = 0 included: f(0) = 0
+        p = PowerInterpolant(alpha, n, a * nodes ** (alpha - 1.0))
         xs = rng.uniform(0.0, 1.0, 1000)
         np.testing.assert_allclose(p(xs), a * xs ** (alpha - 1.0), atol=1e-13 * a)
 
     def test_zero_function(self):
-        p = project(lambda x: 0.0, 1.5, 10)
+        p = from_grid(np.zeros(10), 1.5)
         assert p(0.37) == 0.0
 
 
@@ -125,8 +132,6 @@ class TestValidation:
             p(bad)
 
     def test_rejects_bad_lengths(self):
-        from fracheat.interp import PowerInterpolant
-
         with pytest.raises(DomainError):
             PowerInterpolant(alpha=1.5, n=4, y=np.zeros(4))
         with pytest.raises(DomainError):
@@ -139,6 +144,6 @@ class TestLargeCellStability:
         n = 4095
         alpha = 1.1  # close to 1, worst cancellation
         vals = (np.arange(1, n + 1) / (n + 1)) ** (alpha - 1.0)
-        p = from_grid(vals, alpha, right_value=1.0)
+        p = free_right(vals, alpha, 1.0)
         xs = np.linspace(0.99, 1.0, 50)
         np.testing.assert_allclose(p(xs), xs ** (alpha - 1.0), atol=1e-12)

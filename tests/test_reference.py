@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 from fracheat import (
     DomainError,
@@ -10,7 +11,6 @@ from fracheat import (
     build_operator,
     continuous_inverse_apply,
     eigenfunction_u_c,
-    exact_decay_solution,
     gamma,
     gaussian_ic,
     mittag_leffler_e_alpha0,
@@ -140,22 +140,6 @@ class TestEigenfunction:
         )
 
 
-class TestExactDecay:
-    def test_zero_time_is_eigenfunction(self):
-        alpha = 1.5
-        pair = principal_eigenvalue(alpha)
-        assert exact_decay_solution(alpha, 0.0, 0.3) == pytest.approx(
-            eigenfunction_u_c(alpha, pair.c, 0.3), rel=1e-14
-        )
-
-    def test_exponential_factor(self):
-        alpha = 1.7
-        pair = principal_eigenvalue(alpha)
-        v1 = exact_decay_solution(alpha, 0.1, 0.5, pair)
-        v2 = exact_decay_solution(alpha, 0.2, 0.5, pair)
-        assert v2 / v1 == pytest.approx(math.exp(0.1 * pair.c), rel=1e-12)
-
-
 class TestContinuousInverse:
     def test_classical_sine_oracle(self):
         # at alpha = 2 the inverse of d^2/dx^2 with these boundary terms maps
@@ -262,7 +246,7 @@ class TestGaussianIC:
 
     def test_unit_mass(self):
         x = np.linspace(0, 1, 200001)
-        mass = np.trapezoid(gaussian_ic(x), x)
+        mass = trapezoid(gaussian_ic(x), x)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_bad_variance(self):
