@@ -83,6 +83,8 @@ class OperatorMatrix:
 
 
 def build_operator(alpha: float, n: int, scheme: Scheme = Scheme.NEW) -> OperatorMatrix:
+    if n < 3:  # before the weights, whose own floor is n >= 2
+        raise DomainError(f"operator needs n >= 3, got {n}")
     maker = new_weights if scheme is Scheme.NEW else grunwald_weights
     return OperatorMatrix(n=n, weights=maker(alpha, n))
 
@@ -107,8 +109,6 @@ def exactness_residual(alpha: float, n: int) -> float:
     Dirichlet matrix necessarily misses the sample beyond the stencil there,
     so the identity holds on the first n-1 rows only.
     """
-    if n < 3:
-        raise DomainError(f"exactness_residual needs n >= 3, got {n}")
     op = build_operator(alpha, n, Scheme.NEW)
     h = op.h
     xs = np.arange(n) * h

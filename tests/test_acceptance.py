@@ -8,11 +8,9 @@ pytest's output capturing.
 import math
 
 import numpy as np
-import pytest
 from conftest import ACCEPTANCE_LINES
 
 from fracheat import (
-    EvolutionConfig,
     Scheme,
     build_operator,
     closed_form_inverse,
@@ -24,7 +22,6 @@ from fracheat import (
     figure1_comparison,
     from_grid,
     generating_residual,
-    grunwald_weights,
     new_weights,
     observed_order,
     principal_eigenvalue,
@@ -109,7 +106,7 @@ def test_criterion_05_generating_identity():
 
 
 def _decay_order(scheme: Scheme) -> float:
-    # dt = h^(alpha+0.5) = h^1.9
+    # one dt per chain, the coarsest grid's h^alpha, against the Euler image of u_c
     rep = eigen_decay_study(1.4, [50, 100, 200, 400], t_final=0.05, scheme=scheme)
     return rep.overall_order(scheme)
 

@@ -345,9 +345,9 @@ COMMAND_DIGESTS = {
     "eigen --alpha 2.0 --format json":
         "a2db15d7858760a53606d79de76e8b315f344a6e985168cb36a12b579730e776",
     "converge --ic eigen --alpha 1.4 --n-list 16,32 --t-final 0.05 --format csv":
-        "c7c15ece01434fca8a8f6c2652e33ce6385bb7025ea9dc9eaef0c7c894f560a7",
+        "6e4cacee00f86f69c75d19afadfc73b7e2a63acd9cedb911c74e60b95ec5a6aa",
     "converge --ic eigen --alpha 1.4 --n-list 16,32 --t-final 0.05 --format json":
-        "8bdcfb4fe752e204c491a676668913ef24c9c5d3fe1e3a58ea672eed7f2c66cb",
+        "f6421b961d76d5c3bec4f772e3f486688e3b13380074a12c4b400d1a40fa6b34",
     "converge --ic power --alpha 1.4 --n-list 16,32,64 --format csv":
         "52ab175c1c28675ac6d719fa9713d34cace3bc37770ac7dfb777da9902e4d65c",
     "converge --ic power --alpha 1.4 --n-list 16,32,64 --format json":

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -102,17 +103,40 @@ class TestErrorReport:
 
 
 class TestEigenDecayStudy:
-    def test_new_scheme_order_near_alpha(self):
-        rep = eigen_decay_study(1.4, [32, 64, 128], t_final=0.05)
-        order = rep.overall_order(Scheme.NEW)
-        assert 1.1 <= order <= 1.7
+    # Last-pair orders on n = 50..400, t_final = 0.05 read 1.192, 1.397, 1.599,
+    # 1.799, 1.950 (new) and 0.180, 0.394, 0.598, 0.801, 0.954 (Grünwald).
+    # Excluded: alpha = 2, where both schemes have the weights (1, -2, 1), and
+    # 1.1, where Grünwald's alpha - 1 = 0.1 is still pre-asymptotic.
+    ORDER_ALPHAS = [1.2, 1.4, 1.6, 1.8, 1.95]
+    N_LIST = [50, 100, 200, 400]
+
+    @pytest.mark.parametrize("alpha", ORDER_ALPHAS)
+    def test_new_scheme_order_near_alpha(self, alpha):
+        rep = eigen_decay_study(alpha, self.N_LIST, t_final=0.05)
+        assert abs(rep.rows[-1].observed_order - alpha) <= 0.05
         errs = [r.error for r in rep.rows]
         assert errs == sorted(errs, reverse=True)
 
-    def test_baseline_order_near_alpha_minus_one(self):
-        rep = eigen_decay_study(1.4, [32, 64, 128], t_final=0.05, scheme=Scheme.GRUNWALD)
-        order = rep.overall_order(Scheme.GRUNWALD)
-        assert 0.1 <= order <= 0.8
+    @pytest.mark.parametrize("alpha", ORDER_ALPHAS)
+    def test_baseline_order_near_alpha_minus_one(self, alpha):
+        rep = eigen_decay_study(alpha, self.N_LIST, t_final=0.05, scheme=Scheme.GRUNWALD)
+        assert abs(rep.rows[-1].observed_order - (alpha - 1.0)) <= 0.05
+
+    def test_classical_error_is_purely_spatial(self):
+        # At alpha = 2, u_c = sin(pi x)/pi, c = -pi^2, and the nodal sines are
+        # exact eigenvectors of M_h with lam_h = -(4/h^2) sin^2(pi h/2), so K
+        # steps leave exactly |(1 - lam_h dt)^-K - (1 - c dt)^-K| * max u0.
+        # Measured agreement: 2.7e-7 relative at n = 400.
+        rep = eigen_decay_study(2.0, self.N_LIST, t_final=0.05)
+        dt = rep.meta["dt"]
+        steps = round(0.05 / dt)
+        for r in rep.rows:
+            assert r.dt == dt
+            lam = -(4.0 / r.h**2) * math.sin(math.pi * r.h / 2.0) ** 2
+            u0_max = float(np.sin(math.pi * r.h * np.arange(1, r.n + 1)).max()) / math.pi
+            gap = abs((1.0 - lam * dt) ** -steps - (1.0 + math.pi**2 * dt) ** -steps)
+            assert r.error == pytest.approx(gap * u0_max, rel=3e-6)
+        assert rep.rows[-1].observed_order == pytest.approx(2.0, abs=1e-3)
 
     def test_rejects_too_small_t_final(self):
         with pytest.raises(DomainError):

@@ -43,9 +43,10 @@ class TestBuildAndDense:
         np.testing.assert_allclose(d[:, 0], w[1:4], rtol=1e-14)
         np.testing.assert_allclose(np.diag(d, 1), [w[0], w[0]], rtol=1e-14)
 
-    def test_rejects_small_n(self):
-        with pytest.raises(DomainError):
-            build_operator(1.5, 2)
+    @pytest.mark.parametrize("n", [2, 1, 0, -5])
+    def test_rejects_small_n(self, n):
+        with pytest.raises(DomainError, match="operator needs n >= 3"):
+            build_operator(1.5, n)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_q_matrix_structure(self, alpha):
