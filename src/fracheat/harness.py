@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -96,10 +96,10 @@ def observed_order(chain: Sequence[tuple[float, float]]) -> float:
 
 
 def _grid_sizes(n_list: Sequence[int]) -> list[int]:
-    """n_list sorted ascending; every size must be >= 3 before h = 1/(n+1) is formed."""
+    """n_list sorted ascending; the sizes must be distinct and >= 3 before h = 1/(n+1) is formed."""
     sizes = sorted(n_list)
-    if not sizes or sizes[0] < 3:
-        raise DomainError(f"n_list needs one or more sizes, all >= 3, got {list(n_list)}")
+    if not sizes or sizes[0] < 3 or len(set(sizes)) < len(sizes):
+        raise DomainError(f"n_list needs one or more distinct sizes, all >= 3, got {list(n_list)}")
     return sizes
 
 
@@ -107,20 +107,17 @@ def _chain(
     scheme: Scheme,
     alpha: float,
     sizes: Sequence[int],
-    run: Callable[[int, float], tuple[float, float]],
+    dt: float,
+    error: Callable[[int, float], float],
 ) -> list[ErrorRow]:
-    """Rows of one refinement chain; run(n, h) returns (dt, error).
-
-    Each row's observed order is the log-ratio against the previous row.
-    """
+    """Rows of one refinement chain at the time step dt; error(n, h) is a grid's error."""
     rows: list[ErrorRow] = []
     for n in sizes:
         h = 1.0 / (n + 1)
-        dt, err = run(n, h)
-        prev = rows[-1] if rows else None
+        err = error(n, h)
         order = None
-        if prev is not None and not (prev.error <= 0.0 or err <= 0.0):
-            order = math.log(prev.error / err) / math.log(prev.h / h)
+        if rows and not (rows[-1].error <= 0.0 or err <= 0.0):
+            order = math.log(rows[-1].error / err) / math.log(rows[-1].h / h)
         rows.append(ErrorRow(scheme.value, alpha, n, h, dt, err, order))
     return rows
 
@@ -136,26 +133,25 @@ def eigen_decay_study(
     The error is purely spatial; all grids share one dt, the coarsest h^alpha snapped to t_final.
     """
     sizes = _grid_sizes(n_list)
+    base = EvolutionConfig(
+        alpha=alpha, n=sizes[0], t_final=t_final, scheme=scheme, ic=EigenfunctionIC()
+    )
     pair = principal_eigenvalue(alpha)
-    coarse_dt = (1.0 / (sizes[0] + 1)) ** alpha
-    if t_final <= coarse_dt:
+    if t_final <= base.effective_dt():
         raise DomainError("t_final must exceed the coarsest h^alpha")
-    steps = step_count(t_final, coarse_dt)
+    steps = step_count(t_final, base.effective_dt())
     dt = t_final / steps
     decay = (1.0 - pair.c * dt) ** -steps
 
-    def run(n: int, h: float) -> tuple[float, float]:
-        cfg = EvolutionConfig(
-            alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=dt, ic=EigenfunctionIC()
-        )
-        states = iter_states(cfg)
+    def error(n: int, h: float) -> float:
+        states = iter_states(replace(base, n=n, dt=dt))
         _, u0 = next(states)
         for _, final in states:
             pass
-        return dt, float(np.abs(final.values - decay * u0.values).max())
+        return float(np.abs(final.values - decay * u0.values).max())
 
     return ErrorReport(
-        _chain(scheme, alpha, sizes, run),
+        _chain(scheme, alpha, sizes, dt, error),
         meta={
             "study": "eigen_decay",
             "alpha": alpha,
@@ -187,21 +183,14 @@ def figure1_comparison(
     n_list = _grid_sizes(n_list)
     if n_reference < 8 * n_list[-1]:
         raise DomainError("n_reference must be at least 8 * max(n_list)")
+    base = EvolutionConfig(
+        alpha=alpha, n=n_reference, t_final=t_final, ic=GaussianIC(mu=mu, sigma2=sigma2)
+    )
     dt = t_final / step_count(t_final, (1.0 / (n_list[-1] + 1)) ** (alpha + 0.5))
-
-    def run(scheme: Scheme, n: int) -> GridFunction:
-        cfg = EvolutionConfig(
-            alpha=alpha,
-            n=n,
-            t_final=t_final,
-            scheme=scheme,
-            dt=dt,
-            ic=GaussianIC(mu=mu, sigma2=sigma2),
-        )
-        return evolve(cfg)
-
-    ref = run(Scheme.NEW, n_reference)
+    ref = evolve(replace(base, dt=dt))
     ref_sup = ref.sup_norm()
+    if ref_sup == 0.0:
+        raise DomainError(f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero on every reference node")
     report = ErrorReport(
         meta={
             "study": "figure1_comparison",
@@ -215,10 +204,11 @@ def figure1_comparison(
         }
     )
     for scheme in (Scheme.NEW, Scheme.GRUNWALD):
-        def rel_error(n: int, h: float) -> tuple[float, float]:
-            return dt, error_norms(run(scheme, n), ref)["sup"] / ref_sup
+        def rel_error(n: int, h: float) -> float:
+            u = evolve(replace(base, n=n, scheme=scheme, dt=dt))
+            return error_norms(u, ref)["sup"] / ref_sup
 
-        report.rows.extend(_chain(scheme, alpha, n_list, rel_error))
+        report.rows.extend(_chain(scheme, alpha, n_list, dt, rel_error))
     return report
 
 
@@ -231,17 +221,16 @@ def operator_consistency_study(alpha: float, n_list: Sequence[int]) -> ErrorRepo
     sizes = _grid_sizes(n_list)
     check_alpha(alpha)
     factor = gamma(2.0 * alpha) / gamma(alpha)
-    report = ErrorReport(
-        meta={"study": "operator_consistency", "alpha": alpha, "norm": "pointwise@0.5"}
-    )
 
-    def run(n: int, h: float) -> tuple[float, float]:
+    def error(n: int, h: float) -> float:
         op = build_operator(alpha, n, Scheme.NEW)
         x = np.arange(1, n + 1) * h
         u = GridFunction(alpha=alpha, n=n, values=x ** (2.0 * alpha - 1.0))
         v = apply(op, u).values
         i = int(np.argmin(np.abs(x - 0.5)))
-        return 0.0, float(abs(v[i] - factor * x[i] ** (alpha - 1.0)))
+        return float(abs(v[i] - factor * x[i] ** (alpha - 1.0)))
 
-    report.rows.extend(_chain(Scheme.NEW, alpha, sizes, run))
-    return report
+    return ErrorReport(
+        _chain(Scheme.NEW, alpha, sizes, 0.0, error),
+        meta={"study": "operator_consistency", "alpha": alpha, "norm": "pointwise@0.5"},
+    )

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import fracheat
-from fracheat import Scheme
+from fracheat import ConvergenceError, NumericalError, Scheme
 from fracheat.cli import RunConfig, main, parse_config, render_config
 
 OPTION_NAMES = [f.name for f in fields(RunConfig) if f.name != "command"]
@@ -130,8 +130,10 @@ class TestOneConfigPath:
         assert parse_config(render_config(cfg)) == cfg
 
 
-# Non-finite times, overflowing step counts, sizes below 3 in an n-list and
-# alpha below 1.01 on eigen paths are usage errors, never tracebacks.
+# Non-finite times, overflowing step counts, sizes below 3 or repeated in an
+# n-list, alpha below 1.01 on eigen paths, out-of-range alpha and t_final in a
+# study and a Gaussian that is zero on the reference grid are usage errors,
+# never tracebacks. Negative values take the --flag=value form.
 USAGE_ERRORS = [
     ["solve", "--t-final", "inf"],
     ["solve", "--t-final", "nan"],
@@ -148,6 +150,12 @@ USAGE_ERRORS = [
     ["eigen", "--alpha", "1.005"],
     ["solve", "--ic", "eigen", "--alpha", "1.005"],
     ["converge", "--ic", "eigen", "--alpha", "1.0095", "--n-list", "16"],
+    ["converge", "--ic", "power", "--n-list", "8,8"],
+    ["converge", "--ic", "eigen", "--n-list", "8,8", "--t-final", "0.05"],
+    ["compare", "--n-list", "8,8"],
+    ["compare", "--n-list", "8,16", "--alpha=-1e308"],
+    ["compare", "--n-list", "8,16", "--t-final=-1e308"],
+    ["converge", "--n-list", "8,16", "--t-final", "0.01", "--sigma2", "1e-9"],
 ]
 
 
@@ -237,6 +245,17 @@ class TestExitCodes:
         code, _, _ = run_main(["eigen", "--config", "/no/such/file"], capsys)
         assert code == 4
 
+    # no CLI input reaches these errors, so a command body's callee raises them
+    @pytest.mark.parametrize("error", [NumericalError, ConvergenceError])
+    def test_numerical_error_exits_3(self, error, monkeypatch, capsys):
+        def fail(alpha):
+            raise error("injected")
+
+        monkeypatch.setattr("fracheat.cli.principal_eigenvalue", fail)
+        code, out, err = run_main(["eigen"], capsys)
+        assert (code, out) == (3, "")
+        assert "fracheat: numerical error: injected" in err
+
     def test_success(self, capsys):
         code, out, _ = run_main(["eigen", "--alpha", "2.0"], capsys)
         assert code == 0
@@ -322,6 +341,10 @@ SOLVE_DIGESTS = {
         "001925ad611f0bba3ca95c03f5e5d51c0473c62cb6c4f51a05bfc2976ca03a5d",
     "--t-final 0 --format json":
         "c2910d1363eb8f9971e8af72118c905f206f70c7c9373c05db32ffc8bb043bc2",
+    "--alpha 1.6 --n 24 --t-final 0.01 --ic power --power-a 0.5 --power-b 2 --format csv":
+        "7830eafb4c2e464a0efa37cff8d004ccef940479588c0a323ea0940cb32d6b38",
+    "--alpha 1.6 --n 24 --t-final 0.01 --ic power --power-a 0.5 --power-b 2 --format json":
+        "a2b87e45123e98ecb7bf284db477d2397d10ce81cd55910334b855d874ec8821",
 }
 
 

@@ -184,23 +184,31 @@ class TestFigureComparison:
             )
 
 
-class TestGridSizeGuard:
-    @pytest.mark.parametrize("n_list", [[-1], [0, 16], [2, 8], []])
-    @pytest.mark.parametrize(
-        "study",
-        [
-            lambda ns: eigen_decay_study(1.4, ns, t_final=0.05),
-            lambda ns: operator_consistency_study(1.4, ns),
-            lambda ns: figure1_comparison(
-                sigma2=0.0005, mu=0.4, alpha=1.4, t_final=0.05, n_list=ns, n_reference=-1
-            ),
-        ],
-        ids=["eigen_decay", "operator_consistency", "figure1"],
-    )
-    def test_rejects_sizes_below_three(self, study, n_list):
-        with pytest.raises(DomainError):
-            study(n_list)
+# each study as study(alpha, n_list)
+STUDIES = pytest.mark.parametrize(
+    "study",
+    [
+        lambda a, ns: eigen_decay_study(a, ns, t_final=0.05),
+        lambda a, ns: operator_consistency_study(a, ns),
+        lambda a, ns: figure1_comparison(
+            sigma2=0.0005, mu=0.4, alpha=a, t_final=0.05, n_list=ns,
+            n_reference=8 * max(ns, default=0),
+        ),
+    ],
+    ids=["eigen_decay", "operator_consistency", "figure1"],
+)
 
-    def test_rejects_out_of_domain_alpha_before_gamma(self):
-        with pytest.raises(DomainError):
-            operator_consistency_study(1e300, [8, 16])
+
+class TestGridSizeGuard:
+    @pytest.mark.parametrize("n_list", [[-1], [0, 16], [2, 8], [], [8, 8]])
+    @STUDIES
+    def test_rejects_sizes_below_three(self, study, n_list):
+        with pytest.raises(DomainError, match="n_list needs one or more distinct sizes"):
+            study(1.4, n_list)
+
+    # the study's own check names alpha before any power or gamma of it overflows
+    @pytest.mark.parametrize("alpha", [1e300, -1e308])
+    @STUDIES
+    def test_rejects_out_of_domain_alpha_before_gamma(self, study, alpha):
+        with pytest.raises(DomainError, match=r"alpha must be in \(1, 2\]"):
+            study(alpha, [8, 16])
