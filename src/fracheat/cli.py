@@ -41,29 +41,30 @@ def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(s) for s in text.split(",") if s.strip())
 
 
-def _option(default, type, choices=None, help=None):
-    return field(default=default, metadata={"type": type, "choices": choices, "help": help})
+# reads: the runs that read the option, each a command or "command:ic" (only with that --ic)
+def _option(default, type, reads=COMMANDS, choices=None, help=None):
+    return field(default=default, metadata={"reads": reads, "type": type, "choices": choices, "help": help})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed run; every later field is an option, e.g. ``t_final`` is both the
-    flag ``--t-final`` and the config-file key. The library checks the domains.
-    """
+    flag ``--t-final`` and the config-file key. The library checks the domains."""
 
     command: str
     alpha: float = _option(1.5, finite_float)
-    n: Optional[int] = _option(None, int)
-    n_list: tuple[int, ...] = _option((), int_list, help="comma-separated grid sizes")
-    dt: Optional[float] = _option(None, finite_float)
-    t_final: float = _option(0.01, finite_float)
-    scheme: Scheme = _option(Scheme.NEW, Scheme, choices=[s.value for s in Scheme])
-    ic: str = _option("gaussian", str, choices=["gaussian", "eigen", "power"])
-    mu: float = _option(0.4, finite_float)
-    sigma2: float = _option(0.0005, finite_float)
-    power_a: float = _option(1.0, finite_float)
-    power_b: float = _option(0.0, finite_float)
-    n_reference: Optional[int] = _option(None, int)
+    n: Optional[int] = _option(None, int, ("weights", "solve"))
+    n_list: tuple[int, ...] = _option((), int_list, ("converge", "compare"), help="comma-separated grid sizes")
+    dt: Optional[float] = _option(None, finite_float, ("solve",))
+    t_final: float = _option(0.01, finite_float, ("solve", "converge:gaussian", "converge:eigen", "compare"))
+    scheme: Scheme = _option(
+        Scheme.NEW, Scheme, ("weights", "solve", "converge:eigen"), [s.value for s in Scheme]
+    )
+    ic: str = _option("gaussian", str, ("solve", "converge"), ["gaussian", "eigen", "power"])
+    mu: float = _option(0.4, finite_float, ("solve:gaussian", "converge:gaussian", "compare"))
+    sigma2: float = _option(0.0005, finite_float, ("solve:gaussian", "converge:gaussian", "compare"))
+    power_a: float = _option(1.0, finite_float, ("solve:power",))
+    power_b: float = _option(0.0, finite_float, ("solve:power",))
     out: Optional[str] = _option(None, str)
     format: str = _option("csv", str, choices=["csv", "json"])
 
@@ -80,7 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", help="key = value config file; flags override it")
     for name, f in _OPTIONS.items():
-        p.add_argument(_flag(name), dest=name, default=f.default, **f.metadata)
+        kwargs = {k: v for k, v in f.metadata.items() if k != "reads"}
+        p.add_argument(_flag(name), dest=name, default=argparse.SUPPRESS, **kwargs)
     return p
 
 
@@ -107,32 +109,28 @@ def _read_config_file(path: str) -> list[str]:
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
     """Parse argv into a RunConfig. Config-file entries become flags placed before
-    argv, so one parser checks both and a command-line flag overrides a file entry."""
+    argv, so one parser checks both, a command-line flag overrides a file entry, and
+    an option that the run does not read is refused from either."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.config:
         ns = parser.parse_args(_read_config_file(ns.config) + list(argv))
     del ns.config
-    return RunConfig(**vars(ns))
-
-
-def _text(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return value.value if isinstance(value, Scheme) else str(value)
-
-
-def render_config(cfg: RunConfig) -> list[str]:
-    """Inverse of parse_config: an argv list that reproduces cfg."""
-    values = {name: getattr(cfg, name) for name in _OPTIONS}
-    set_values = ((k, v) for k, v in values.items() if v not in (None, ()))
-    return [cfg.command] + [f"{_flag(k)}={_text(v)}" for k, v in set_values]
+    cfg = RunConfig(**vars(ns))
+    runs = {cfg.command, f"{cfg.command}:{cfg.ic}"}
+    unread = [_flag(k) for k in _OPTIONS if k in ns and runs.isdisjoint(_OPTIONS[k].metadata["reads"])]
+    if unread:
+        reads_ic = cfg.command in _OPTIONS["ic"].metadata["reads"]
+        run = f"{cfg.command} --ic {cfg.ic}" if reads_ic else cfg.command
+        raise DomainError(f"{run} does not read {', '.join(unread)}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # command bodies
 
 def _echo(cfg: RunConfig) -> str:
+    # also unread options, at their defaults: the pinned `solve` header depends on these keys
     keys = ("command", "alpha", "n", "n_list", "dt", "t_final", "scheme", "ic")
     return json.dumps({k: getattr(cfg, k) for k in keys}, sort_keys=True)
 
@@ -200,16 +198,11 @@ def _csv_rows(header: str, states: Iterable[tuple[float, GridFunction]]) -> Iter
 
 def _run_study(cfg: RunConfig) -> Iterable[str]:
     n_list = cfg.n_list or (50, 100, 200, 400)
-    if cfg.command == "compare" or cfg.ic == "gaussian":
-        # default: a nested fine grid, so the coarse nodes are shared exactly
-        n_ref = cfg.n_reference or 8 * (max(n_list) + 1) - 1
+    if cfg.ic == "gaussian":
+        # a nested fine grid, so the coarse nodes are shared exactly
         report = figure1_comparison(
-            sigma2=cfg.sigma2,
-            mu=cfg.mu,
-            alpha=cfg.alpha,
-            t_final=cfg.t_final,
-            n_list=n_list,
-            n_reference=n_ref,
+            sigma2=cfg.sigma2, mu=cfg.mu, alpha=cfg.alpha, t_final=cfg.t_final,
+            n_list=n_list, n_reference=8 * (max(n_list) + 1) - 1,
         )
     elif cfg.ic == "eigen":
         report = eigen_decay_study(cfg.alpha, n_list, cfg.t_final, scheme=cfg.scheme)

@@ -17,7 +17,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .evolution import EigenfunctionIC, EvolutionConfig, GaussianIC, evolve, iter_states, step_count
+from .evolution import (
+    EigenfunctionIC, EvolutionConfig, GaussianIC, evolve, initial_grid, iter_states, step_count
+)
 from .interp import from_grid
 from .operators import GridFunction, apply, build_operator
 from .reference import principal_eigenvalue
@@ -186,6 +188,11 @@ def figure1_comparison(
     base = EvolutionConfig(
         alpha=alpha, n=n_reference, t_final=t_final, ic=GaussianIC(mu=mu, sigma2=sigma2)
     )
+    if t_final == 0.0:
+        raise DomainError("t_final must be > 0 for a comparison, got 0.0")
+    for n in (*n_list, n_reference):  # a grid that sees no data measures nothing
+        if not initial_grid(replace(base, n=n)).values.any():
+            raise DomainError(f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero on every node at n = {n}")
     dt = t_final / step_count(t_final, (1.0 / (n_list[-1] + 1)) ** (alpha + 0.5))
     ref = evolve(replace(base, dt=dt))
     ref_sup = ref.sup_norm()

@@ -12,9 +12,36 @@ import pytest
 
 import fracheat
 from fracheat import ConvergenceError, NumericalError, Scheme
-from fracheat.cli import RunConfig, main, parse_config, render_config
+from fracheat.cli import RunConfig, main, parse_config
 
 OPTION_NAMES = [f.name for f in fields(RunConfig) if f.name != "command"]
+
+# The options each run reads, as the README's table states them. A run is a
+# command, or "command:ic" for the commands that read --ic.
+READS = {
+    run: {"format", "out", "alpha", *names}
+    for run, names in {
+        "weights": {"n", "scheme"},
+        "eigen": set(),
+        "solve:gaussian": {"n", "dt", "t_final", "scheme", "ic", "mu", "sigma2"},
+        "solve:eigen": {"n", "dt", "t_final", "scheme", "ic"},
+        "solve:power": {"n", "dt", "t_final", "scheme", "ic", "power_a", "power_b"},
+        "converge:gaussian": {"n_list", "ic", "t_final", "mu", "sigma2"},
+        "converge:eigen": {"n_list", "ic", "t_final", "scheme"},
+        "converge:power": {"n_list", "ic"},
+        "compare": {"n_list", "t_final", "mu", "sigma2"},
+    }.items()
+}
+
+
+def run_argv(run):
+    """The argv that selects a run: the command, and --ic for the commands that read it."""
+    command, _, ic = run.partition(":")
+    return [command, "--ic", ic] if ic else [command]
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def run_main(argv, capsys):
@@ -67,29 +94,49 @@ class TestParsing:
         path.write_text("alpha 1.5\n")
         assert main(["solve", "--config", str(path)]) == 2
 
+    # a config drawn inside its run's read set, rendered as argv, parses back to itself
     @pytest.mark.parametrize("seed", range(50))
     def test_render_parse_round_trip(self, seed):
-        import random
-
         rng = random.Random(seed)
-        cfg = RunConfig(
-            command=rng.choice(["weights", "eigen", "solve", "converge", "compare"]),
-            alpha=rng.uniform(1.01, 2.0),
-            n=rng.choice([None, rng.randrange(3, 500)]),
-            n_list=tuple(sorted(rng.sample(range(10, 400), rng.randrange(0, 4)))),
-            dt=rng.choice([None, rng.uniform(1e-6, 1e-4)]),
-            t_final=rng.uniform(0.001, 0.1),
-            scheme=rng.choice(list(Scheme)),
-            ic=rng.choice(["gaussian", "eigen", "power"]),
-            mu=rng.uniform(0.2, 0.8),
-            sigma2=rng.uniform(1e-4, 1e-2),
-            power_a=rng.uniform(-2, 2),
-            power_b=rng.uniform(-2, 2),
-            n_reference=rng.choice([None, rng.randrange(1000, 5000)]),
-            out=rng.choice([None, "result.csv"]),
-            format=rng.choice(["csv", "json"]),
-        )
-        assert parse_config(render_config(cfg)) == cfg
+        run = rng.choice(sorted(READS))
+        command, _, ic = run.partition(":")
+        drawn = {
+            "alpha": rng.uniform(1.01, 2.0),
+            "n": rng.randrange(3, 500),
+            "n_list": tuple(sorted(rng.sample(range(10, 400), rng.randrange(1, 4)))),
+            "dt": rng.uniform(1e-6, 1e-4),
+            "t_final": rng.uniform(0.001, 0.1),
+            "scheme": rng.choice(list(Scheme)),
+            "mu": rng.uniform(0.2, 0.8),
+            "sigma2": rng.uniform(1e-4, 1e-2),
+            "power_a": rng.uniform(-2, 2),
+            "power_b": rng.uniform(-2, 2),
+            "out": "result.csv",
+            "format": rng.choice(["csv", "json"]),
+        }
+        values = {k: v for k, v in drawn.items() if k in READS[run] and rng.random() < 0.7}
+        if ic:
+            values["ic"] = ic
+        argv = [command]
+        for k, v in values.items():
+            text = ",".join(map(str, v)) if k == "n_list" else getattr(v, "value", v)
+            argv.append(f"{flag(k)}={text}")
+        assert parse_config(argv) == RunConfig(command=command, **values)
+
+    def test_every_option_is_read_by_some_run(self):
+        assert set().union(*READS.values()) == set(OPTION_NAMES)
+
+    # 36 (command, option) pairs are settable, the union over a command's runs
+    @pytest.mark.parametrize("run", sorted(READS))
+    def test_each_run_accepts_exactly_its_read_set(self, run, capsys):
+        for name in OPTION_NAMES:
+            argv = run_argv(run) + [flag(name), SAMPLE_VALUES[name]]
+            if name in READS[run]:
+                assert parse_config(argv).command == run.partition(":")[0]
+            else:
+                code, out, err = run_main(argv, capsys)
+                assert (code, out) == (2, "")
+                assert f"{run.replace(':', ' --ic ')} does not read {flag(name)}" in err
 
 
 # One value per option, each different from the default.
@@ -105,7 +152,6 @@ SAMPLE_VALUES = {
     "sigma2": "0.001",
     "power_a": "-0.5",
     "power_b": "2.5",
-    "n_reference": "1023",
     "out": "result.json",
     "format": "json",
 }
@@ -115,25 +161,42 @@ class TestOneConfigPath:
     def test_every_option_has_a_sample(self):
         assert set(SAMPLE_VALUES) == set(OPTION_NAMES)
 
+    # each option on a run that reads it
     @pytest.mark.parametrize("name", OPTION_NAMES)
     def test_flag_and_config_file_agree(self, name, tmp_path):
         value = SAMPLE_VALUES[name]
         path = tmp_path / "run.cfg"
         path.write_text(f"{name} = {value}\n")
-        flag = "--" + name.replace("_", "-")
-        from_flag = parse_config(["solve", flag, value])
-        assert from_flag == parse_config(["solve", "--config", str(path)])
-        assert getattr(from_flag, name) != getattr(parse_config(["solve"]), name)
+        run = {"n_list": ["converge"], "power_a": ["solve", "--ic", "power"],
+               "power_b": ["solve", "--ic", "power"]}.get(name, ["solve"])
+        from_flag = parse_config(run + [flag(name), value])
+        assert from_flag == parse_config(run + ["--config", str(path)])
+        assert getattr(from_flag, name) != getattr(parse_config(run), name)
 
     def test_negative_exponent_value_round_trips(self):
-        cfg = RunConfig(command="solve", power_a=-1e-05, power_b=-2.5e-07)
-        assert parse_config(render_config(cfg)) == cfg
+        cfg = parse_config(["solve", "--ic", "power", "--power-a=-1e-05", "--power-b=-2.5e-07"])
+        assert cfg == RunConfig(command="solve", ic="power", power_a=-1e-05, power_b=-2.5e-07)
 
+
+# An option the run does not read, as (argv, the message's run and flags).
+UNREAD = [
+    (["eigen", "--t-final", "0.05"], "eigen does not read --t-final"),
+    (["eigen", "--scheme", "grunwald", "--dt", "9"], "eigen does not read --dt, --scheme"),
+    (["weights", "--n-list", "8,16"], "weights does not read --n-list"),
+    (["solve", "--ic", "eigen", "--mu", "0.3"], "solve --ic eigen does not read --mu"),
+    (["converge", "--ic", "eigen", "--dt", "1e-5"], "converge --ic eigen does not read --dt"),
+    (["converge", "--ic", "power", "--power-a", "5"], "converge --ic power does not read --power-a"),
+    (["converge", "--ic", "power", "--t-final", "0.05"],
+     "converge --ic power does not read --t-final"),
+    (["compare", "--scheme", "grunwald"], "compare does not read --scheme"),
+    (["compare", "--ic", "eigen"], "compare does not read --ic"),
+]
 
 # Non-finite times, overflowing step counts, sizes below 3 or repeated in an
 # n-list, alpha below 1.01 on eigen paths, out-of-range alpha and t_final in a
-# study and a Gaussian that is zero on the reference grid are usage errors,
-# never tracebacks. Negative values take the --flag=value form.
+# study, a zero final time in a comparison, a Gaussian that is zero on every
+# node of a comparison grid and an option the run does not read are usage
+# errors, never tracebacks. Negative values take the --flag=value form.
 USAGE_ERRORS = [
     ["solve", "--t-final", "inf"],
     ["solve", "--t-final", "nan"],
@@ -156,6 +219,9 @@ USAGE_ERRORS = [
     ["compare", "--n-list", "8,16", "--alpha=-1e308"],
     ["compare", "--n-list", "8,16", "--t-final=-1e308"],
     ["converge", "--n-list", "8,16", "--t-final", "0.01", "--sigma2", "1e-9"],
+    ["converge", "--sigma2", "1e-9"],
+    ["compare", "--n-list", "8,16", "--t-final", "0"],
+    *(argv for argv, _ in UNREAD),
 ]
 
 
@@ -173,6 +239,18 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
     def test_argv(self, argv, tmp_path, capsys):
         self.assert_usage_error(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv, message", UNREAD, ids=[" ".join(a) for a, _ in UNREAD])
+    def test_unread_option_is_named(self, argv, message, capsys):
+        assert f"fracheat: usage error: {message}\n" == run_main(argv, capsys)[2]
+
+    # a config-file key is a flag placed before argv, under the same rule
+    def test_unread_config_file_key(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("alpha = 1.4\npower_a = 5\n")
+        argv = ["converge", "--ic", "power", "--config", str(path)]
+        self.assert_usage_error(argv, tmp_path, capsys)
+        assert "converge --ic power does not read --power-a" in run_main(argv, capsys)[2]
 
     # the last line is not UTF-8: a usage error naming the file, not a traceback
     @pytest.mark.parametrize(
@@ -199,7 +277,6 @@ FUZZ_GOOD = {
     "sigma2": ["0.001", "0.01"],
     "power_a": ["-0.5", "2"],
     "power_b": ["0", "-1e-3"],
-    "n_reference": ["200", "600"],
     "format": ["csv", "json"],
 }
 FUZZ_CONFIG_LINES = ["alpha = 1.5", "n_list = 8, 16", "scheme = bogus", "bogus = 1",
@@ -210,23 +287,34 @@ class TestArgvFuzz:
     @pytest.mark.parametrize("seed", range(40))
     def test_exit_code_in_contract(self, seed, tmp_path, capsys):
         rng = random.Random(seed)
-        command = rng.choice(["weights", "eigen", "solve", "converge", "compare"])
+        run = rng.choice(sorted(READS))
+        reads = READS[run] - {"ic"}
         # small defaults first, so every run stays cheap; later flags override them
-        argv = [command, "--n", "16", "--n-list", "8,16", "--t-final", "0.01"]
-        for name in rng.sample(sorted(FUZZ_GOOD) + ["out"], rng.randrange(1, 4)):
+        small = {"n": "16", "n_list": "8,16", "t_final": "0.01"}
+        argv = run_argv(run) + [f"{flag(k)}={v}" for k, v in small.items() if k in reads]
+        for name in rng.sample(sorted(reads), rng.randrange(1, 4)):
             if name == "out":
                 value = str(tmp_path / rng.choice(["o.csv", "missing/o.csv"]))
             elif rng.random() < 0.5:
                 value = rng.choice(FUZZ_BAD)
             else:
                 value = rng.choice(FUZZ_GOOD[name])
-            argv.append(f"--{name.replace('_', '-')}={value}")
+            argv.append(f"{flag(name)}={value}")
+        # sometimes one option that the run does not read, anywhere after the run's argv
+        unread = sorted(set(FUZZ_GOOD) - READS[run]) if rng.random() < 0.25 else []
+        if unread:
+            name = rng.choice(unread)
+            at = rng.randrange(len(run_argv(run)), len(argv) + 1)
+            argv.insert(at, f"{flag(name)}={rng.choice(FUZZ_GOOD[name])}")
         if rng.random() < 0.3:
             path = tmp_path / "run.cfg"
-            path.write_text("\n".join(rng.sample(FUZZ_CONFIG_LINES, 2)) + "\n")
+            good = [f"{k} = {rng.choice(FUZZ_GOOD[k])}" for k in sorted(reads - {"out"})]
+            path.write_text("\n".join(rng.sample(good + FUZZ_CONFIG_LINES, 2)) + "\n")
             argv += ["--config", str(path)]
-        code, _, _ = run_main(argv, capsys)
+        code, out, _ = run_main(argv, capsys)
         assert code in {0, 2, 3, 4}, argv
+        if unread:
+            assert (code, out) == (2, ""), argv
 
 
 class TestExitCodes:
@@ -311,7 +399,7 @@ class TestCommands:
     def test_compare_has_both_schemes(self, capsys):
         code, out, _ = run_main(
             ["compare", "--alpha", "1.4", "--n-list", "16,32",
-             "--t-final", "0.05", "--n-reference", "263", "--format", "json"],
+             "--t-final", "0.05", "--format", "json"],
             capsys,
         )
         assert code == 0
@@ -416,6 +504,12 @@ class TestCommandOutput:
     @pytest.mark.parametrize("argv", sorted(COMMAND_DIGESTS))
     def test_pinned_digest(self, argv, tmp_path, capsys):
         assert_digest(argv.split(), COMMAND_DIGESTS[argv], tmp_path, capsys)
+
+    # `compare` is the Gaussian `converge` run without --ic: the same study, the same bytes
+    @pytest.mark.parametrize("argv", sorted(a for a in COMMAND_DIGESTS if a.startswith("compare ")))
+    def test_converge_gaussian_reproduces_compare(self, argv, tmp_path, capsys):
+        converge = ["converge", "--ic", "gaussian", *argv.split()[1:]]
+        assert_digest(converge, COMMAND_DIGESTS[argv], tmp_path, capsys)
 
 
 class TestDeterminism:

@@ -183,6 +183,19 @@ class TestFigureComparison:
                 sigma2=0.0005, mu=0.4, alpha=1.4, t_final=0.05, n_list=[50], n_reference=100
             )
 
+    def test_rejects_zero_final_time_by_name(self):
+        with pytest.raises(DomainError, match="t_final"):
+            figure1_comparison(
+                sigma2=0.0005, mu=0.4, alpha=1.4, t_final=0.0, n_list=[8, 16], n_reference=135
+            )
+
+    # sigma2 = 1e-9 is 0.0 on every node of n = 50, though not of n = 400 or the reference
+    def test_rejects_gaussian_a_study_grid_cannot_see(self):
+        with pytest.raises(DomainError, match=r"mu=0.4, sigma2=1e-09 .* n = 50"):
+            figure1_comparison(
+                sigma2=1e-9, mu=0.4, alpha=1.4, t_final=0.01, n_list=[50, 400], n_reference=3207
+            )
+
 
 # each study as study(alpha, n_list)
 STUDIES = pytest.mark.parametrize(
