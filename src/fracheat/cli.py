@@ -1,4 +1,4 @@
-"""Command-line front end: weights / eigen / solve / converge / compare.
+"""Command-line front end: weights / eigen / solve / converge / consistency / compare.
 
 Output files are deterministic: identical configs produce byte-identical
 files (no timestamps; the header carries a config echo only). Exit codes:
@@ -27,7 +27,7 @@ from .operators import GridFunction
 from .reference import principal_eigenvalue
 from .weights import Scheme, grunwald_weights, new_weights
 
-COMMANDS = ("weights", "eigen", "solve", "converge", "compare")
+COMMANDS = ("weights", "eigen", "solve", "converge", "consistency", "compare")
 
 
 # argparse names the type function in its error message: "invalid int_list value"
@@ -54,15 +54,15 @@ class RunConfig:
     command: str
     alpha: float = _option(1.5, finite_float)
     n: Optional[int] = _option(None, int, ("weights", "solve"))
-    n_list: tuple[int, ...] = _option((), int_list, ("converge", "compare"), help="comma-separated grid sizes")
-    dt: Optional[float] = _option(None, finite_float, ("solve",))
-    t_final: float = _option(0.01, finite_float, ("solve", "converge:gaussian", "converge:eigen", "compare"))
-    scheme: Scheme = _option(
-        Scheme.NEW, Scheme, ("weights", "solve", "converge:eigen"), [s.value for s in Scheme]
+    n_list: tuple[int, ...] = _option(
+        (), int_list, ("converge", "consistency", "compare"), help="comma-separated grid sizes"
     )
-    ic: str = _option("gaussian", str, ("solve", "converge"), ["gaussian", "eigen", "power"])
-    mu: float = _option(0.4, finite_float, ("solve:gaussian", "converge:gaussian", "compare"))
-    sigma2: float = _option(0.0005, finite_float, ("solve:gaussian", "converge:gaussian", "compare"))
+    dt: Optional[float] = _option(None, finite_float, ("solve",))
+    t_final: float = _option(0.01, finite_float, ("solve", "converge", "compare"))
+    scheme: Scheme = _option(Scheme.NEW, Scheme, ("weights", "solve", "converge"), [s.value for s in Scheme])
+    ic: str = _option("gaussian", str, ("solve",), ["gaussian", "eigen", "power"])
+    mu: float = _option(0.4, finite_float, ("solve:gaussian", "compare"))
+    sigma2: float = _option(0.0005, finite_float, ("solve:gaussian", "compare"))
     power_a: float = _option(1.0, finite_float, ("solve:power",))
     power_b: float = _option(0.0, finite_float, ("solve:power",))
     out: Optional[str] = _option(None, str)
@@ -197,17 +197,18 @@ def _csv_rows(header: str, states: Iterable[tuple[float, GridFunction]]) -> Iter
 
 
 def _run_study(cfg: RunConfig) -> Iterable[str]:
+    """The command's study, one library call, as one CSV or JSON report."""
     n_list = cfg.n_list or (50, 100, 200, 400)
-    if cfg.ic == "gaussian":
+    if cfg.command == "converge":
+        report = eigen_decay_study(cfg.alpha, n_list, cfg.t_final, scheme=cfg.scheme)
+    elif cfg.command == "consistency":
+        report = operator_consistency_study(cfg.alpha, n_list)
+    else:
         # a nested fine grid, so the coarse nodes are shared exactly
         report = figure1_comparison(
             sigma2=cfg.sigma2, mu=cfg.mu, alpha=cfg.alpha, t_final=cfg.t_final,
             n_list=n_list, n_reference=8 * (max(n_list) + 1) - 1,
         )
-    elif cfg.ic == "eigen":
-        report = eigen_decay_study(cfg.alpha, n_list, cfg.t_final, scheme=cfg.scheme)
-    else:
-        report = operator_consistency_study(cfg.alpha, n_list)
     return [report.to_json() if cfg.format == "json" else report.to_csv()]
 
 
@@ -217,13 +218,8 @@ def run(cfg: RunConfig) -> int:
     A command body does all its set-up before it returns its chunks, so a run
     that fails there writes nothing and creates no output file.
     """
-    chunks = {
-        "weights": _run_weights,
-        "eigen": _run_eigen,
-        "solve": _run_solve,
-        "converge": _run_study,
-        "compare": _run_study,
-    }[cfg.command](cfg)
+    bodies = {"weights": _run_weights, "eigen": _run_eigen, "solve": _run_solve}
+    chunks = bodies.get(cfg.command, _run_study)(cfg)  # every other command is a study
     if cfg.out is None:
         sys.stdout.writelines(chunks)
     else:

@@ -27,6 +27,7 @@ from .specfun import gamma
 from .weights import Scheme, check_alpha
 
 CSV_HEADER = "scheme,alpha,n,h,dt,error,observed_order"
+TINY = np.finfo(float).tiny  # below it a grid or factor has lost its precision to underflow
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,8 @@ def eigen_decay_study(
     steps = step_count(t_final, base.effective_dt())
     dt = t_final / steps
     decay = (1.0 - pair.c * dt) ** -steps
+    if decay < TINY:  # every error would read as an underflowed 0.0
+        raise DomainError(f"t_final={t_final!r} decays u_c by {decay!r}, below the smallest normal float")
 
     def error(n: int, h: float) -> float:
         states = iter_states(replace(base, n=n, dt=dt))
@@ -191,13 +194,17 @@ def figure1_comparison(
     if t_final == 0.0:
         raise DomainError("t_final must be > 0 for a comparison, got 0.0")
     for n in (*n_list, n_reference):  # a grid that sees no data measures nothing
-        if not initial_grid(replace(base, n=n)).values.any():
-            raise DomainError(f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero on every node at n = {n}")
+        if initial_grid(replace(base, n=n)).sup_norm() < TINY:
+            raise DomainError(
+                f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero or subnormal on every node at n = {n}"
+            )
     dt = t_final / step_count(t_final, (1.0 / (n_list[-1] + 1)) ** (alpha + 0.5))
     ref = evolve(replace(base, dt=dt))
     ref_sup = ref.sup_norm()
-    if ref_sup == 0.0:
-        raise DomainError(f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero on every reference node")
+    if ref_sup < TINY:
+        raise DomainError(
+            f"t_final={t_final!r} decays the reference to sup norm {ref_sup!r}, below the smallest normal float"
+        )
     report = ErrorReport(
         meta={
             "study": "figure1_comparison",

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -12,26 +13,31 @@ import pytest
 
 import fracheat
 from fracheat import ConvergenceError, NumericalError, Scheme
-from fracheat.cli import RunConfig, main, parse_config
+from fracheat.cli import COMMANDS, RunConfig, main, parse_config
 
 OPTION_NAMES = [f.name for f in fields(RunConfig) if f.name != "command"]
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
-# The options each run reads, as the README's table states them. A run is a
-# command, or "command:ic" for the commands that read --ic.
-READS = {
-    run: {"format", "out", "alpha", *names}
-    for run, names in {
-        "weights": {"n", "scheme"},
-        "eigen": set(),
-        "solve:gaussian": {"n", "dt", "t_final", "scheme", "ic", "mu", "sigma2"},
-        "solve:eigen": {"n", "dt", "t_final", "scheme", "ic"},
-        "solve:power": {"n", "dt", "t_final", "scheme", "ic", "power_a", "power_b"},
-        "converge:gaussian": {"n_list", "ic", "t_final", "mu", "sigma2"},
-        "converge:eigen": {"n_list", "ic", "t_final", "scheme"},
-        "converge:power": {"n_list", "ic"},
-        "compare": {"n_list", "t_final", "mu", "sigma2"},
-    }.items()
-}
+
+def readme_blocks(lang):
+    """The lines of the README's fenced blocks in the language lang."""
+    blocks = README.split("```")[1::2]
+    return [line for b in blocks if b.startswith(lang + "\n") for line in b.splitlines()[1:]]
+
+
+def readme_reads():
+    """The README's read-set table: each run's options, with --format and --out, which
+    every command reads. A run is a command, or "command:ic" for `solve --ic ic`."""
+    table = README.split("| run | reads |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    reads = {}
+    for row in table.splitlines():
+        run, names = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        reads[run.replace(" --ic ", ":")] = {"format", "out", *names.split(", ")}
+    return reads
+
+
+READS = readme_reads()
+CLI_EXAMPLES = [line for line in readme_blocks("sh") if line.startswith("fracheat ")]
 
 
 def run_argv(run):
@@ -126,7 +132,7 @@ class TestParsing:
     def test_every_option_is_read_by_some_run(self):
         assert set().union(*READS.values()) == set(OPTION_NAMES)
 
-    # 36 (command, option) pairs are settable, the union over a command's runs
+    # 37 (command, option) pairs are settable, the union over a command's runs
     @pytest.mark.parametrize("run", sorted(READS))
     def test_each_run_accepts_exactly_its_read_set(self, run, capsys):
         for name in OPTION_NAMES:
@@ -184,19 +190,52 @@ UNREAD = [
     (["eigen", "--scheme", "grunwald", "--dt", "9"], "eigen does not read --dt, --scheme"),
     (["weights", "--n-list", "8,16"], "weights does not read --n-list"),
     (["solve", "--ic", "eigen", "--mu", "0.3"], "solve --ic eigen does not read --mu"),
-    (["converge", "--ic", "eigen", "--dt", "1e-5"], "converge --ic eigen does not read --dt"),
-    (["converge", "--ic", "power", "--power-a", "5"], "converge --ic power does not read --power-a"),
-    (["converge", "--ic", "power", "--t-final", "0.05"],
-     "converge --ic power does not read --t-final"),
+    (["converge", "--dt", "1e-5"], "converge does not read --dt"),
+    (["consistency", "--power-a", "5"], "consistency does not read --power-a"),
+    (["consistency", "--t-final", "0.05"], "consistency does not read --t-final"),
     (["compare", "--scheme", "grunwald"], "compare does not read --scheme"),
     (["compare", "--ic", "eigen"], "compare does not read --ic"),
+    # `converge` once chose its study by --ic: `converge --ic eigen X` is now
+    # `converge X`, `converge --ic power X` is `consistency X` and
+    # `converge --ic gaussian X` is `compare X`
+    (["converge", "--ic", "eigen", "--dt", "1e-5"], "converge does not read --dt, --ic"),
+    (["converge", "--ic", "power", "--power-a", "5"], "converge does not read --ic, --power-a"),
+    (["converge", "--ic", "power", "--t-final", "0.05"], "converge does not read --ic"),
+    (["converge", "--ic", "gaussian"], "converge does not read --ic"),
+]
+
+# More argv of the --ic-chosen studies, each a usage error whatever else it holds;
+# USAGE_ERRORS runs each check under its current command. A bare `converge` was
+# the Gaussian comparison and is now the eigen chain, which reads no --sigma2.
+RETIRED_STUDY_ARGV = [
+    ["converge", "--ic", "eigen", "--n-list", "16", "--t-final", "nan"],
+    ["converge", "--ic", "eigen", "--n-list", "16", "--t-final", "inf"],
+    ["converge", "--ic", "power", "--n-list", "-1"],
+    ["converge", "--ic", "eigen", "--n-list", "-1"],
+    ["converge", "--ic", "eigen", "--alpha", "1.0095", "--n-list", "16"],
+    ["converge", "--ic", "power", "--n-list", "8,8"],
+    ["converge", "--ic", "eigen", "--n-list", "8,8", "--t-final", "0.05"],
+    ["converge", "--n-list", "8,16", "--t-final", "0.01", "--sigma2", "1e-9"],
+    ["converge", "--sigma2", "1e-9"],
+]
+
+# A grid or factor below the smallest normal float, and what its refusal names.
+# The reference of the first decays to 0.0 by t_final; the Gaussian of the last
+# is about 1e-318 on every node.
+UNDERFLOW = [
+    (["compare", "--n-list", "3,4", "--t-final", "1e3"], "t_final=1000.0 decays the reference"),
+    (["converge", "--n-list", "8,16", "--t-final", "300"], "t_final=300.0 decays u_c"),
+    (["compare", "--alpha", "1.4", "--n-list", "9,19", "--sigma2", "1e-9", "--mu", "0.5012179201566255"],
+     "sigma2=1e-09 is zero or subnormal on every node at n = 9"),
 ]
 
 # Non-finite times, overflowing step counts, sizes below 3 or repeated in an
 # n-list, alpha below 1.01 on eigen paths, out-of-range alpha and t_final in a
-# study, a zero final time in a comparison, a Gaussian that is zero on every
-# node of a comparison grid and an option the run does not read are usage
-# errors, never tracebacks. Negative values take the --flag=value form.
+# study, a zero final time in a comparison, a Gaussian that is zero or
+# subnormal on every node of a comparison grid, a t_final by which the eigen
+# chain's decay factor or the comparison's reference underflows and an option
+# the run does not read are usage errors, never tracebacks. Negative values
+# take the --flag=value form.
 USAGE_ERRORS = [
     ["solve", "--t-final", "inf"],
     ["solve", "--t-final", "nan"],
@@ -205,22 +244,25 @@ USAGE_ERRORS = [
     ["solve", "--dt", "1e-30"],  # 1e28 steps: over the step budget
     ["compare", "--n-list", "10", "--t-final", "nan"],
     ["compare", "--n-list", "10", "--t-final", "inf"],
-    ["converge", "--ic", "eigen", "--n-list", "16", "--t-final", "nan"],
-    ["converge", "--ic", "eigen", "--n-list", "16", "--t-final", "inf"],
-    ["converge", "--ic", "power", "--n-list", "-1"],
-    ["converge", "--ic", "eigen", "--n-list", "-1"],
+    ["converge", "--n-list", "16", "--t-final", "nan"],
+    ["converge", "--n-list", "16", "--t-final", "inf"],
+    ["consistency", "--n-list", "-1"],
+    ["converge", "--n-list", "-1"],
     ["compare", "--n-list", "-1"],
     ["eigen", "--alpha", "1.005"],
     ["solve", "--ic", "eigen", "--alpha", "1.005"],
-    ["converge", "--ic", "eigen", "--alpha", "1.0095", "--n-list", "16"],
-    ["converge", "--ic", "power", "--n-list", "8,8"],
-    ["converge", "--ic", "eigen", "--n-list", "8,8", "--t-final", "0.05"],
+    ["converge", "--alpha", "1.0095", "--n-list", "16"],
+    ["consistency", "--n-list", "8,8"],
+    ["converge", "--n-list", "8,8", "--t-final", "0.05"],
     ["compare", "--n-list", "8,8"],
     ["compare", "--n-list", "8,16", "--alpha=-1e308"],
     ["compare", "--n-list", "8,16", "--t-final=-1e308"],
-    ["converge", "--n-list", "8,16", "--t-final", "0.01", "--sigma2", "1e-9"],
-    ["converge", "--sigma2", "1e-9"],
+    ["compare", "--n-list", "8,16", "--t-final", "0.01", "--sigma2", "1e-9"],
+    ["compare", "--sigma2", "1e-9"],
     ["compare", "--n-list", "8,16", "--t-final", "0"],
+    ["converge", "--n-list", "8,16", "--t-final", "1e6"],  # 2.7e7 steps, refused before the first
+    *(argv for argv, _ in UNDERFLOW),
+    *RETIRED_STUDY_ARGV,
     *(argv for argv, _ in UNREAD),
 ]
 
@@ -248,9 +290,13 @@ class TestUsageErrors:
     def test_unread_config_file_key(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("alpha = 1.4\npower_a = 5\n")
-        argv = ["converge", "--ic", "power", "--config", str(path)]
+        argv = ["consistency", "--config", str(path)]
         self.assert_usage_error(argv, tmp_path, capsys)
-        assert "converge --ic power does not read --power-a" in run_main(argv, capsys)[2]
+        assert "consistency does not read --power-a" in run_main(argv, capsys)[2]
+
+    @pytest.mark.parametrize("argv, names", UNDERFLOW, ids=[" ".join(a) for a, _ in UNDERFLOW])
+    def test_underflow_names_its_cause(self, argv, names, capsys):
+        assert names in run_main(argv, capsys)[2]
 
     # the last line is not UTF-8: a usage error naming the file, not a traceback
     @pytest.mark.parametrize(
@@ -388,8 +434,7 @@ class TestCommands:
 
     def test_converge_eigen_csv(self, capsys):
         code, out, _ = run_main(
-            ["converge", "--ic", "eigen", "--alpha", "1.4",
-             "--n-list", "32,64", "--t-final", "0.05"], capsys
+            ["converge", "--alpha", "1.4", "--n-list", "32,64", "--t-final", "0.05"], capsys
         )
         assert code == 0
         lines = out.strip().split("\n")
@@ -455,13 +500,13 @@ COMMAND_DIGESTS = {
         "6974a3c70cc9df6db6fdc2945e1b6565424f797d59396c9f36a3b64857d196a0",
     "eigen --alpha 2.0 --format json":
         "a2db15d7858760a53606d79de76e8b315f344a6e985168cb36a12b579730e776",
-    "converge --ic eigen --alpha 1.4 --n-list 16,32 --t-final 0.05 --format csv":
+    "converge --alpha 1.4 --n-list 16,32 --t-final 0.05 --format csv":
         "6e4cacee00f86f69c75d19afadfc73b7e2a63acd9cedb911c74e60b95ec5a6aa",
-    "converge --ic eigen --alpha 1.4 --n-list 16,32 --t-final 0.05 --format json":
+    "converge --alpha 1.4 --n-list 16,32 --t-final 0.05 --format json":
         "f6421b961d76d5c3bec4f772e3f486688e3b13380074a12c4b400d1a40fa6b34",
-    "converge --ic power --alpha 1.4 --n-list 16,32,64 --format csv":
+    "consistency --alpha 1.4 --n-list 16,32,64 --format csv":
         "52ab175c1c28675ac6d719fa9713d34cace3bc37770ac7dfb777da9902e4d65c",
-    "converge --ic power --alpha 1.4 --n-list 16,32,64 --format json":
+    "consistency --alpha 1.4 --n-list 16,32,64 --format json":
         "e4cac8dae363e19875141c39d9c7ef04377656c5ba2920f8a1283f73e8b88ebd",
     "compare --alpha 1.4 --n-list 10,20 --t-final 0.01 --format csv":
         "80acbc4c21262af87f7cc4f8fd8db443e48bb7455d8d1c2add63689bd145a428",
@@ -505,17 +550,10 @@ class TestCommandOutput:
     def test_pinned_digest(self, argv, tmp_path, capsys):
         assert_digest(argv.split(), COMMAND_DIGESTS[argv], tmp_path, capsys)
 
-    # `compare` is the Gaussian `converge` run without --ic: the same study, the same bytes
-    @pytest.mark.parametrize("argv", sorted(a for a in COMMAND_DIGESTS if a.startswith("compare ")))
-    def test_converge_gaussian_reproduces_compare(self, argv, tmp_path, capsys):
-        converge = ["converge", "--ic", "gaussian", *argv.split()[1:]]
-        assert_digest(converge, COMMAND_DIGESTS[argv], tmp_path, capsys)
-
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        args = ["converge", "--ic", "eigen", "--alpha", "1.4",
-                "--n-list", "16,32", "--t-final", "0.05"]
+        args = ["converge", "--alpha", "1.4", "--n-list", "16,32", "--t-final", "0.05"]
         outs = []
         for i in range(2):
             path = tmp_path / f"run{i}.csv"
@@ -536,3 +574,27 @@ class TestDeterminism:
         )
         assert proc.returncode == 0
         assert "alpha,c,series_terms" in proc.stdout
+
+
+# README's CLI examples and read-set table drift with the parser, or they don't
+class TestReadme:
+    def test_every_command_has_a_cli_example(self):
+        assert {line.split()[1] for line in CLI_EXAMPLES} == set(COMMANDS)
+
+    @pytest.mark.parametrize("line", CLI_EXAMPLES, ids=lambda line: line.split()[1])
+    def test_cli_example_parses(self, line):
+        argv = shlex.split(line, comments=True)[1:]
+        assert parse_config(argv).command == argv[0]
+
+    def test_config_example_parses(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("\n".join(readme_blocks("ini")) + "\n")
+        cfg = parse_config(["converge", "--config", str(path)])
+        assert (cfg.n_list, cfg.scheme) == ((50, 100, 200), Scheme.GRUNWALD)
+
+    def test_read_set_table_matches_option_metadata(self):
+        assert {run.partition(":")[0] for run in READS} == set(COMMANDS)
+        options = {f.name: f.metadata["reads"] for f in fields(RunConfig) if f.name != "command"}
+        for run, names in READS.items():
+            selectors = {run, run.partition(":")[0]}
+            assert names == {k for k, reads in options.items() if not selectors.isdisjoint(reads)}, run

@@ -142,6 +142,11 @@ class TestEigenDecayStudy:
         with pytest.raises(DomainError):
             eigen_decay_study(1.4, [8, 16], t_final=1e-4)
 
+    # (1 - c*dt)^(-K) is 0.0 here, so every error would read 0.0 with no order
+    def test_rejects_t_final_that_underflows_the_decay_factor(self):
+        with pytest.raises(DomainError, match=r"t_final=300\.0 decays u_c by 0\.0"):
+            eigen_decay_study(1.5, [8, 16], t_final=300.0)
+
     def test_meta_records_eigenvalue(self):
         rep = eigen_decay_study(1.4, [32, 64], t_final=0.05)
         assert rep.meta["c"] == pytest.approx(-4.708037786285718, abs=1e-7)
