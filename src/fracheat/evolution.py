@@ -57,12 +57,19 @@ InitialCondition = Union[GaussianIC, EigenfunctionIC, PowerLawIC]
 
 @dataclass(frozen=True)
 class EvolutionConfig:
+    """One run. Building it derives the schedule, never passed in: ``steps`` =
+    K = step_count(t_final, dt) steps of ``step_dt`` = t_final/K (0 and 0.0 at
+    t_final = 0) for the target step dt, the same for every n.
+    """
+
     alpha: float
     n: int
     t_final: float
     scheme: Scheme = Scheme.NEW
-    dt: Optional[float] = None  # default h^alpha
+    dt: Optional[float] = None  # target step, default h^alpha
     ic: InitialCondition = GaussianIC()
+    steps: int = field(init=False)
+    step_dt: float = field(init=False)
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -73,14 +80,15 @@ class EvolutionConfig:
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         if self.dt is not None and self.t_final > 0.0 and self.dt > self.t_final:
-            raise DomainError("dt must not exceed t_final")
+            raise DomainError(f"dt={self.dt!r} must not exceed t_final={self.t_final!r}")
+        dt = self.h**self.alpha if self.dt is None else self.dt
+        steps = step_count(self.t_final, dt) if self.t_final > 0.0 else 0
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "step_dt", self.t_final / steps if steps else 0.0)
 
     @property
     def h(self) -> float:
         return 1.0 / (self.n + 1)
-
-    def effective_dt(self) -> float:
-        return self.dt if self.dt is not None else self.h**self.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +256,8 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
 
 def factorize(op: OperatorMatrix, dt: float) -> Factorization:
     """Factor (I - dt*M_h) for the backward-Euler step."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be > 0, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise DomainError(f"dt must be finite and > 0, got {dt!r}")
     return _factor_shifted(op, 1.0, dt / op.h**op.alpha)
 
 
@@ -262,8 +270,8 @@ def step(f: Factorization, u: GridFunction) -> GridFunction:
 
 def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunction:
     """Solve (lam*I - M_h) v = g for lam >= 0; lam = 0 is the negative inverse."""
-    if lam < 0.0:
-        raise DomainError(f"resolvent parameter must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"resolvent parameter must be finite and >= 0, got {lam!r}")
     if g.n != op.n:
         raise DomainError(f"dimension mismatch: operator n={op.n}, grid n={g.n}")
     f = _factor_shifted(op, lam, 1.0 / op.h**op.alpha)
@@ -282,13 +290,14 @@ MAX_STEPS = 10**8
 def step_count(t_final: float, dt: float) -> int:
     """Backward-Euler steps to reach t_final > 0: ceil(t_final/dt), at least 1.
 
-    Callers shrink the step to t_final/step_count so it lands on t_final.
-    More than MAX_STEPS steps is a DomainError.
+    A ratio within rounding above an integer K counts as K: the tolerance grows
+    with the ratio, so step_count(t_final, t_final/K) == K for every K. More
+    than MAX_STEPS steps is a DomainError.
     """
     ratio = t_final / dt if dt > 0.0 else math.inf
     if not ratio < math.inf:
         raise DomainError(f"step count t_final/dt = {t_final!r}/{dt!r} is not finite")
-    steps = max(1, math.ceil(ratio - 1e-12))
+    steps = max(1, math.ceil(ratio - max(1e-12, 4.0 * np.finfo(float).eps * ratio)))
     if steps > MAX_STEPS:
         raise DomainError(f"step count t_final/dt = {t_final!r}/{dt!r} exceeds {MAX_STEPS} steps")
     return steps
@@ -311,31 +320,24 @@ def initial_grid(cfg: EvolutionConfig) -> GridFunction:
 
 
 def iter_states(cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:
-    """The backward-Euler states (t_k, u_k), k = 0..steps, with t_k = k*dt.
+    """The backward-Euler states (t_k, u_k), k = 0..cfg.steps, with t_k = k*cfg.step_dt.
 
-    The step count is ceil(t_final/dt) with dt shrunk to land on t_final
-    exactly; one factorization is reused throughout. Every fallible set-up
-    (initial grid, step count, operator, factorization) runs before this
-    returns, and the states are then computed one at a time as they are read.
-    t_final = 0 yields only (0.0, u0).
+    One factorization is reused throughout. Every fallible set-up (initial
+    grid, operator, factorization) runs before this returns, and the states
+    are then computed one at a time as they are read.
     """
     u = initial_grid(cfg)
-    if cfg.t_final == 0.0:
-        return _march(None, u, 0, 0.0)
-    steps = step_count(cfg.t_final, cfg.effective_dt())
-    dt = cfg.t_final / steps
-    op = build_operator(cfg.alpha, cfg.n, cfg.scheme)
-    f = factorize(op, dt)
-    return _march(f, u, steps, dt)
+    f = factorize(build_operator(cfg.alpha, cfg.n, cfg.scheme), cfg.step_dt) if cfg.steps else None
+    return _march(f, u, cfg)
 
 
 def _march(
-    f: Optional[Factorization], u: GridFunction, steps: int, dt: float
+    f: Optional[Factorization], u: GridFunction, cfg: EvolutionConfig
 ) -> Iterator[tuple[float, GridFunction]]:
     yield 0.0, u
-    for k in range(1, steps + 1):
+    for k in range(1, cfg.steps + 1):
         u = step(f, u)
-        yield k * dt, u
+        yield k * cfg.step_dt, u
 
 
 def evolve(cfg: EvolutionConfig) -> GridFunction:

@@ -17,9 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .evolution import (
-    EigenfunctionIC, EvolutionConfig, GaussianIC, evolve, initial_grid, iter_states, step_count
-)
+from .evolution import EigenfunctionIC, EvolutionConfig, GaussianIC, evolve, initial_grid, iter_states
 from .interp import from_grid
 from .operators import GridFunction, apply, build_operator
 from .reference import principal_eigenvalue
@@ -107,21 +105,20 @@ def _grid_sizes(n_list: Sequence[int]) -> list[int]:
 
 
 def _chain(
-    scheme: Scheme,
-    alpha: float,
-    sizes: Sequence[int],
-    dt: float,
-    error: Callable[[int, float], float],
+    base: EvolutionConfig, sizes: Sequence[int], error: Callable[[EvolutionConfig], float]
 ) -> list[ErrorRow]:
-    """Rows of one refinement chain at the time step dt; error(n, h) is a grid's error."""
+    """Rows of one refinement chain; error(cfg) is the error of the grid cfg = replace(base, n=n).
+
+    Each row's scheme, alpha, h and dt are its grid's, so a chain has one scheme and one step.
+    """
     rows: list[ErrorRow] = []
     for n in sizes:
-        h = 1.0 / (n + 1)
-        err = error(n, h)
+        cfg = replace(base, n=n)
+        err = error(cfg)
         order = None
         if rows and not (rows[-1].error <= 0.0 or err <= 0.0):
-            order = math.log(rows[-1].error / err) / math.log(rows[-1].h / h)
-        rows.append(ErrorRow(scheme.value, alpha, n, h, dt, err, order))
+            order = math.log(rows[-1].error / err) / math.log(rows[-1].h / cfg.h)
+        rows.append(ErrorRow(cfg.scheme.value, cfg.alpha, n, cfg.h, cfg.step_dt, err, order))
     return rows
 
 
@@ -133,35 +130,33 @@ def eigen_decay_study(
 ) -> ErrorReport:
     """Evolve the eigenfunction u_c against its backward-Euler image (1 - c*dt)^(-K) u_c.
 
-    The error is purely spatial; all grids share one dt, the coarsest h^alpha snapped to t_final.
+    The error is purely spatial; all grids share one schedule, the coarsest h^alpha snapped to t_final.
     """
     sizes = _grid_sizes(n_list)
-    base = EvolutionConfig(
-        alpha=alpha, n=sizes[0], t_final=t_final, scheme=scheme, ic=EigenfunctionIC()
-    )
+    coarsest = EvolutionConfig(alpha=alpha, n=sizes[0], t_final=t_final, scheme=scheme, ic=EigenfunctionIC())
     pair = principal_eigenvalue(alpha)
-    if t_final <= base.effective_dt():
-        raise DomainError("t_final must exceed the coarsest h^alpha")
-    steps = step_count(t_final, base.effective_dt())
-    dt = t_final / steps
-    decay = (1.0 - pair.c * dt) ** -steps
+    h_alpha = coarsest.h**alpha
+    if t_final <= h_alpha:
+        raise DomainError(f"t_final={t_final!r} must exceed the coarsest h^alpha={h_alpha!r}")
+    base = replace(coarsest, dt=h_alpha)
+    decay = (1.0 - pair.c * base.step_dt) ** -base.steps
     if decay < TINY:  # every error would read as an underflowed 0.0
         raise DomainError(f"t_final={t_final!r} decays u_c by {decay!r}, below the smallest normal float")
 
-    def error(n: int, h: float) -> float:
-        states = iter_states(replace(base, n=n, dt=dt))
+    def error(cfg: EvolutionConfig) -> float:
+        states = iter_states(cfg)
         _, u0 = next(states)
         for _, final in states:
             pass
         return float(np.abs(final.values - decay * u0.values).max())
 
     return ErrorReport(
-        _chain(scheme, alpha, sizes, dt, error),
+        _chain(base, sizes, error),
         meta={
             "study": "eigen_decay",
             "alpha": alpha,
             "t_final": t_final,
-            "dt": dt,
+            "dt": base.step_dt,
             "c": pair.c,
             "norm": "sup",
         },
@@ -178,33 +173,38 @@ def figure1_comparison(
 ) -> ErrorReport:
     """Both schemes against a fine-grid new-scheme self-reference, Gaussian data.
 
-    A single time step, snapped from h_min^(alpha+0.5) of the finest entry in
-    n_list, is shared by every run including the reference so that the
-    backward-Euler error cancels to leading order in the comparison. The
-    reference is read at coarse nodes directly when the grids nest and through
-    power interpolation otherwise. Errors are relative sup norm (divided by
-    the reference sup norm).
+    Every run, the reference included, takes one schedule: the target step
+    h_min^(alpha+0.5) of the finest entry in n_list, or t_final if that is
+    smaller, snapped to land on t_final, so that the backward-Euler error
+    cancels to leading order in the comparison. The reference is read at
+    coarse nodes directly when the grids nest and through power interpolation
+    otherwise. Errors are relative sup norm (divided by the reference sup norm).
     """
     n_list = _grid_sizes(n_list)
     if n_reference < 8 * n_list[-1]:
         raise DomainError("n_reference must be at least 8 * max(n_list)")
-    base = EvolutionConfig(
-        alpha=alpha, n=n_reference, t_final=t_final, ic=GaussianIC(mu=mu, sigma2=sigma2)
-    )
+    check_alpha(alpha)  # before h_min^(alpha+0.5) can overflow
     if t_final == 0.0:
         raise DomainError("t_final must be > 0 for a comparison, got 0.0")
+    base = EvolutionConfig(
+        alpha=alpha, n=n_reference, t_final=t_final, ic=GaussianIC(mu=mu, sigma2=sigma2),
+        dt=min((1.0 / (n_list[-1] + 1)) ** (alpha + 0.5), t_final),
+    )
     for n in (*n_list, n_reference):  # a grid that sees no data measures nothing
         if initial_grid(replace(base, n=n)).sup_norm() < TINY:
             raise DomainError(
                 f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero or subnormal on every node at n = {n}"
             )
-    dt = t_final / step_count(t_final, (1.0 / (n_list[-1] + 1)) ** (alpha + 0.5))
-    ref = evolve(replace(base, dt=dt))
+    ref = evolve(base)
     ref_sup = ref.sup_norm()
     if ref_sup < TINY:
         raise DomainError(
             f"t_final={t_final!r} decays the reference to sup norm {ref_sup!r}, below the smallest normal float"
         )
+
+    def rel_error(cfg: EvolutionConfig) -> float:
+        return error_norms(evolve(cfg), ref)["sup"] / ref_sup
+
     report = ErrorReport(
         meta={
             "study": "figure1_comparison",
@@ -213,16 +213,12 @@ def figure1_comparison(
             "sigma2": sigma2,
             "t_final": t_final,
             "n_reference": n_reference,
-            "dt": dt,
+            "dt": base.step_dt,
             "norm": "relative sup",
         }
     )
     for scheme in (Scheme.NEW, Scheme.GRUNWALD):
-        def rel_error(n: int, h: float) -> float:
-            u = evolve(replace(base, n=n, scheme=scheme, dt=dt))
-            return error_norms(u, ref)["sup"] / ref_sup
-
-        report.rows.extend(_chain(scheme, alpha, n_list, dt, rel_error))
+        report.rows.extend(_chain(replace(base, scheme=scheme), n_list, rel_error))
     return report
 
 
@@ -233,18 +229,19 @@ def operator_consistency_study(alpha: float, n_list: Sequence[int]) -> ErrorRepo
     * x^(alpha-1); the error is measured at the interior node nearest 0.5.
     """
     sizes = _grid_sizes(n_list)
-    check_alpha(alpha)
+    base = EvolutionConfig(alpha=alpha, n=sizes[0], t_final=0.0)  # stationary: dt = 0.0
     factor = gamma(2.0 * alpha) / gamma(alpha)
 
-    def error(n: int, h: float) -> float:
-        op = build_operator(alpha, n, Scheme.NEW)
-        x = np.arange(1, n + 1) * h
+    def error(cfg: EvolutionConfig) -> float:
+        n = cfg.n
+        op = build_operator(alpha, n, cfg.scheme)
+        x = np.arange(1, n + 1) * cfg.h
         u = GridFunction(alpha=alpha, n=n, values=x ** (2.0 * alpha - 1.0))
         v = apply(op, u).values
         i = int(np.argmin(np.abs(x - 0.5)))
         return float(abs(v[i] - factor * x[i] ** (alpha - 1.0)))
 
     return ErrorReport(
-        _chain(Scheme.NEW, alpha, sizes, 0.0, error),
+        _chain(base, sizes, error),
         meta={"study": "operator_consistency", "alpha": alpha, "norm": "pointwise@0.5"},
     )

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fracheat
-from fracheat import ConvergenceError, NumericalError, Scheme
+from fracheat import ConvergenceError, NumericalError, Scheme, evolution, harness
 from fracheat.cli import COMMANDS, RunConfig, main, parse_config
 
 OPTION_NAMES = [f.name for f in fields(RunConfig) if f.name != "command"]
@@ -229,6 +229,13 @@ UNDERFLOW = [
      "sigma2=1e-09 is zero or subnormal on every node at n = 9"),
 ]
 
+# A schedule the run cannot take, and the options its refusal names: a step
+# longer than the run, and an eigen chain shorter than its coarsest h^alpha.
+SCHEDULE = [
+    (["solve", "--dt", "0.5", "--t-final", "0.1"], "dt=0.5 must not exceed t_final=0.1"),
+    (["converge", "--n-list", "8,16", "--t-final", "0.001"], "t_final=0.001 must exceed the coarsest h^alpha"),
+]
+
 # Non-finite times, overflowing step counts, sizes below 3 or repeated in an
 # n-list, alpha below 1.01 on eigen paths, out-of-range alpha and t_final in a
 # study, a zero final time in a comparison, a Gaussian that is zero or
@@ -262,6 +269,7 @@ USAGE_ERRORS = [
     ["compare", "--n-list", "8,16", "--t-final", "0"],
     ["converge", "--n-list", "8,16", "--t-final", "1e6"],  # 2.7e7 steps, refused before the first
     *(argv for argv, _ in UNDERFLOW),
+    *(argv for argv, _ in SCHEDULE),
     *RETIRED_STUDY_ARGV,
     *(argv for argv, _ in UNREAD),
 ]
@@ -296,6 +304,10 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, names", UNDERFLOW, ids=[" ".join(a) for a, _ in UNDERFLOW])
     def test_underflow_names_its_cause(self, argv, names, capsys):
+        assert names in run_main(argv, capsys)[2]
+
+    @pytest.mark.parametrize("argv, names", SCHEDULE, ids=[" ".join(a) for a, _ in SCHEDULE])
+    def test_schedule_refusal_names_options(self, argv, names, capsys):
         assert names in run_main(argv, capsys)[2]
 
     # the last line is not UTF-8: a usage error naming the file, not a traceback
@@ -512,6 +524,11 @@ COMMAND_DIGESTS = {
         "80acbc4c21262af87f7cc4f8fd8db443e48bb7455d8d1c2add63689bd145a428",
     "compare --alpha 1.4 --n-list 10,20 --t-final 0.01 --format json":
         "11a4c1f4c21862183fc4bfb92b49a90abcd50800a2d8591d108bf02a42179b15",
+    # t_final below h_min^(alpha+1/2): one step of t_final
+    "compare --n-list 8,16 --t-final 1e-6 --format csv":
+        "362769248c4d977af02f4ce498cf507fb322b105649807874c2e4d76a5d08ab3",
+    "compare --n-list 8,16 --t-final 1e-6 --format json":
+        "79fcd008240d33822dc8b7b176fcda8ee5d747d6688e890360312933fff08101",
 }
 
 
@@ -549,6 +566,38 @@ class TestCommandOutput:
     @pytest.mark.parametrize("argv", sorted(COMMAND_DIGESTS))
     def test_pinned_digest(self, argv, tmp_path, capsys):
         assert_digest(argv.split(), COMMAND_DIGESTS[argv], tmp_path, capsys)
+
+
+# Chains whose snapped step t_final/K once snapped again, to K + 1 steps, on
+# every grid: 29,140 recorded and 29,141 taken, and 32,378 against 32,379.
+RESNAP_ARGV = [
+    ["compare", "--alpha", "1.4", "--t-final", "0.33"],
+    ["converge", "--alpha", "2", "--n-list", "150,300", "--t-final", "1.42"],
+]
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("argv", RESNAP_ARGV, ids=" ".join)
+    def test_every_grid_takes_the_recorded_step(self, argv, monkeypatch, capsys):
+        # a step returns its input, so the runs count their steps without computing them
+        real_iter_states = evolution.iter_states
+        taken = []
+
+        def counted(cfg):
+            states = list(real_iter_states(cfg))
+            taken.append(len(states) - 1)
+            return iter(states)
+
+        monkeypatch.setattr(evolution, "factorize", lambda op, dt: None)
+        monkeypatch.setattr(evolution, "step", lambda f, u: u)
+        monkeypatch.setattr(harness, "iter_states", counted)
+        monkeypatch.setattr(harness, "evolve", lambda cfg: list(counted(cfg))[-1][1])
+        code, out, _ = run_main(argv + ["--format", "json"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        t_final, dt = report["meta"]["t_final"], report["meta"]["dt"]
+        assert len(taken) >= len(report["rows"])
+        assert {t_final / k for k in taken} == {dt} == {r["dt"] for r in report["rows"]}
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ class TestFactorization:
         op = build_operator(1.4, 8)
         with pytest.raises(DomainError):
             factorize(op, 0.0)
+
+    # both solver paths: a NaN or infinite step once gave a factor full of NaN
+    @pytest.mark.parametrize("n", [8, 700])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_dt(self, n, dt):
+        with pytest.raises(DomainError, match=f"got {dt!r}"):
+            factorize(build_operator(1.4, n), dt)
 
 
 class TestStep:
@@ -162,6 +170,12 @@ class TestResolvent:
         with pytest.raises(DomainError):
             resolvent_apply(op, -1.0, grid(1.5, 8, np.zeros(8)))
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        op = build_operator(1.5, 8)
+        with pytest.raises(DomainError, match=f"got {lam!r}"):
+            resolvent_apply(op, lam, grid(1.5, 8, np.zeros(8)))
+
 
 class TestGohbergSemencul:
     """The n >= GS_MIN_N solver against dense oracles."""
@@ -222,9 +236,8 @@ class TestGohbergSemencul:
         # the Figure-1 reference set-up at t_final = 0.01; unprojected, GS
         # leaves negatives here that build up over the 884 steps
         n, alpha, t_final = 3200, 1.4, 0.01
-        dt = t_final / step_count(t_final, (1.0 / 401) ** (alpha + 0.5))
         cfg = EvolutionConfig(
-            alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=dt,
+            alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=(1.0 / 401) ** (alpha + 0.5),
             ic=GaussianIC(0.4, 0.0005),
         )
         for _, u in iter_states(cfg):
@@ -371,7 +384,50 @@ class TestStepCount:
         with pytest.raises(DomainError):
             step_count(0.1, 1e-30)
 
+    # the config derives its schedule when built, so the refusals fire there
     def test_overflowing_config_is_a_domain_error(self):
-        cfg = EvolutionConfig(alpha=1.5, n=10, t_final=1e308, dt=1e-308)
-        with pytest.raises(DomainError):
-            evolve(cfg)
+        with pytest.raises(DomainError, match="is not finite"):
+            EvolutionConfig(alpha=1.5, n=10, t_final=1e308, dt=1e-308)
+        with pytest.raises(DomainError, match="exceeds"):
+            EvolutionConfig(alpha=1.5, n=10, t_final=1.0, dt=0.5 / MAX_STEPS)
+
+    # t_final/(t_final/K) rounds to K(1 + d) with |d| up to about eps, which a
+    # fixed 1e-12 no longer covers from K = 18,749 at t_final = 0.01 on
+    @pytest.mark.parametrize("t_final", [0.01, 0.05, 0.33, 1.0, 1.42, 7.3, 300.0])
+    def test_snap_is_idempotent(self, t_final):
+        rng = np.random.default_rng(16)
+        ks = [18_749, *range(18_000, 20_000), *rng.integers(1, MAX_STEPS, 2_000, endpoint=True)]
+        bad = [k for k in map(int, ks) if step_count(t_final, t_final / k) != k]
+        assert bad == []
+
+
+class TestSchedule:
+    def test_derived_from_target_step(self):
+        cfg = EvolutionConfig(alpha=1.5, n=20, t_final=0.01, dt=0.003)
+        assert (cfg.steps, cfg.step_dt) == (4, 0.01 / 4)
+        default = EvolutionConfig(alpha=1.5, n=20, t_final=0.01)
+        assert default.steps == step_count(0.01, default.h**1.5)
+
+    def test_zero_time_has_no_steps(self):
+        cfg = EvolutionConfig(alpha=1.5, n=20, t_final=0.0, dt=0.003)
+        assert (cfg.steps, cfg.step_dt) == (0, 0.0)
+
+    def test_schedule_cannot_be_passed_in(self):
+        with pytest.raises(TypeError):
+            EvolutionConfig(alpha=1.5, n=20, t_final=0.01, steps=3)
+        cfg = EvolutionConfig(alpha=1.5, n=20, t_final=0.01)
+        with pytest.raises(ValueError):
+            replace(cfg, step_dt=0.001)
+
+    def test_shared_by_every_size(self):
+        base = EvolutionConfig(alpha=1.4, n=50, t_final=0.33, dt=(1.0 / 401) ** 1.9)
+        schedules = {(c.steps, c.step_dt) for c in (replace(base, n=n) for n in (50, 100, 3207))}
+        assert schedules == {(base.steps, base.step_dt)}
+
+    # rebuilding a config from its own step keeps its step count
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.75, 2.0])
+    @pytest.mark.parametrize("t_final", [0.01, 0.33, 1.42])
+    def test_rebuilt_from_own_step(self, alpha, t_final):
+        for n in range(3, 400, 7):
+            cfg = EvolutionConfig(alpha=alpha, n=n, t_final=t_final)
+            assert replace(cfg, dt=cfg.step_dt).steps == cfg.steps, n
