@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_banded, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, NumericalError
 from .operators import GridFunction, OperatorMatrix, build_operator
@@ -94,13 +94,18 @@ class EvolutionConfig:
 # ---------------------------------------------------------------------------
 # factorizations of A = sigma*I - tau*T
 
+# The LAPACK kernels of scipy's solve_triangular and solve_banded, called directly:
+# at n <= 400 the wrappers' per-call checks and copies cost more than the flops.
+_trtrs, _gbtrs = get_lapack_funcs(("trtrs", "gbtrs"), dtype=np.float64)
+
 # Grids with n >= GS_MIN_N solve through the Gohberg-Semencul formula, smaller
 # ones through the dense factor. Median backward-Euler step, dense vs GS, over
-# 15 interleaved runs at alpha = 1.4 on a 2-vCPU host: n = 400 0.120 vs 0.136
-# ms (GS faster in 0 of 15), 500 0.136 vs 0.129 (10 of 15), 600 0.193 vs
-# 0.159 (10 of 15), 700 0.206 vs 0.134 (15 of 15), 800 0.327 vs 0.186 ms. The
-# rule also keeps n <= 400, where `solve` prints values with repr, on the
-# dense arithmetic, so that output stays byte-identical.
+# 15 interleaved runs at alpha = 1.4 on a 2-vCPU host: n = 400 0.027 vs 0.065
+# ms (GS faster in 0 of 15), 500 0.035 vs 0.067 (0), 600 0.062 vs 0.074 (1),
+# 700 0.094 vs 0.087 (13), 800 0.168 vs 0.145 ms (15). The crossover is near
+# 700, but moving the rule would change `solve` output at the sizes it moves
+# past; it keeps n <= 400, where `solve` prints values with repr, on the dense
+# arithmetic, so that output stays byte-identical.
 GS_MIN_N = 600
 
 # A GS solve of b >= 0 with an entry below -GS_CLIP_C*eps*log2(n)*max(b) is an
@@ -117,12 +122,14 @@ class HessenbergFactorization:
     """Dense LU of A without pivoting, for n < GS_MIN_N."""
 
     n: int
-    lower: np.ndarray = field(repr=False)   # dense unit lower triangular
-    banded: np.ndarray = field(repr=False)  # (2, n) for solve_banded: pivots + superdiag
+    lower: np.ndarray = field(repr=False)   # dense unit lower triangular, C order
+    banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band, F order: superdiag + pivots
+    ipiv: np.ndarray = field(repr=False)    # identity row interchanges for gbtrs
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = solve_triangular(self.lower, b, lower=True, unit_diagonal=True, check_finite=False)
-        return solve_banded((0, 1), self.banded, y, check_finite=False)
+        # trtrs solves L y = b through the F-ordered L^T, into a copy of b
+        y = _checked(*_trtrs(self.lower.T, b, lower=0, trans=1, unitdiag=1))
+        return _checked(*_gbtrs(self.banded, 0, 1, y, self.ipiv, overwrite_b=1))
 
 
 @dataclass(frozen=True)
@@ -134,26 +141,28 @@ class GohbergSemenculFactorization:
     first column c / first row r, yhat = y reversed, Zy = (0, y_0..y_{n-2})
     and Zxhat = (0, x_{n-1}..x_1). Each triangular Toeplitz product is a
     circular convolution of length fft_len >= 2n - 1, so a solve is six real
-    FFTs and the factorization holds four spectra, O(n) memory.
+    FFTs in three batched calls over two stacked pairs of spectra, O(n) memory.
     """
 
     n: int
     fft_len: int
-    u_yhat: np.ndarray = field(repr=False)   # spectra of the U generators
-    u_zxhat: np.ndarray = field(repr=False)
-    l_x: np.ndarray = field(repr=False)      # spectra of the L generators, / x0
-    l_zy: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)  # spectra of the U generators yhat, Zxhat
+    l: np.ndarray = field(repr=False)  # spectra of the L generators x, -Zy, / x0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         n, size = self.n, self.fft_len
-        fb = np.fft.rfft(b, size)
-        p = np.fft.irfft(self.u_yhat * fb, size)[:n]
-        q = np.fft.irfft(self.u_zxhat * fb, size)[:n]
-        v = np.fft.irfft(self.l_x * np.fft.rfft(p, size) - self.l_zy * np.fft.rfft(q, size), size)[:n]
+        pq = np.fft.irfft(self.u * np.fft.rfft(b, size), size, axis=1)[:, :n]
+        v = np.fft.irfft((self.l * np.fft.rfft(pq, size, axis=1)).sum(0), size)[:n]
         return _clip_negative(v, b)
 
 
 Factorization = Union[HessenbergFactorization, GohbergSemenculFactorization]
+
+
+def _checked(x: np.ndarray, info: int) -> np.ndarray:
+    if info:
+        raise NumericalError(f"LAPACK solve failed with info={info}")
+    return x
 
 
 def _clip_negative(v: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,28 +239,28 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
     if col[0] <= 0.0:
         raise NumericalError(f"nonpositive pivot {col[0]} at column {n - 1}")
     pivots[n - 1] = col[0]
-    banded = np.zeros((2, n))
+    banded = np.zeros((2, n), order="F")
     banded[0, 1:] = sup
     banded[1, :] = pivots
+    ipiv = np.arange(1, n + 1, dtype=np.intc)
     if dense:
         np.fill_diagonal(lower, 1.0)
-        return HessenbergFactorization(n=n, lower=lower, banded=banded)
+        return HessenbergFactorization(n=n, lower=lower, banded=banded, ipiv=ipiv)
     # x = A^-1 e_0 = U^-1 z and y = A^-1 e_{n-1} = U^-1 e_{n-1}, as L^-1 e_{n-1} = e_{n-1}
-    rhs = np.zeros((n, 2))
+    rhs = np.zeros((n, 2), order="F")
     rhs[:, 0] = z
     rhs[n - 1, 1] = 1.0
-    x, y = solve_banded((0, 1), banded, rhs, check_finite=False).T
+    x, y = _checked(*_gbtrs(banded, 0, 1, rhs, ipiv, overwrite_b=1)).T
     size = _fft_len(2 * n - 1)
     upper = np.zeros((2, size))  # first rows yhat and Zxhat, wrapped for circular convolution
     upper[0, 0] = y[n - 1]
     upper[0, size - n + 1 :] = y[:-1]
     upper[1, size - n + 1 :] = x[1:]
-    lower_gen = np.zeros((2, n))  # first columns x and Zy
+    lower_gen = np.zeros((2, n))  # first columns x and -Zy
     lower_gen[0] = x
-    lower_gen[1, 1:] = y[:-1]
-    u_yhat, u_zxhat = np.fft.rfft(upper, axis=1)
-    l_x, l_zy = np.fft.rfft(lower_gen / x[0], size, axis=1)
-    return GohbergSemenculFactorization(n, size, u_yhat, u_zxhat, l_x, l_zy)
+    lower_gen[1, 1:] = -y[:-1]
+    spectra = np.fft.rfft(upper, axis=1), np.fft.rfft(lower_gen / x[0], size, axis=1)
+    return GohbergSemenculFactorization(n, size, *spectra)
 
 
 def factorize(op: OperatorMatrix, dt: float) -> Factorization:
@@ -282,8 +291,8 @@ def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunc
 # time marching
 
 # At most this many backward-Euler steps per run; beyond it a run would not end
-# in useful time (54 us a step at n = 3 makes 1e8 steps 1.5 hours), so more is
-# a domain error.
+# in useful time (1e8 steps take 11 minutes at n = 3, 6.6 us a step, and 45 at
+# n = 400), so more is a domain error.
 MAX_STEPS = 10**8
 
 

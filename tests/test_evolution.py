@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded, solve_triangular
 
 from fracheat import (
     DomainError,
@@ -118,6 +119,47 @@ class TestStep:
         v = step(factorize(op, dt), grid(2.0, n, u)).values
         np.testing.assert_allclose(v, u / (1.0 - dt * lam), atol=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 50, 400, GS_MIN_N - 1])
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_dense_solve_is_scipy_wrappers_bit_for_bit(self, scheme, alpha, n):
+        # the direct trtrs/gbtrs calls run the kernels solve_triangular and
+        # solve_banded run, so 50 chained steps agree exactly
+        op = build_operator(alpha, n, scheme)
+        f = factorize(op, 0.7 * op.h**alpha)
+        assert isinstance(f, HessenbergFactorization)
+        got = want = np.random.default_rng(14).uniform(0.0, 1.0, n)
+        for _ in range(50):
+            got = f.solve(got)
+            y = solve_triangular(f.lower, want, lower=True, unit_diagonal=True)
+            want = solve_banded((0, 1), f.banded, y)
+            np.testing.assert_array_equal(got, want)
+
+    def test_lapack_failure_raises(self):
+        # a band of one row is an illegal argument to gbtrs (info = -7)
+        n = 5
+        f = HessenbergFactorization(
+            n=n, lower=np.eye(n), banded=np.ones((1, n), order="F"),
+            ipiv=np.arange(1, n + 1, dtype=np.intc),
+        )
+        with pytest.raises(NumericalError, match="info=-7"):
+            f.solve(np.ones(n))
+
+    @pytest.mark.parametrize("n", [GS_MIN_N - 1, GS_MIN_N])
+    def test_solves_leave_their_input_alone(self, n):
+        # both solver paths; gbtrs solves in place, so only its own copy may change
+        alpha = 1.4
+        op = build_operator(alpha, n)
+        b = np.random.default_rng(16).uniform(0.0, 1.0, n)
+        for solve in (
+            lambda g: step(factorize(op, op.h**alpha), g),
+            lambda g: resolvent_apply(op, 0.0, g),
+        ):
+            g = grid(alpha, n, b.copy())
+            v = solve(g).values
+            np.testing.assert_array_equal(g.values, b)
+            assert not np.shares_memory(v, g.values)
+
     def test_dimension_guard(self):
         op = build_operator(1.5, 16)
         f = factorize(op, 1e-3)
@@ -210,6 +252,25 @@ class TestGohbergSemencul:
         want = -closed_form_inverse(alpha, n) @ g
         got = resolvent_apply(build_operator(alpha, n), 0.0, grid(alpha, n, g)).values
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [GS_MIN_N, 3207])
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_batched_solve_is_six_fft_formula(self, scheme, alpha, n):
+        # the three batched FFT calls against the six separate ones, written out
+        op = build_operator(alpha, n, scheme)
+        f = factorize(op, 10.0 * op.h**alpha)
+        size = f.fft_len
+        u_yhat, u_zxhat = f.u
+        l_x, l_zy = f.l[0], -f.l[1]
+        rng = np.random.default_rng(18)
+        for b in (rng.standard_normal(n), rng.uniform(0.0, 1.0, n)):
+            fb = np.fft.rfft(b, size)
+            p = np.fft.irfft(u_yhat * fb, size)[:n]
+            q = np.fft.irfft(u_zxhat * fb, size)[:n]
+            fpq = l_x * np.fft.rfft(p, size) - l_zy * np.fft.rfft(q, size)
+            want = _clip_negative(np.fft.irfft(fpq, size)[:n], b)
+            np.testing.assert_array_equal(f.solve(b), want)
 
     def test_fft_len_is_smallest_5_smooth(self):
         def smooth(k):
