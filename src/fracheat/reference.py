@@ -106,6 +106,8 @@ def eigenfunction_u_c(alpha: float, c: float, x: float) -> float:
 
 
 PANELS = 10**4  # uniform panels of the product-integration rule
+INVERSE_AT_ONE_SIZE = 8  # I(1) memo entries, keyed on (alpha, g), oldest evicted first
+_inverse_at_one: dict[tuple[float, Callable], float] = {}
 
 
 @lru_cache(maxsize=8)
@@ -142,12 +144,13 @@ def continuous_inverse_apply(alpha: float, g: Callable[[np.ndarray], np.ndarray]
     which keeps the target 1e-8 accuracy near y = x where plain trapezoid
     degrades. Under y = c*s these panel moments scale exactly as c^a times
     those of c = 1, so I(c) = c^a * sum_k w_k g(c*s_k) with one weight vector
-    w on the nodes s_k = k/PANELS of [0, 1]. (s, w) depend only on alpha and
-    are cached (8 entries), never on g; each integral is one evaluation of g
-    and one dot product.
+    w on the nodes s_k = k/PANELS of [0, 1]. I(1) is memoized per (alpha,
+    g object), 8 entries, oldest evicted first, so a call evaluates g once,
+    on x*s, and f(1) is exactly 0.0. g must be a pure, hashable function of y
+    (functions, lambdas, ufuncs and partials are), or I(1) goes stale.
 
     Raises DomainError for alpha outside (1, 2] or x outside [0, 1] (nan
-    included).
+    included), and for an inf or nan integral, which is never memoized.
     """
     check_alpha(alpha)
     if not 0.0 <= x <= 1.0:
@@ -161,9 +164,15 @@ def continuous_inverse_apply(alpha: float, g: Callable[[np.ndarray], np.ndarray]
         # second thread that doubles the CPU time without saving wall time,
         # and the sum is 10x closer to the per-panel rule than einsum's
         gk = np.asarray(g(c * s), dtype=float)
-        return c**alpha * float((w * gk).sum())
+        if math.isfinite(total := c**alpha * float((w * gk).sum())):
+            return total
+        raise DomainError(f"I(c) on [0, c={c!r}] is {total!r}: g is not finite at a quadrature node")
 
-    return weighted_integral(x) - x ** (alpha - 1.0) * weighted_integral(1.0)
+    if (key := (alpha, g)) not in _inverse_at_one:
+        _inverse_at_one[key] = weighted_integral(1.0)
+        if len(_inverse_at_one) > INVERSE_AT_ONE_SIZE:
+            del _inverse_at_one[next(iter(_inverse_at_one))]
+    return weighted_integral(x) - x ** (alpha - 1.0) * _inverse_at_one[key]
 
 
 def gaussian_ic(x, mu: float = 0.4, sigma2: float = 0.0005):

@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 import fracheat
-from fracheat import ConvergenceError, NumericalError, Scheme, evolution, harness
+from fracheat import (
+    ConvergenceError,
+    GridFunction,
+    NumericalError,
+    Scheme,
+    evolution,
+    harness,
+    principal_eigenvalue,
+)
 from fracheat.cli import COMMANDS, RunConfig, main, parse_config
 
 OPTION_NAMES = [f.name for f in fields(RunConfig) if f.name != "command"]
@@ -229,6 +237,14 @@ UNDERFLOW = [
      "sigma2=1e-09 is zero or subnormal on every node at n = 9"),
 ]
 
+# An eigen chain whose error is no longer a spatial readout, and what its refusal
+# names: by t_final = 10 the mismatch of the discrete eigenvalue with c,
+# compounded over the steps, is 2.1 times the decay at n = 8.
+NOT_SPATIAL = [
+    (["converge", "--n-list", "8,16", "--t-final", "10"],
+     "t_final=10.0 reads error/decay 2.100120114156265 > 0.5 at n = 8"),
+]
+
 # A schedule the run cannot take, and the options its refusal names: a step
 # longer than the run, and an eigen chain shorter than its coarsest h^alpha.
 SCHEDULE = [
@@ -269,6 +285,7 @@ USAGE_ERRORS = [
     ["compare", "--n-list", "8,16", "--t-final", "0"],
     ["converge", "--n-list", "8,16", "--t-final", "1e6"],  # 2.7e7 steps, refused before the first
     *(argv for argv, _ in UNDERFLOW),
+    *(argv for argv, _ in NOT_SPATIAL),
     *(argv for argv, _ in SCHEDULE),
     *RETIRED_STUDY_ARGV,
     *(argv for argv, _ in UNREAD),
@@ -305,6 +322,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, names", UNDERFLOW, ids=[" ".join(a) for a, _ in UNDERFLOW])
     def test_underflow_names_its_cause(self, argv, names, capsys):
         assert names in run_main(argv, capsys)[2]
+
+    @pytest.mark.parametrize("argv, names", NOT_SPATIAL, ids=[" ".join(a) for a, _ in NOT_SPATIAL])
+    def test_non_spatial_error_names_its_cause(self, argv, names, capsys):
+        assert f"fracheat: usage error: {names}\n" == run_main(argv, capsys)[2]
 
     @pytest.mark.parametrize("argv, names", SCHEDULE, ids=[" ".join(a) for a, _ in SCHEDULE])
     def test_schedule_refusal_names_options(self, argv, names, capsys):
@@ -579,7 +600,9 @@ RESNAP_ARGV = [
 class TestSchedule:
     @pytest.mark.parametrize("argv", RESNAP_ARGV, ids=" ".join)
     def test_every_grid_takes_the_recorded_step(self, argv, monkeypatch, capsys):
-        # a step returns its input, so the runs count their steps without computing them
+        # a step scales its input by u_c's backward-Euler factor 1/(1 - c*dt), so the
+        # runs count their steps without solving, and the eigen chain's error stays
+        # the spatial readout it is refused without (here 0: u_0 is u_c sampled)
         real_iter_states = evolution.iter_states
         taken = []
 
@@ -588,8 +611,11 @@ class TestSchedule:
             taken.append(len(states) - 1)
             return iter(states)
 
-        monkeypatch.setattr(evolution, "factorize", lambda op, dt: None)
-        monkeypatch.setattr(evolution, "step", lambda f, u: u)
+        def scaled(dt, u):
+            return GridFunction(u.alpha, u.n, u.values / (1.0 - principal_eigenvalue(u.alpha).c * dt))
+
+        monkeypatch.setattr(evolution, "factorize", lambda op, dt: dt)
+        monkeypatch.setattr(evolution, "step", scaled)
         monkeypatch.setattr(harness, "iter_states", counted)
         monkeypatch.setattr(harness, "evolve", lambda cfg: list(counted(cfg))[-1][1])
         code, out, _ = run_main(argv + ["--format", "json"], capsys)

@@ -13,6 +13,7 @@ from fracheat import (
     eigen_decay_study,
     error_norms,
     figure1_comparison,
+    harness,
     observed_order,
     operator_consistency_study,
 )
@@ -146,6 +147,17 @@ class TestEigenDecayStudy:
     def test_rejects_t_final_that_underflows_the_decay_factor(self):
         with pytest.raises(DomainError, match=r"t_final=300\.0 decays u_c by 0\.0"):
             eigen_decay_study(1.5, [8, 16], t_final=300.0)
+
+    # The discrete eigenvalue's mismatch with c compounds over the steps: at
+    # t_final = 150 the errors 2.3e-292 and 1.9e-299 once gave an order of 25.6
+    def test_rejects_t_final_past_the_spatial_readout(self):
+        with pytest.raises(DomainError, match=r"t_final=150\.0 reads error/decay 2181\d{8}\.\d* > 0\.5 at n = 8"):
+            eigen_decay_study(1.5, [8, 16], t_final=150.0)
+
+    def test_keeps_t_final_inside_the_spatial_readout(self):
+        rep = eigen_decay_study(1.5, [8, 16], t_final=1.0)
+        decay = (1.0 - rep.meta["c"] * rep.meta["dt"]) ** -round(1.0 / rep.meta["dt"])
+        assert max(r.error for r in rep.rows) / decay <= harness.MAX_ERROR_OVER_DECAY
 
     def test_meta_records_eigenvalue(self):
         rep = eigen_decay_study(1.4, [32, 64], t_final=0.05)

@@ -17,7 +17,8 @@ from fracheat import (
     observed_order,
     principal_eigenvalue,
 )
-from fracheat.reference import _unit_weights
+from fracheat import reference
+from fracheat.reference import INVERSE_AT_ONE_SIZE, _unit_weights
 
 INVERSE_ALPHAS = [1.01, 1.1, 1.5, 1.9, 2.0]
 INVERSE_XS = np.linspace(0.0, 1.0, 41)
@@ -40,6 +41,36 @@ def per_panel_inverse(alpha, g, x, panels=10**4):
         return float(np.sum(gk[:-1] * m0 + (gk[1:] - gk[:-1]) * m1 / d))
 
     return (weighted_integral(x) - x ** (alpha - 1.0) * weighted_integral(1.0)) / ga
+
+
+def unmemoized_inverse(alpha, g, x):
+    """I(x) - x^(alpha-1) * I(1) with both integrals formed on this call."""
+    s, w = _unit_weights(alpha)
+
+    def weighted_integral(c):
+        return 0.0 if c == 0.0 else c**alpha * float((w * np.asarray(g(c * s), dtype=float)).sum())
+
+    return weighted_integral(x) - x ** (alpha - 1.0) * weighted_integral(1.0)
+
+
+class Counted:
+    """A pure g that counts its evaluations; hashed by identity like a function."""
+
+    def __init__(self, g=np.exp):
+        self.g, self.calls = g, 0
+
+    def __call__(self, y):
+        self.calls += 1
+        return self.g(y)
+
+
+def inverse_sqrt(y):
+    with np.errstate(divide="ignore"):
+        return y**-0.5
+
+
+def nan_above_0_9(y):
+    return np.where(y > 0.9, np.nan, 1.0)
 
 
 def bump(y):
@@ -203,6 +234,7 @@ class TestContinuousInverseQuadrature:
         want = np.array([per_panel_inverse(alpha, g, x) for x in INVERSE_XS])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert got[0] == 0.0 and got[-1] == 0.0
+        assert np.array_equal(got, [unmemoized_inverse(alpha, g, x) for x in INVERSE_XS])
 
     def test_cached_weights_are_read_only(self):
         s, w = _unit_weights(1.5)
@@ -221,6 +253,65 @@ class TestContinuousInverseQuadrature:
         info = _unit_weights.cache_info()
         # one entry, keyed on alpha only, shared by both g
         assert (info.currsize, info.misses, info.hits) == (1, 1, 5)
+
+    def test_criterion_10_pattern_evaluates_g_once_per_call(self, monkeypatch):
+        # 801 fine points and the interiors of n = 32..256, one g: I(1) is formed
+        # once and I(0) needs no g, so 1,281 calls make 1,281 evaluations (2,561
+        # when every call formed I(1))
+        monkeypatch.setattr(reference, "_inverse_at_one", {})
+        g = Counted(bump)
+        xs = [*np.linspace(0.0, 1.0, 801)]
+        for n in (32, 64, 128, 256):
+            xs += [i / (n + 1) for i in range(1, n + 1)]
+        for x in xs:
+            continuous_inverse_apply(1.5, g, x)
+        assert (len(xs), g.calls) == (1281, 1281)
+
+    def test_memo_keys_on_the_g_object(self, monkeypatch):
+        monkeypatch.setattr(reference, "_inverse_at_one", {})
+        g1, g2 = Counted(), Counted()
+        v1 = continuous_inverse_apply(1.5, g1, 0.5)
+        v2 = continuous_inverse_apply(1.5, g2, 0.5)
+        assert v1 == v2
+        # the same computation in two objects: two entries, each formed by its own g
+        assert list(reference._inverse_at_one) == [(1.5, g1), (1.5, g2)]
+        assert (g1.calls, g2.calls) == (2, 2)
+        continuous_inverse_apply(1.7, g1, 0.5)
+        assert len(reference._inverse_at_one) == 3 and g1.calls == 4
+
+    def test_memo_evicts_the_oldest_entry(self, monkeypatch):
+        monkeypatch.setattr(reference, "_inverse_at_one", {})
+        gs = [Counted() for _ in range(INVERSE_AT_ONE_SIZE + 1)]
+        for g in gs:
+            continuous_inverse_apply(1.5, g, 0.5)
+        assert list(reference._inverse_at_one) == [(1.5, g) for g in gs[1:]]
+        continuous_inverse_apply(1.5, gs[1], 0.25)
+        assert gs[1].calls == 3  # still held: I(0.25) only
+        continuous_inverse_apply(1.5, gs[0], 0.25)
+        assert gs[0].calls == 4  # evicted: I(1) formed again
+        assert list(reference._inverse_at_one) == [(1.5, g) for g in gs[2:] + gs[:1]]
+
+    # I(1) is formed first: g(0) = inf for inverse_sqrt, and nan_above_0_9 is
+    # finite on [0, 0.5] but not on [0, 1]
+    @pytest.mark.parametrize("g", [inverse_sqrt, nan_above_0_9])
+    @pytest.mark.parametrize("x", [0.5, 1.0])
+    def test_rejects_non_finite_quadrature(self, g, x, monkeypatch):
+        monkeypatch.setattr(reference, "_inverse_at_one", {})
+        with pytest.raises(DomainError, match=r"\[0, c=1\.0\] is (inf|nan): g is not finite at a quadrature node"):
+            continuous_inverse_apply(1.5, g, x)
+        assert reference._inverse_at_one == {}  # never memoized
+
+    def test_rejects_non_finite_quadrature_below_one(self, monkeypatch):
+        # g is nan only at the node 0.5*s_1 of I(0.5), which is no node of I(1)
+        monkeypatch.setattr(reference, "_inverse_at_one", {})
+        node = 0.5 * _unit_weights(1.5)[0][1]
+
+        def g(y):
+            return np.where(y == node, np.nan, 1.0)
+
+        with pytest.raises(DomainError, match=r"\[0, c=0\.5\] is nan"):
+            continuous_inverse_apply(1.5, g, 0.5)
+        assert list(reference._inverse_at_one) == [(1.5, g)]  # the finite I(1)
 
     @pytest.mark.parametrize(
         "alpha, x",
