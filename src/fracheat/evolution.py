@@ -18,11 +18,15 @@ chosen by grid size alone:
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Iterator, Optional, Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .errors import DomainError, NumericalError
 from .operators import GridFunction, OperatorMatrix, build_operator
@@ -94,9 +98,31 @@ class EvolutionConfig:
 # ---------------------------------------------------------------------------
 # factorizations of A = sigma*I - tau*T
 
+def _load_flapack():
+    # scipy's LAPACK extension loads alone in 5 ms, where importing the
+    # scipy.linalg package took 0.28 s of every process's set-up (Python 3.11,
+    # scipy 1.17, 2 vCPUs), most of it numpy.f2py, numpy.testing, numpy.ma and
+    # numpy.random. `import scipy` is cheap and runs its DLL set-up on Windows.
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+    spec = FileFinder(os.path.join(scipy.__path__[0], "linalg"), loaders).find_spec(name)
+    if spec is None:  # no extension file there: the package knows where it is
+        from scipy.linalg import _flapack
+        return _flapack
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension enters itself in sys.modules; without that entry a later
+    # `import scipy.linalg` binds it to its package, with the same kernels
+    sys.modules.pop(name, None)
+    return module
+
+
 # The LAPACK kernels of scipy's solve_triangular and solve_banded, called directly:
 # at n <= 400 the wrappers' per-call checks and copies cost more than the flops.
-_trtrs, _gbtrs = get_lapack_funcs(("trtrs", "gbtrs"), dtype=np.float64)
+_flapack = _load_flapack()
+_trtrs, _gbtrs = _flapack.dtrtrs, _flapack.dgbtrs
 
 # Grids with n >= GS_MIN_N solve through the Gohberg-Semencul formula, smaller
 # ones through the dense factor. Median backward-Euler step, dense vs GS, over

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import random
 import shlex
 import subprocess
@@ -10,8 +9,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
-import fracheat
 from fracheat import (
     ConvergenceError,
     GridFunction,
@@ -637,15 +636,11 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_entry_point_subprocess(self, tmp_path):
-        # the child imports the fracheat under test, also when pytest's
-        # pythonpath setting (not the environment) put it on sys.path
-        src = str(Path(fracheat.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fracheat.cli", "eigen", "--alpha", "2.0"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "alpha,c,series_terms" in proc.stdout

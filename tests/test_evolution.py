@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import child_env
 from scipy.linalg import solve_banded, solve_triangular
 
 from fracheat import (
@@ -165,6 +169,83 @@ class TestStep:
         f = factorize(op, 1e-3)
         with pytest.raises(DomainError):
             step(f, grid(1.5, 8, np.zeros(8)))
+
+
+def run_child(code: str, *args: str) -> str:
+    """stdout of `code` run in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# a dense (n = 50) and a GS (n = 700) solve, saved to argv[1]
+SOLVES = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from fracheat import build_operator, factorize
+
+    rng = np.random.default_rng(19)
+    got = {}
+    for n in (50, 700):
+        op = build_operator(1.4, n)
+        f = factorize(op, 0.7 * op.h**1.4)
+        got[type(f).__name__] = f.solve(rng.uniform(0.0, 1.0, n))
+    np.savez(sys.argv[1], **got)
+    print(*got, "scipy.linalg" in sys.modules)
+""")
+
+
+class TestLapackLoader:
+    """The kernels load from scipy's LAPACK extension, not the scipy.linalg package."""
+
+    def test_cli_solve_imports_neither_scipy_linalg_nor_fft(self, tmp_path):
+        # a later import in src/ that brings either back shows here
+        out = run_child(
+            """
+            import sys
+            import fracheat, fracheat.cli
+
+            assert fracheat.cli.main(["solve", "--n", "8", "--t-final", "0.01", "--out", sys.argv[1]]) == 0
+            print([m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules])
+            """,
+            str(tmp_path / "solve.csv"),
+        )
+        assert out == "[]\n"
+
+    def test_kernels_are_scipys_own(self):
+        run_child(
+            """
+            import numpy as np
+            from fracheat import evolution
+            import scipy.linalg
+            from scipy.linalg import _flapack, get_lapack_funcs, solve_banded, solve_triangular
+
+            assert evolution._trtrs is scipy.linalg.lapack.dtrtrs
+            assert evolution._gbtrs is scipy.linalg.lapack.dgbtrs
+            trtrs, gbtrs = get_lapack_funcs(("trtrs", "gbtrs"), dtype=np.float64)
+            assert trtrs is evolution._trtrs and gbtrs is evolution._gbtrs
+            assert scipy.linalg._flapack is _flapack and _flapack.dtrtrs is evolution._trtrs
+            np.testing.assert_array_equal(solve_triangular([[2.0, 0.0], [1.0, 4.0]], [2.0, 9.0], lower=True), [1.0, 2.0])
+            np.testing.assert_array_equal(solve_banded((0, 1), [[0.0, 1.0], [2.0, 4.0]], [4.0, 8.0]), [1.0, 2.0])
+            """
+        )
+
+    def test_fallback_through_scipy_linalg_solves_the_same(self, tmp_path):
+        # a finder that knows no extension suffix sends the loader through
+        # scipy.linalg; the import system's own finders keep theirs
+        blind = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
+        normal_path, blind_path = tmp_path / "normal.npz", tmp_path / "blind.npz"
+        kinds = "HessenbergFactorization GohbergSemenculFactorization"
+        assert run_child(SOLVES, str(normal_path)) == f"{kinds} False\n"
+        assert run_child(blind + SOLVES, str(blind_path)) == f"{kinds} True\n"
+        with np.load(normal_path) as normal, np.load(blind_path) as fallback:
+            for kind in kinds.split():
+                np.testing.assert_array_equal(fallback[kind], normal[kind])
 
 
 class TestResolvent:
