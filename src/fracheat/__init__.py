@@ -8,8 +8,6 @@ from .evolution import (
     EigenfunctionIC,
     EvolutionConfig,
     GaussianIC,
-    GohbergSemenculFactorization,
-    HessenbergFactorization,
     PowerLawIC,
     evolve,
     factorize,

@@ -204,10 +204,8 @@ def _run_study(cfg: RunConfig) -> Iterable[str]:
     elif cfg.command == "consistency":
         report = operator_consistency_study(cfg.alpha, n_list)
     else:
-        # a nested fine grid, so the coarse nodes are shared exactly
         report = figure1_comparison(
-            sigma2=cfg.sigma2, mu=cfg.mu, alpha=cfg.alpha, t_final=cfg.t_final,
-            n_list=n_list, n_reference=8 * (max(n_list) + 1) - 1,
+            sigma2=cfg.sigma2, mu=cfg.mu, alpha=cfg.alpha, t_final=cfg.t_final, n_list=n_list
         )
     return [report.to_json() if cfg.format == "json" else report.to_csv()]
 

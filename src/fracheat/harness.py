@@ -175,19 +175,22 @@ def figure1_comparison(
     alpha: float,
     t_final: float,
     n_list: Sequence[int],
-    n_reference: int,
+    n_reference: Optional[int] = None,
 ) -> ErrorReport:
     """Both schemes against a fine-grid new-scheme self-reference, Gaussian data.
 
-    Every run, the reference included, takes one schedule: the target step
-    h_min^(alpha+0.5) of the finest entry in n_list, or t_final if that is
-    smaller, snapped to land on t_final, so that the backward-Euler error
-    cancels to leading order in the comparison. The reference is read at
-    coarse nodes directly when the grids nest and through power interpolation
-    otherwise. Errors are relative sup norm (divided by the reference sup norm).
+    The reference grid defaults to the nested 8*(max n + 1) - 1, which holds every node of
+    the finest grid; an explicit n_reference must be at least 8 * max n. Every run, the
+    reference included, takes one schedule: the target step h_min^(alpha+0.5) of the finest
+    entry in n_list, or t_final if that is smaller, snapped to land on t_final, so that the
+    backward-Euler error cancels to leading order in the comparison. The reference is read
+    at coarse nodes directly when the grids nest and through power interpolation otherwise.
+    Errors are relative sup norm (divided by the reference sup norm).
     """
     n_list = _grid_sizes(n_list)
-    if n_reference < 8 * n_list[-1]:
+    if n_reference is None:
+        n_reference = 8 * (n_list[-1] + 1) - 1
+    elif n_reference < 8 * n_list[-1]:
         raise DomainError("n_reference must be at least 8 * max(n_list)")
     check_alpha(alpha)  # before h_min^(alpha+0.5) can overflow
     if t_final == 0.0:

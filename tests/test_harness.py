@@ -194,6 +194,11 @@ class TestFigureComparison:
         assert len({r.dt for r in rep.rows}) == 1
         assert rep.meta["dt"] == rep.rows[0].dt
 
+    def test_default_reference_is_the_nested_grid(self):
+        kw = dict(sigma2=0.0005, mu=0.4, alpha=1.4, t_final=0.001, n_list=[10, 20])
+        default, explicit = figure1_comparison(**kw), figure1_comparison(**kw, n_reference=167)
+        assert (default.rows, default.meta) == (explicit.rows, explicit.meta)
+
     def test_rejects_thin_reference(self):
         with pytest.raises(DomainError):
             figure1_comparison(
@@ -220,10 +225,7 @@ STUDIES = pytest.mark.parametrize(
     [
         lambda a, ns: eigen_decay_study(a, ns, t_final=0.05),
         lambda a, ns: operator_consistency_study(a, ns),
-        lambda a, ns: figure1_comparison(
-            sigma2=0.0005, mu=0.4, alpha=a, t_final=0.05, n_list=ns,
-            n_reference=8 * max(ns, default=0),
-        ),
+        lambda a, ns: figure1_comparison(sigma2=0.0005, mu=0.4, alpha=a, t_final=0.05, n_list=ns),
     ],
     ids=["eigen_decay", "operator_consistency", "figure1"],
 )

@@ -18,7 +18,7 @@ from fracheat import (
     principal_eigenvalue,
 )
 from fracheat import reference
-from fracheat.reference import INVERSE_AT_ONE_SIZE, _unit_weights
+from fracheat.reference import _unit_weights
 
 INVERSE_ALPHAS = [1.01, 1.1, 1.5, 1.9, 2.0]
 INVERSE_XS = np.linspace(0.0, 1.0, 41)
@@ -92,6 +92,13 @@ def inverse_of_one(alpha, x):
 
 def inverse_of_y(alpha, x):
     return (x ** (alpha + 1.0) - x ** (alpha - 1.0)) / gamma(alpha + 2.0)
+
+
+@pytest.fixture
+def memo():
+    """The I(1) memo, emptied."""
+    reference._integral_at_one.cache_clear()
+    return reference._integral_at_one
 
 
 class TestPrincipalEigenvalue:
@@ -242,7 +249,7 @@ class TestContinuousInverseQuadrature:
         with pytest.raises(ValueError):
             w[0] = 1.0
 
-    def test_cache_holds_nothing_of_g(self):
+    def test_cache_holds_nothing_of_g(self, memo):
         _unit_weights.cache_clear()
         alpha = 1.3
         for x in (0.25, 0.5, 0.75):
@@ -251,14 +258,13 @@ class TestContinuousInverseQuadrature:
             assert v1 == pytest.approx(inverse_of_one(alpha, x), rel=1e-12)
             assert v2 == pytest.approx(inverse_of_y(alpha, x), rel=1e-12)
         info = _unit_weights.cache_info()
-        # one entry, keyed on alpha only, shared by both g
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 5)
+        # one entry, keyed on alpha only, shared by both g: six I(x) and two I(1)
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 7)
 
-    def test_criterion_10_pattern_evaluates_g_once_per_call(self, monkeypatch):
+    def test_criterion_10_pattern_evaluates_g_once_per_call(self, memo):
         # 801 fine points and the interiors of n = 32..256, one g: I(1) is formed
         # once and I(0) needs no g, so 1,281 calls make 1,281 evaluations (2,561
         # when every call formed I(1))
-        monkeypatch.setattr(reference, "_inverse_at_one", {})
         g = Counted(bump)
         xs = [*np.linspace(0.0, 1.0, 801)]
         for n in (32, 64, 128, 256):
@@ -267,43 +273,42 @@ class TestContinuousInverseQuadrature:
             continuous_inverse_apply(1.5, g, x)
         assert (len(xs), g.calls) == (1281, 1281)
 
-    def test_memo_keys_on_the_g_object(self, monkeypatch):
-        monkeypatch.setattr(reference, "_inverse_at_one", {})
+    def test_memo_keys_on_the_g_object(self, memo):
         g1, g2 = Counted(), Counted()
         v1 = continuous_inverse_apply(1.5, g1, 0.5)
         v2 = continuous_inverse_apply(1.5, g2, 0.5)
         assert v1 == v2
         # the same computation in two objects: two entries, each formed by its own g
-        assert list(reference._inverse_at_one) == [(1.5, g1), (1.5, g2)]
+        info = memo.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 0)
         assert (g1.calls, g2.calls) == (2, 2)
         continuous_inverse_apply(1.7, g1, 0.5)
-        assert len(reference._inverse_at_one) == 3 and g1.calls == 4
+        assert memo.cache_info().currsize == 3 and g1.calls == 4
 
-    def test_memo_evicts_the_oldest_entry(self, monkeypatch):
-        monkeypatch.setattr(reference, "_inverse_at_one", {})
-        gs = [Counted() for _ in range(INVERSE_AT_ONE_SIZE + 1)]
-        for g in gs:
+    def test_memo_evicts_the_least_recently_used_entry(self, memo):
+        gs = [Counted() for _ in range(memo.cache_parameters()["maxsize"] + 1)]
+        for g in gs[:-1]:
             continuous_inverse_apply(1.5, g, 0.5)
-        assert list(reference._inverse_at_one) == [(1.5, g) for g in gs[1:]]
-        continuous_inverse_apply(1.5, gs[1], 0.25)
-        assert gs[1].calls == 3  # still held: I(0.25) only
         continuous_inverse_apply(1.5, gs[0], 0.25)
-        assert gs[0].calls == 4  # evicted: I(1) formed again
-        assert list(reference._inverse_at_one) == [(1.5, g) for g in gs[2:] + gs[:1]]
+        assert gs[0].calls == 3  # a hit: I(0.25) only, and gs[0] is now the most recent
+        continuous_inverse_apply(1.5, gs[-1], 0.5)  # one entry too many
+        assert memo.cache_info().currsize == len(gs) - 1
+        continuous_inverse_apply(1.5, gs[0], 0.75)
+        assert gs[0].calls == 4  # still held
+        continuous_inverse_apply(1.5, gs[1], 0.25)
+        assert gs[1].calls == 4  # the least recently used, evicted: I(1) formed again
 
     # I(1) is formed first: g(0) = inf for inverse_sqrt, and nan_above_0_9 is
     # finite on [0, 0.5] but not on [0, 1]
     @pytest.mark.parametrize("g", [inverse_sqrt, nan_above_0_9])
     @pytest.mark.parametrize("x", [0.5, 1.0])
-    def test_rejects_non_finite_quadrature(self, g, x, monkeypatch):
-        monkeypatch.setattr(reference, "_inverse_at_one", {})
+    def test_rejects_non_finite_quadrature(self, g, x, memo):
         with pytest.raises(DomainError, match=r"\[0, c=1\.0\] is (inf|nan): g is not finite at a quadrature node"):
             continuous_inverse_apply(1.5, g, x)
-        assert reference._inverse_at_one == {}  # never memoized
+        assert memo.cache_info().currsize == 0  # never memoized
 
-    def test_rejects_non_finite_quadrature_below_one(self, monkeypatch):
+    def test_rejects_non_finite_quadrature_below_one(self, memo):
         # g is nan only at the node 0.5*s_1 of I(0.5), which is no node of I(1)
-        monkeypatch.setattr(reference, "_inverse_at_one", {})
         node = 0.5 * _unit_weights(1.5)[0][1]
 
         def g(y):
@@ -311,7 +316,8 @@ class TestContinuousInverseQuadrature:
 
         with pytest.raises(DomainError, match=r"\[0, c=0\.5\] is nan"):
             continuous_inverse_apply(1.5, g, 0.5)
-        assert list(reference._inverse_at_one) == [(1.5, g)]  # the finite I(1)
+        assert memo.cache_info().currsize == 1  # the finite I(1)
+        assert continuous_inverse_apply(1.5, g, 1.0) == 0.0 and memo.cache_info().hits == 1
 
     @pytest.mark.parametrize(
         "alpha, x",
