@@ -4,15 +4,20 @@
 matrix, is a nonsingular M-matrix (diagonal 1 + dt*|w_1|/h^alpha >= 1,
 nonpositive off-diagonals, row sums >= 1), so Gaussian elimination needs no
 pivoting, and each elimination step touches only the single superdiagonal
-entry of the pivot row: O(n^2) work. Two representations come out of it,
-chosen by grid size alone:
+entry of the pivot row: O(n^2) work. Three representations come out of it,
+chosen by grid size and by how fast the elimination's multipliers converge:
 
 - n < GS_MIN_N: a dense unit-lower-triangular factor and an upper-bidiagonal
   factor, solved by triangular substitution (no subtractions, so a solve of
   b >= 0 is exactly nonnegative);
-- n >= GS_MIN_N: the Gohberg-Semencul formula for the inverse of a Toeplitz
-  matrix from its first and last columns, O(n) memory and O(n log n) per
-  solve by real FFTs, with results of b >= 0 projected onto v >= 0.
+- n >= GS_MIN_N and multipliers converged by column TAIL_MAX_J (tau up to
+  about 3-10, depending on alpha): a small dense head of the LU and its
+  Toeplitz tail, O(n) memory and one real FFT pair per solve;
+- otherwise: the Gohberg-Semencul formula for the inverse of a Toeplitz
+  matrix from its first and last columns, O(n) memory and six real FFTs per
+  solve.
+
+The two FFT solves project results of b >= 0 onto v >= 0.
 """
 
 from __future__ import annotations
@@ -124,23 +129,42 @@ def _load_flapack():
 _flapack = _load_flapack()
 _trtrs, _gbtrs = _flapack.dtrtrs, _flapack.dgbtrs
 
-# Grids with n >= GS_MIN_N solve through the Gohberg-Semencul formula, smaller
-# ones through the dense factor. Median backward-Euler step, dense vs GS, over
-# 15 interleaved runs at alpha = 1.4 on a 2-vCPU host: n = 400 0.027 vs 0.065
-# ms (GS faster in 0 of 15), 500 0.035 vs 0.067 (0), 600 0.062 vs 0.074 (1),
-# 700 0.094 vs 0.087 (13), 800 0.168 vs 0.145 ms (15). The crossover is near
-# 700, but moving the rule would change `solve` output at the sizes it moves
-# past; it keeps n <= 400, where `solve` prints values with repr, on the dense
-# arithmetic, so that output stays byte-identical.
+# Grids with n >= GS_MIN_N solve through the Toeplitz tail or Gohberg-Semencul,
+# smaller ones through the dense factor. Median backward-Euler step in us,
+# dense / tail / GS, over 15 interleaved runs at alpha = 1.4 on a 2-vCPU host;
+# at tau = 1 the tail's head is J = 34 columns, at tau = 10 J = 136 (past
+# TAIL_MAX_J, so such grids take GS; the tail was built for the timing):
+#   n       400           500           600           700           800
+#   tau=1   19 / 37 / 48  27 / 40 / 56  39 / 44 / 60  68 / 50 / 69  114 / 54 / 73
+#   tau=10  16 / 41 / 48  27 / 47 / 56  40 / 52 / 61  65 / 61 / 69  109 / 66 / 72
+# The tail beats dense in 15 of 15 runs from n = 700 and in none below, and
+# beats GS at every size. The crossover is between 600 and 700, but moving the
+# rule would change `solve` output at the sizes it moves past; it keeps
+# n <= 400, where `solve` prints values with repr, on the dense arithmetic, so
+# that output stays byte-identical.
 GS_MIN_N = 600
 
-# A GS solve of b >= 0 with an entry below -GS_CLIP_C*eps*log2(n)*max(b) is an
-# error, not rounding; see _clip_negative. Over alpha in {1.1, 1.4, 1.9, 2.0},
-# both schemes, tau = dt/h^alpha from 0.08 to 1600 and the resolvent at lam = 0,
-# n from 600 to 4801 and ten shapes of b (20 chained steps each), and on the
-# n = 3200 Figure-1 reference runs, the most negative entry reached 0.19 of
-# eps*log2(n)*max(b), so 4.0 leaves a 21x margin.
+# An FFT solve (tail or GS) of b >= 0 with an entry below
+# -GS_CLIP_C*eps*log2(n)*max(b) is an error, not rounding; see _clip_negative.
+# Over alpha in {1.1, 1.4, 1.9, 2.0}, both schemes, n from 600 to 4801 and ten
+# shapes of b (20 chained steps each): GS at tau = dt/h^alpha from 0.08 to 1600
+# and the resolvent at lam = 0, plus the n = 3200 Figure-1 reference runs,
+# reached 0.19 of eps*log2(n)*max(b); a second sweep whose shapes include a
+# step function reached 0.43 for GS (n = 1601, alpha = 1.1, tau = 0.08) and
+# 0.28 for the tail (n = 600, alpha = 1.9, tau = 0.08), over every tau in
+# {0.08, 0.3, 1, 3, 10} and resolvent lam*h^alpha in {0.3, 1, 10} that picks
+# it. 4.0 leaves a 9x margin for GS and 14x for the tail.
 GS_CLIP_C = 4.0
+
+# From GS_MIN_N on, a factorization whose multipliers converge by column
+# TAIL_MAX_J solves through the Toeplitz tail of its LU, any other through
+# Gohberg-Semencul. Convergence comes at J = 7-42 for tau <= 1 and alpha in
+# [1.05, 2], J = 55 (alpha = 2) to 241 (alpha = 1.05) at tau = 10, and never
+# at tau = 1600. A tail step costs n*J for its convolution: at alpha = 1.4,
+# tau = 0.5 the median step at J = 20 / 128 / 200 / 300 read 48 / 51 / 60 / 73
+# us at n = 600 (GS 63) and 257 / 265 / 306 / 422 us at n = 3200 (GS 353): the
+# crossover near J = 250 leaves a 2x margin at 128.
+TAIL_MAX_J = 128
 
 
 @dataclass(frozen=True)
@@ -159,15 +183,48 @@ class HessenbergFactorization:
 
 
 @dataclass(frozen=True)
+class ToeplitzTailFactorization:
+    """A = L U for n >= GS_MIN_N when L's columns converge to one column.
+
+    Eliminating column j turns the next column into base - sup*m_j, so the
+    multipliers m_j converge, at rate |sup/pivot|, to a fixed point l; from
+    column J on L is the lower triangular Toeplitz matrix T(l) to rounding and
+    U's pivot is constant. A solve runs the J x J head of L and U, forms the
+    Toeplitz block A21 w by a direct convolution with A's first column, applies
+    T(l)^-1 = T(1/l) as one real FFT pair and U^-1 as one bidiagonal solve,
+    with results of b >= 0 projected onto v >= 0. O(n) memory.
+    """
+
+    n: int
+    fft_len: int
+    lower: np.ndarray = field(repr=False)   # J x J head of L, C order
+    banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order
+    ipiv: np.ndarray = field(repr=False)    # identity row interchanges for gbtrs
+    base: np.ndarray = field(repr=False)    # first column of A
+    inv_l: np.ndarray = field(repr=False)   # spectrum of 1/l, the column of T(l)^-1
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        n, size, head = self.n, self.fft_len, len(self.lower)
+        y = np.empty(n)  # L^-1 b
+        y[:head] = _checked(*_trtrs(self.lower.T, b[:head], lower=0, trans=1, unitdiag=1))
+        w = _checked(*_gbtrs(self.banded[:, :head], 0, 1, y[:head], self.ipiv[:head]))
+        r = b[head:] - np.convolve(self.base, w)[head:n]  # b2 - A21 A11^-1 b1
+        y[head:] = np.fft.irfft(self.inv_l * np.fft.rfft(r, size), size)[: n - head]
+        v = _checked(*_gbtrs(self.banded, 0, 1, y, self.ipiv, overwrite_b=1))
+        return _clip_negative(v, b)
+
+
+@dataclass(frozen=True)
 class GohbergSemenculFactorization:
-    """A^-1 from its first and last columns x, y, for n >= GS_MIN_N.
+    """A^-1 from its first and last columns x, y, for n >= GS_MIN_N past TAIL_MAX_J.
 
     A^-1 b = (1/x0) [L(x) U(yhat) b - L(Zy) U(Zxhat) b] (Gohberg & Semencul,
     1972), with L(c) / U(r) the lower / upper triangular Toeplitz matrices of
     first column c / first row r, yhat = y reversed, Zy = (0, y_0..y_{n-2})
     and Zxhat = (0, x_{n-1}..x_1). Each triangular Toeplitz product is a
     circular convolution of length fft_len >= 2n - 1, so a solve is six real
-    FFTs in three batched calls over two stacked pairs of spectra, O(n) memory.
+    FFTs in four numpy calls, two of them batched over a stacked pair of
+    spectra, O(n) memory.
     """
 
     n: int
@@ -182,7 +239,9 @@ class GohbergSemenculFactorization:
         return _clip_negative(v, b)
 
 
-Factorization = Union[HessenbergFactorization, GohbergSemenculFactorization]
+Factorization = Union[
+    HessenbergFactorization, ToeplitzTailFactorization, GohbergSemenculFactorization
+]
 
 
 def _checked(x: np.ndarray, info: int) -> np.ndarray:
@@ -192,7 +251,7 @@ def _checked(x: np.ndarray, info: int) -> np.ndarray:
 
 
 def _clip_negative(v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Project a GS solve of b >= 0 onto v >= 0.
+    """Project an FFT solve (tail or GS) of b >= 0 onto v >= 0.
 
     A is an M-matrix, so b >= 0 gives A^-1 b >= 0 exactly; the FFTs leave
     rounding-size negatives that would otherwise build up over the steps.
@@ -205,7 +264,7 @@ def _clip_negative(v: np.ndarray, b: np.ndarray) -> np.ndarray:
         return v
     bound = GS_CLIP_C * np.finfo(float).eps * math.log2(v.size) * b.max()
     if low < -bound:
-        raise NumericalError(f"GS solve of b >= 0 has entry {low!r} below -{bound!r}")
+        raise NumericalError(f"FFT solve of b >= 0 has entry {low!r} below -{bound!r}")
     return np.maximum(v, 0.0, out=v)
 
 
@@ -230,12 +289,34 @@ def _fft_len(m: int) -> int:
     return best
 
 
+def _series_inverse(l: np.ndarray) -> np.ndarray:
+    """The first len(l) power-series coefficients of 1/l(z), l[0] = 1.
+
+    Newton's iteration c <- c - c*(l*c - 1) doubles the number of correct
+    coefficients a round, each product a real FFT pair: O(n log n), where the
+    coefficient recurrence is O(n^2) (1.5 vs 12 ms at n = 3200).
+    """
+    c = np.ones(1)
+    m = 1
+    while m < l.size:
+        k = min(2 * m, l.size)
+        size = _fft_len(k + m - 1)
+        fc = np.fft.rfft(c, size)
+        e = np.fft.irfft(np.fft.rfft(l[:k], size) * fc, size)[m:k]  # l*c - 1, past the m zeros
+        c = np.concatenate((c, -np.fft.irfft(fc * np.fft.rfft(e, size), size)[: k - m]))
+        m = k
+    return c
+
+
 def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorization:
     """Factor A = sigma*I - tau*T, T the Toeplitz stencil matrix.
 
-    Both paths run one elimination without pivoting. Below GS_MIN_N it keeps
-    the dense multipliers; from GS_MIN_N on it keeps only the pivots and
-    forward-substitutes e_0 as it goes, for the Gohberg-Semencul generators.
+    One elimination without pivoting serves all three representations. Below
+    GS_MIN_N it keeps the dense multipliers. From GS_MIN_N on it keeps those of
+    the first TAIL_MAX_J columns and stops at the first column J <= TAIL_MAX_J
+    whose multipliers equal the previous column's to eps, for the Toeplitz
+    tail; past TAIL_MAX_J it keeps only the pivots and forward-substitutes e_0
+    as it goes, for the Gohberg-Semencul generators.
     """
     w = op.weights.w
     n = op.n
@@ -244,34 +325,49 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
     base = np.empty(n)
     base[0] = sigma - tau * w[1]
     base[1:] = -tau * w[2 : n + 1]
-    if dense:
-        lower = np.zeros((n, n))
-    else:
+    rows = n if dense else TAIL_MAX_J  # leading rows and columns of L kept
+    lower = np.zeros((rows, rows))
+    if not dense:
         z = np.zeros(n)  # L^-1 e_0
         z[0] = 1.0
+    eps = np.finfo(float).eps
+    head = n if dense else 0  # columns of L before its Toeplitz tail; 0: GS
     pivots = np.empty(n)
     col = base.copy()
+    m = None
     for j in range(n - 1):
         piv = col[0]
         if piv <= 0.0:
             raise NumericalError(f"nonpositive pivot {piv} at column {j}")
         pivots[j] = piv
-        m = col[1:] / piv
-        if dense:
-            lower[j + 1 :, j] = m
-        else:
+        m, last = col[1:] / piv, m
+        may_stop = not dense and 0 < j <= TAIL_MAX_J
+        if may_stop and np.abs(m - last[:-1]).max() <= eps * np.abs(m).max():
+            head = j  # from column j on, L's columns repeat (1, m) and U's pivot piv
+            pivots[j + 1 :] = piv
+            break
+        if j < rows:
+            lower[j + 1 :, j] = m[: rows - j - 1]
+        if not dense:
             z[j + 1 :] -= m * z[j]
         col = base[: n - 1 - j] - m * sup
-    if col[0] <= 0.0:
-        raise NumericalError(f"nonpositive pivot {col[0]} at column {n - 1}")
-    pivots[n - 1] = col[0]
+    else:
+        if col[0] <= 0.0:
+            raise NumericalError(f"nonpositive pivot {col[0]} at column {n - 1}")
+        pivots[n - 1] = col[0]
     banded = np.zeros((2, n), order="F")
     banded[0, 1:] = sup
     banded[1, :] = pivots
     ipiv = np.arange(1, n + 1, dtype=np.intc)
-    if dense:
+    if head:
+        lower = np.ascontiguousarray(lower[:head, :head])
         np.fill_diagonal(lower, 1.0)
+    if dense:
         return HessenbergFactorization(n=n, lower=lower, banded=banded, ipiv=ipiv)
+    if head:
+        size = _fft_len(2 * (n - head) - 1)
+        inv_l = np.fft.rfft(_series_inverse(np.concatenate(([1.0], m))), size)
+        return ToeplitzTailFactorization(n, size, lower, banded, ipiv, base, inv_l)
     # x = A^-1 e_0 = U^-1 z and y = A^-1 e_{n-1} = U^-1 e_{n-1}, as L^-1 e_{n-1} = e_{n-1}
     rhs = np.zeros((n, 2), order="F")
     rhs[:, 0] = z

@@ -31,12 +31,16 @@ from fracheat.evolution import (
     GS_CLIP_C,
     GS_MIN_N,
     MAX_STEPS,
+    TAIL_MAX_J,
     GohbergSemenculFactorization,
     HessenbergFactorization,
+    ToeplitzTailFactorization,
     _clip_negative,
     _fft_len,
+    _series_inverse,
     step_count,
 )
+from fracheat import evolution
 from fracheat.reference import gaussian_ic
 
 
@@ -151,7 +155,9 @@ class TestStep:
 
     @pytest.mark.parametrize("n", [GS_MIN_N - 1, GS_MIN_N])
     def test_solves_leave_their_input_alone(self, n):
-        # both solver paths; gbtrs solves in place, so only its own copy may change
+        # all three solver paths (the step at n = GS_MIN_N takes the Toeplitz
+        # tail, the resolvent GS); gbtrs solves in place, so only its own copy
+        # may change
         alpha = 1.4
         op = build_operator(alpha, n)
         b = np.random.default_rng(16).uniform(0.0, 1.0, n)
@@ -183,7 +189,8 @@ def run_child(code: str, *args: str) -> str:
     return proc.stdout
 
 
-# a dense (n = 50) and a GS (n = 700) solve, saved to argv[1]
+# a dense (n = 50), a Toeplitz-tail (n = 700, tau = 0.7) and a GS (n = 700,
+# tau = 1600) solve, saved to argv[1]
 SOLVES = textwrap.dedent("""
     import sys
     import numpy as np
@@ -191,9 +198,9 @@ SOLVES = textwrap.dedent("""
 
     rng = np.random.default_rng(19)
     got = {}
-    for n in (50, 700):
+    for n, tau in ((50, 0.7), (700, 0.7), (700, 1600.0)):
         op = build_operator(1.4, n)
-        f = factorize(op, 0.7 * op.h**1.4)
+        f = factorize(op, tau * op.h**1.4)
         got[type(f).__name__] = f.solve(rng.uniform(0.0, 1.0, n))
     np.savez(sys.argv[1], **got)
     print(*got, "scipy.linalg" in sys.modules)
@@ -240,7 +247,7 @@ class TestLapackLoader:
         # scipy.linalg; the import system's own finders keep theirs
         blind = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
         normal_path, blind_path = tmp_path / "normal.npz", tmp_path / "blind.npz"
-        kinds = "HessenbergFactorization GohbergSemenculFactorization"
+        kinds = "HessenbergFactorization ToeplitzTailFactorization GohbergSemenculFactorization"
         assert run_child(SOLVES, str(normal_path)) == f"{kinds} False\n"
         assert run_child(blind + SOLVES, str(blind_path)) == f"{kinds} True\n"
         with np.load(normal_path) as normal, np.load(blind_path) as fallback:
@@ -301,12 +308,13 @@ class TestResolvent:
 
 
 class TestGohbergSemencul:
-    """The n >= GS_MIN_N solver against dense oracles."""
+    """The n >= GS_MIN_N solvers, Toeplitz tail and Gohberg-Semencul, against dense oracles."""
 
     @pytest.mark.parametrize("n", [GS_MIN_N, 3200])
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
     def test_step_matches_dense_solve(self, scheme, alpha, n):
+        # tau = 0.08 takes the tail, 1600 GS, and 10 the tail at alpha >= 1.9
         rng = np.random.default_rng(10)
         op = build_operator(alpha, n, scheme)
         m = op.dense()
@@ -314,14 +322,44 @@ class TestGohbergSemencul:
         for tau in (0.08, 10.0, 1600.0):
             dt = tau * op.h**alpha
             f = factorize(op, dt)
-            assert isinstance(f, GohbergSemenculFactorization)
+            assert isinstance(f, (ToeplitzTailFactorization, GohbergSemenculFactorization))
             a = m * -dt  # I - dt*M_h, one n x n temporary
             a.flat[:: n + 1] += 1.0
             want = np.linalg.solve(a, b)
             for k in range(b.shape[1]):
                 got = step(f, grid(alpha, n, b[:, k])).values
                 err = np.abs(got - want[:, k]).max() / np.abs(want[:, k]).max()
-                assert err <= 1e-12, (tau, k, err)
+                assert err <= 1e-12, (type(f).__name__, tau, k, err)
+
+    # the column at which the multipliers converge, the same at both sizes
+    @pytest.mark.parametrize("n", [GS_MIN_N, 3200])
+    @pytest.mark.parametrize(
+        "alpha,tau,head",
+        [(1.4, 0.08, 12), (1.4, 1.0, 34), (2.0, 10.0, 55), (1.4, 10.0, None), (2.0, 1600.0, None)],
+    )
+    def test_tail_or_gs_rule(self, alpha, tau, head, n):
+        op = build_operator(alpha, n)
+        f = factorize(op, tau * op.h**alpha)
+        if head is None:  # J = 136 at alpha = 1.4, tau = 10; no convergence at tau = 1600
+            assert isinstance(f, GohbergSemenculFactorization)
+        else:
+            assert isinstance(f, ToeplitzTailFactorization)
+            assert f.lower.shape == (head, head) and head <= TAIL_MAX_J
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 1000, 3000])
+    def test_series_inverse_is_the_recurrence(self, size):
+        # the O(n^2) coefficient recurrence of 1/l is the reference; for l[1:]
+        # <= 0, as the tail's multipliers are, it sums nonnegative terms, and
+        # Newton's FFT products may differ by rounding of the largest one
+        l = np.ones(size)
+        l[1:] = -0.4 * np.arange(1.0, size) ** -2.4
+        want = np.zeros(size)
+        want[0] = 1.0
+        for k in range(1, size):
+            want[k] = -np.dot(l[k:0:-1], want[:k])
+        got = _series_inverse(l)
+        assert got.shape == (size,)
+        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * want.max()
 
     @pytest.mark.parametrize(
         "alpha,n", [(1.1, GS_MIN_N), (1.4, GS_MIN_N), (1.9, GS_MIN_N), (2.0, GS_MIN_N), (1.9, 3207)]
@@ -338,9 +376,11 @@ class TestGohbergSemencul:
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
     def test_batched_solve_is_six_fft_formula(self, scheme, alpha, n):
-        # the three batched FFT calls against the six separate ones, written out
+        # the four FFT calls, two of them batched, against the six separate
+        # ones, written out; tau = 1600 takes GS at every alpha
         op = build_operator(alpha, n, scheme)
-        f = factorize(op, 10.0 * op.h**alpha)
+        f = factorize(op, 1600.0 * op.h**alpha)
+        assert isinstance(f, GohbergSemenculFactorization)
         size = f.fft_len
         u_yhat, u_zxhat = f.u
         l_x, l_zy = f.l[0], -f.l[1]
@@ -369,21 +409,29 @@ class TestGohbergSemencul:
         assert isinstance(factorize(op, 1e-3), HessenbergFactorization)
 
     def test_factorization_is_small(self):
-        f = factorize(build_operator(1.4, 3200), 1e-3)
-        held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
-        assert held < 1e6
+        op = build_operator(1.4, 3200)
+        for dt, kind in ((1e-3, GohbergSemenculFactorization), (op.h**1.4, ToeplitzTailFactorization)):
+            f = factorize(op, dt)
+            assert isinstance(f, kind)
+            held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
+            assert held < 1e6
 
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
-    def test_figure1_reference_stays_nonnegative(self, scheme):
-        # the Figure-1 reference set-up at t_final = 0.01; unprojected, GS
+    def test_figure1_reference_stays_nonnegative(self, scheme, monkeypatch):
+        # the Figure-1 reference set-up at t_final = 0.01 (tau = 0.9), through
+        # the tail and, with the tail cap at 0, through GS; unprojected, GS
         # leaves negatives here that build up over the 884 steps
         n, alpha, t_final = 3200, 1.4, 0.01
         cfg = EvolutionConfig(
             alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=(1.0 / 401) ** (alpha + 0.5),
             ic=GaussianIC(0.4, 0.0005),
         )
-        for _, u in iter_states(cfg):
-            assert u.values.min() >= 0.0
+        op = build_operator(alpha, n, scheme)
+        for cap, kind in ((TAIL_MAX_J, ToeplitzTailFactorization), (0, GohbergSemenculFactorization)):
+            monkeypatch.setattr(evolution, "TAIL_MAX_J", cap)
+            assert isinstance(factorize(op, cfg.step_dt), kind)
+            for _, u in iter_states(cfg):
+                assert u.values.min() >= 0.0
 
     def test_guard_raises_past_the_rounding_bound(self):
         n = 3200
@@ -444,7 +492,7 @@ class TestEvolve:
 
     @pytest.mark.parametrize("n", [GS_MIN_N - 1, GS_MIN_N])
     def test_evolve_is_last_state(self, n):
-        # both solver paths: the dense factor below GS_MIN_N, Gohberg-Semencul from it on
+        # the dense factor below GS_MIN_N, the Toeplitz tail (tau = 1) from it on
         cfg = EvolutionConfig(alpha=1.4, n=n, t_final=0.01, ic=EigenfunctionIC())
         final = evolve(cfg)
         assert isinstance(final, GridFunction)
