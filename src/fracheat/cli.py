@@ -38,7 +38,9 @@ def finite_float(text: str) -> float:
 
 
 def int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in text.split(",") if s.strip())
+    if not (sizes := tuple(int(s) for s in text.split(",") if s.strip())):
+        raise ValueError(text)  # no size: an empty list must not read as "not given"
+    return sizes
 
 
 # reads: the runs that read the option, each a command or "command:ic" (only with that --ic)

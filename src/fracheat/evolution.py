@@ -4,20 +4,19 @@
 matrix, is a nonsingular M-matrix (diagonal 1 + dt*|w_1|/h^alpha >= 1,
 nonpositive off-diagonals, row sums >= 1), so Gaussian elimination needs no
 pivoting, and each elimination step touches only the single superdiagonal
-entry of the pivot row: O(n^2) work. Three representations come out of it,
-chosen by grid size and by how fast the elimination's multipliers converge:
+entry of the pivot row: O(n^2) work. Two representations come out of it:
 
-- n < GS_MIN_N: a dense unit-lower-triangular factor and an upper-bidiagonal
-  factor, solved by triangular substitution (no subtractions, so a solve of
-  b >= 0 is exactly nonnegative);
-- n >= GS_MIN_N and multipliers converged by column TAIL_MAX_J (tau up to
-  about 3-10, depending on alpha): a small dense head of the LU and its
-  Toeplitz tail, O(n) memory and one real FFT pair per solve;
+- an LU factorization: a unit-lower-triangular head of L, an upper-bidiagonal
+  U and, from GS_MIN_N on when the elimination's multipliers converge by
+  column TAIL_MAX_J (tau up to about 3-10, depending on alpha), the Toeplitz
+  tail of L. Below GS_MIN_N the head is all of L, and a solve is triangular
+  substitution (no subtractions, so a solve of b >= 0 is exactly
+  nonnegative); with a tail it is O(n) memory and one real FFT pair;
 - otherwise: the Gohberg-Semencul formula for the inverse of a Toeplitz
   matrix from its first and last columns, O(n) memory and six real FFTs per
   solve.
 
-The two FFT solves project results of b >= 0 onto v >= 0.
+The FFT solves project results of b >= 0 onto v >= 0.
 """
 
 from __future__ import annotations
@@ -168,50 +167,39 @@ TAIL_MAX_J = 128
 
 
 @dataclass(frozen=True)
-class HessenbergFactorization:
-    """Dense LU of A without pivoting, for n < GS_MIN_N."""
+class LUFactorization:
+    """A = L U without pivoting: the head of L, U's band and, if any, L's Toeplitz tail.
 
-    n: int
-    lower: np.ndarray = field(repr=False)   # dense unit lower triangular, C order
-    banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band, F order: superdiag + pivots
-    ipiv: np.ndarray = field(repr=False)    # identity row interchanges for gbtrs
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        # trtrs solves L y = b through the F-ordered L^T, into a copy of b
-        y = _checked(*_trtrs(self.lower.T, b, lower=0, trans=1, unitdiag=1))
-        return _checked(*_gbtrs(self.banded, 0, 1, y, self.ipiv, overwrite_b=1))
-
-
-@dataclass(frozen=True)
-class ToeplitzTailFactorization:
-    """A = L U for n >= GS_MIN_N when L's columns converge to one column.
-
-    Eliminating column j turns the next column into base - sup*m_j, so the
-    multipliers m_j converge, at rate |sup/pivot|, to a fixed point l; from
-    column J on L is the lower triangular Toeplitz matrix T(l) to rounding and
-    U's pivot is constant. A solve runs the J x J head of L and U, forms the
-    Toeplitz block A21 w by a direct convolution with A's first column, applies
-    T(l)^-1 = T(1/l) as one real FFT pair and U^-1 as one bidiagonal solve,
-    with results of b >= 0 projected onto v >= 0. O(n) memory.
+    Below GS_MIN_N the head is all of L and a solve is two triangular
+    substitutions. From GS_MIN_N on, eliminating column j turns the next
+    column into base - sup*m_j, so the multipliers m_j converge, at rate
+    |sup/pivot|, to a fixed point l; from column J on L is the lower triangular
+    Toeplitz matrix T(l) to rounding and U's pivot is constant. The head is
+    then J x J, and a solve also forms the Toeplitz block A21 w by a direct
+    convolution with A's first column and applies T(l)^-1 = T(1/l) as one real
+    FFT pair, with results of b >= 0 projected onto v >= 0. O(n) memory.
     """
 
     n: int
-    fft_len: int
-    lower: np.ndarray = field(repr=False)   # J x J head of L, C order
-    banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order
+    lower: np.ndarray = field(repr=False)   # head x head of L, C order
+    banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order: superdiag + pivots
     ipiv: np.ndarray = field(repr=False)    # identity row interchanges for gbtrs
-    base: np.ndarray = field(repr=False)    # first column of A
-    inv_l: np.ndarray = field(repr=False)   # spectrum of 1/l, the column of T(l)^-1
+    fft_len: int = 0                        # the tail's three fields, set when head < n
+    base: Optional[np.ndarray] = field(default=None, repr=False)   # first column of A
+    inv_l: Optional[np.ndarray] = field(default=None, repr=False)  # spectrum of 1/l
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        n, size, head = self.n, self.fft_len, len(self.lower)
-        y = np.empty(n)  # L^-1 b
-        y[:head] = _checked(*_trtrs(self.lower.T, b[:head], lower=0, trans=1, unitdiag=1))
-        w = _checked(*_gbtrs(self.banded[:, :head], 0, 1, y[:head], self.ipiv[:head]))
-        r = b[head:] - np.convolve(self.base, w)[head:n]  # b2 - A21 A11^-1 b1
-        y[head:] = np.fft.irfft(self.inv_l * np.fft.rfft(r, size), size)[: n - head]
+        n, head = self.n, len(self.lower)
+        # trtrs solves L y = b through the F-ordered L^T, into a copy of b
+        y = _checked(*_trtrs(self.lower.T, b[:head], lower=0, trans=1, unitdiag=1))
+        if head < n:
+            size = self.fft_len
+            w = _checked(*_gbtrs(self.banded[:, :head], 0, 1, y, self.ipiv[:head]))
+            r = b[head:] - np.convolve(self.base, w)[head:n]  # b2 - A21 A11^-1 b1
+            y2 = np.fft.irfft(self.inv_l * np.fft.rfft(r, size), size)[: n - head]  # T(1/l) r
+            y = np.concatenate((y, y2))  # L^-1 b
         v = _checked(*_gbtrs(self.banded, 0, 1, y, self.ipiv, overwrite_b=1))
-        return _clip_negative(v, b)
+        return v if head == n else _clip_negative(v, b)
 
 
 @dataclass(frozen=True)
@@ -239,9 +227,7 @@ class GohbergSemenculFactorization:
         return _clip_negative(v, b)
 
 
-Factorization = Union[
-    HessenbergFactorization, ToeplitzTailFactorization, GohbergSemenculFactorization
-]
+Factorization = Union[LUFactorization, GohbergSemenculFactorization]
 
 
 def _checked(x: np.ndarray, info: int) -> np.ndarray:
@@ -311,12 +297,12 @@ def _series_inverse(l: np.ndarray) -> np.ndarray:
 def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorization:
     """Factor A = sigma*I - tau*T, T the Toeplitz stencil matrix.
 
-    One elimination without pivoting serves all three representations. Below
-    GS_MIN_N it keeps the dense multipliers. From GS_MIN_N on it keeps those of
+    One elimination without pivoting serves both representations. Below
+    GS_MIN_N it keeps all of L, an LU without a tail. From GS_MIN_N on it keeps
     the first TAIL_MAX_J columns and stops at the first column J <= TAIL_MAX_J
-    whose multipliers equal the previous column's to eps, for the Toeplitz
-    tail; past TAIL_MAX_J it keeps only the pivots and forward-substitutes e_0
-    as it goes, for the Gohberg-Semencul generators.
+    whose multipliers equal the previous column's to eps, for an LU whose L
+    ends in a Toeplitz tail; past TAIL_MAX_J it keeps only the pivots and
+    forward-substitutes e_0 as it goes, for the Gohberg-Semencul generators.
     """
     w = op.weights.w
     n = op.n
@@ -362,12 +348,11 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
     if head:
         lower = np.ascontiguousarray(lower[:head, :head])
         np.fill_diagonal(lower, 1.0)
-    if dense:
-        return HessenbergFactorization(n=n, lower=lower, banded=banded, ipiv=ipiv)
-    if head:
-        size = _fft_len(2 * (n - head) - 1)
-        inv_l = np.fft.rfft(_series_inverse(np.concatenate(([1.0], m))), size)
-        return ToeplitzTailFactorization(n, size, lower, banded, ipiv, base, inv_l)
+        tail = ()
+        if head < n:  # from column head on, L is T(l), l = (1, m)
+            size = _fft_len(2 * (n - head) - 1)
+            tail = size, base, np.fft.rfft(_series_inverse(np.concatenate(([1.0], m))), size)
+        return LUFactorization(n, lower, banded, ipiv, *tail)
     # x = A^-1 e_0 = U^-1 z and y = A^-1 e_{n-1} = U^-1 e_{n-1}, as L^-1 e_{n-1} = e_{n-1}
     rhs = np.zeros((n, 2), order="F")
     rhs[:, 0] = z

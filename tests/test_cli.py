@@ -282,6 +282,8 @@ USAGE_ERRORS = [
     ["compare", "--n-list", "8,16", "--t-final", "0.01", "--sigma2", "1e-9"],
     ["compare", "--sigma2", "1e-9"],
     ["compare", "--n-list", "8,16", "--t-final", "0"],
+    ["consistency", "--n-list="],  # an n-list of no size is not the default list
+    ["consistency", "--n-list=,"],
     ["converge", "--n-list", "8,16", "--t-final", "1e6"],  # 2.7e7 steps, refused before the first
     *(argv for argv, _ in UNDERFLOW),
     *(argv for argv, _ in NOT_SPATIAL),
@@ -317,6 +319,11 @@ class TestUsageErrors:
         argv = ["consistency", "--config", str(path)]
         self.assert_usage_error(argv, tmp_path, capsys)
         assert "consistency does not read --power-a" in run_main(argv, capsys)[2]
+
+    def test_empty_n_list_config_file_line(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("n_list = ,\n")
+        self.assert_usage_error(["consistency", "--config", str(path)], tmp_path, capsys)
 
     @pytest.mark.parametrize("argv, names", UNDERFLOW, ids=[" ".join(a) for a, _ in UNDERFLOW])
     def test_underflow_names_its_cause(self, argv, names, capsys):

@@ -33,8 +33,7 @@ from fracheat.evolution import (
     MAX_STEPS,
     TAIL_MAX_J,
     GohbergSemenculFactorization,
-    HessenbergFactorization,
-    ToeplitzTailFactorization,
+    LUFactorization,
     _clip_negative,
     _fft_len,
     _series_inverse,
@@ -135,7 +134,7 @@ class TestStep:
         # solve_banded run, so 50 chained steps agree exactly
         op = build_operator(alpha, n, scheme)
         f = factorize(op, 0.7 * op.h**alpha)
-        assert isinstance(f, HessenbergFactorization)
+        assert isinstance(f, LUFactorization) and f.lower.shape == (n, n)
         got = want = np.random.default_rng(14).uniform(0.0, 1.0, n)
         for _ in range(50):
             got = f.solve(got)
@@ -146,12 +145,30 @@ class TestStep:
     def test_lapack_failure_raises(self):
         # a band of one row is an illegal argument to gbtrs (info = -7)
         n = 5
-        f = HessenbergFactorization(
+        f = LUFactorization(
             n=n, lower=np.eye(n), banded=np.ones((1, n), order="F"),
             ipiv=np.arange(1, n + 1, dtype=np.intc),
         )
         with pytest.raises(NumericalError, match="info=-7"):
             f.solve(np.ones(n))
+
+    @pytest.mark.parametrize("n", [3, 50, 400, GS_MIN_N - 1, GS_MIN_N, 3200])
+    def test_lu_holds_tail_arrays_only_with_a_tail(self, n):
+        # below GS_MIN_N the LU holds the arrays the dense factor held, n^2 + 2n
+        # doubles and n ints, so the traced factorization bytes stay put; from
+        # it on, at tau = 1, a head of at most TAIL_MAX_J columns and the tail
+        op = build_operator(1.4, n)
+        f = factorize(op, op.h**1.4)
+        assert isinstance(f, LUFactorization)
+        held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
+        if n < GS_MIN_N:
+            assert f.fft_len == 0 and f.base is None and f.inv_l is None
+            assert f.lower.shape == (n, n)
+            assert held == n * n * 8 + 2 * n * 8 + 4 * n
+        else:
+            head = len(f.lower)
+            assert f.lower.shape == (head, head) and head <= TAIL_MAX_J
+            assert f.fft_len >= 2 * (n - head) - 1 and f.base.shape == (n,) and f.inv_l is not None
 
     @pytest.mark.parametrize("n", [GS_MIN_N - 1, GS_MIN_N])
     def test_solves_leave_their_input_alone(self, n):
@@ -190,18 +207,20 @@ def run_child(code: str, *args: str) -> str:
 
 
 # a dense (n = 50), a Toeplitz-tail (n = 700, tau = 0.7) and a GS (n = 700,
-# tau = 1600) solve, saved to argv[1]
+# tau = 1600) solve, saved to argv[1] under the path each took
 SOLVES = textwrap.dedent("""
     import sys
     import numpy as np
     from fracheat import build_operator, factorize
+    from fracheat.evolution import GohbergSemenculFactorization
 
     rng = np.random.default_rng(19)
     got = {}
     for n, tau in ((50, 0.7), (700, 0.7), (700, 1600.0)):
         op = build_operator(1.4, n)
         f = factorize(op, tau * op.h**1.4)
-        got[type(f).__name__] = f.solve(rng.uniform(0.0, 1.0, n))
+        path = "gs" if isinstance(f, GohbergSemenculFactorization) else "dense" if len(f.lower) == n else "tail"
+        got[path] = f.solve(rng.uniform(0.0, 1.0, n))
     np.savez(sys.argv[1], **got)
     print(*got, "scipy.linalg" in sys.modules)
 """)
@@ -247,7 +266,7 @@ class TestLapackLoader:
         # scipy.linalg; the import system's own finders keep theirs
         blind = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
         normal_path, blind_path = tmp_path / "normal.npz", tmp_path / "blind.npz"
-        kinds = "HessenbergFactorization ToeplitzTailFactorization GohbergSemenculFactorization"
+        kinds = "dense tail gs"
         assert run_child(SOLVES, str(normal_path)) == f"{kinds} False\n"
         assert run_child(blind + SOLVES, str(blind_path)) == f"{kinds} True\n"
         with np.load(normal_path) as normal, np.load(blind_path) as fallback:
@@ -322,7 +341,7 @@ class TestGohbergSemencul:
         for tau in (0.08, 10.0, 1600.0):
             dt = tau * op.h**alpha
             f = factorize(op, dt)
-            assert isinstance(f, (ToeplitzTailFactorization, GohbergSemenculFactorization))
+            assert isinstance(f, GohbergSemenculFactorization) or len(f.lower) < n
             a = m * -dt  # I - dt*M_h, one n x n temporary
             a.flat[:: n + 1] += 1.0
             want = np.linalg.solve(a, b)
@@ -343,7 +362,7 @@ class TestGohbergSemencul:
         if head is None:  # J = 136 at alpha = 1.4, tau = 10; no convergence at tau = 1600
             assert isinstance(f, GohbergSemenculFactorization)
         else:
-            assert isinstance(f, ToeplitzTailFactorization)
+            assert isinstance(f, LUFactorization)
             assert f.lower.shape == (head, head) and head <= TAIL_MAX_J
 
     @pytest.mark.parametrize("size", [1, 2, 3, 1000, 3000])
@@ -406,13 +425,15 @@ class TestGohbergSemencul:
 
     def test_size_rule(self):
         op = build_operator(1.4, GS_MIN_N - 1)
-        assert isinstance(factorize(op, 1e-3), HessenbergFactorization)
+        f = factorize(op, 1e-3)
+        assert isinstance(f, LUFactorization) and len(f.lower) == f.n
 
     def test_factorization_is_small(self):
         op = build_operator(1.4, 3200)
-        for dt, kind in ((1e-3, GohbergSemenculFactorization), (op.h**1.4, ToeplitzTailFactorization)):
+        for dt, kind in ((1e-3, GohbergSemenculFactorization), (op.h**1.4, LUFactorization)):
             f = factorize(op, dt)
             assert isinstance(f, kind)
+            assert kind is GohbergSemenculFactorization or len(f.lower) < f.n
             held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
             assert held < 1e6
 
@@ -427,9 +448,11 @@ class TestGohbergSemencul:
             ic=GaussianIC(0.4, 0.0005),
         )
         op = build_operator(alpha, n, scheme)
-        for cap, kind in ((TAIL_MAX_J, ToeplitzTailFactorization), (0, GohbergSemenculFactorization)):
+        for cap, kind in ((TAIL_MAX_J, LUFactorization), (0, GohbergSemenculFactorization)):
             monkeypatch.setattr(evolution, "TAIL_MAX_J", cap)
-            assert isinstance(factorize(op, cfg.step_dt), kind)
+            f = factorize(op, cfg.step_dt)
+            assert isinstance(f, kind)
+            assert kind is GohbergSemenculFactorization or len(f.lower) < n
             for _, u in iter_states(cfg):
                 assert u.values.min() >= 0.0
 
