@@ -10,8 +10,9 @@ entry of the pivot row: O(n^2) work. Two representations come out of it:
   U and, from GS_MIN_N on when the elimination's multipliers converge by
   column TAIL_MAX_J (tau up to about 3-10, depending on alpha), the Toeplitz
   tail of L. Below GS_MIN_N the head is all of L, and a solve is triangular
-  substitution (no subtractions, so a solve of b >= 0 is exactly
-  nonnegative); with a tail it is O(n) memory and one real FFT pair;
+  substitution, LAPACK trtrs on L and tbtrs on U (no subtractions, so a solve
+  of b >= 0 is exactly nonnegative); with a tail it is O(n) memory and one
+  real FFT pair;
 - otherwise: the Gohberg-Semencul formula for the inverse of a Toeplitz
   matrix from its first and last columns, O(n) memory and six real FFTs per
   solve.
@@ -35,7 +36,7 @@ import scipy
 from .errors import DomainError, NumericalError
 from .operators import GridFunction, OperatorMatrix, build_operator
 from .reference import eigenfunction_u_c, gaussian_ic, principal_eigenvalue
-from .weights import Scheme, check_alpha
+from .weights import MAX_N, Scheme, check_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +82,8 @@ class EvolutionConfig:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if self.n < 3:
-            raise DomainError(f"n must be >= 3, got {self.n}")
+        if not 3 <= self.n <= MAX_N:
+            raise DomainError(f"n must be in [3, {MAX_N}], got {self.n}")
         if not 0.0 <= self.t_final < math.inf:
             raise DomainError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
@@ -123,24 +124,25 @@ def _load_flapack():
     return module
 
 
-# The LAPACK kernels of scipy's solve_triangular and solve_banded, called directly:
-# at n <= 400 the wrappers' per-call checks and copies cost more than the flops.
+# LAPACK's triangular solves, called directly: at n <= 400 the per-call checks and
+# copies of scipy's wrappers cost more than the flops. trtrs is solve_triangular's
+# kernel; tbtrs ends in the BLAS tbsv call solve_banded makes for U's band.
 _flapack = _load_flapack()
-_trtrs, _gbtrs = _flapack.dtrtrs, _flapack.dgbtrs
+_trtrs, _tbtrs = _flapack.dtrtrs, _flapack.dtbtrs
 
 # Grids with n >= GS_MIN_N solve through the Toeplitz tail or Gohberg-Semencul,
 # smaller ones through the dense factor. Median backward-Euler step in us,
 # dense / tail / GS, over 15 interleaved runs at alpha = 1.4 on a 2-vCPU host;
 # at tau = 1 the tail's head is J = 34 columns, at tau = 10 J = 136 (past
 # TAIL_MAX_J, so such grids take GS; the tail was built for the timing):
-#   n       400           500           600           700           800
-#   tau=1   19 / 37 / 48  27 / 40 / 56  39 / 44 / 60  68 / 50 / 69  114 / 54 / 73
-#   tau=10  16 / 41 / 48  27 / 47 / 56  40 / 52 / 61  65 / 61 / 69  109 / 66 / 72
-# The tail beats dense in 15 of 15 runs from n = 700 and in none below, and
-# beats GS at every size. The crossover is between 600 and 700, but moving the
-# rule would change `solve` output at the sizes it moves past; it keeps
-# n <= 400, where `solve` prints values with repr, on the dense arithmetic, so
-# that output stays byte-identical.
+#   n      400         600         650         700          750          800
+#   tau=1  31/72/93    71/83/118   90/94/132   115/100/141  127/91/135   161/99/137
+#   tau=10 27/75/91    65/94/116   81/98/128   113/113/133  136/117/138  159/126/142
+# The tail beats GS at every size, and dense in 13-15 of 15 runs at n = 750 at
+# both tau over nine repeats; at n = 700 it won 12-15 at tau = 1 but 4-15 at
+# tau = 10 over fourteen, and at n = 650 at most 13. The crossover is near 750, but
+# moving the rule changes `solve` output at the sizes it moves past; it keeps
+# n <= 400, where `solve` prints values with repr, on the dense arithmetic.
 GS_MIN_N = 600
 
 # An FFT solve (tail or GS) of b >= 0 with an entry below
@@ -171,7 +173,8 @@ class LUFactorization:
     """A = L U without pivoting: the head of L, U's band and, if any, L's Toeplitz tail.
 
     Below GS_MIN_N the head is all of L and a solve is two triangular
-    substitutions. From GS_MIN_N on, eliminating column j turns the next
+    substitutions: trtrs on L, tbtrs on U's band, where a zero pivot raises
+    NumericalError. From GS_MIN_N on, eliminating column j turns the next
     column into base - sup*m_j, so the multipliers m_j converge, at rate
     |sup/pivot|, to a fixed point l; from column J on L is the lower triangular
     Toeplitz matrix T(l) to rounding and U's pivot is constant. The head is
@@ -183,7 +186,6 @@ class LUFactorization:
     n: int
     lower: np.ndarray = field(repr=False)   # head x head of L, C order
     banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order: superdiag + pivots
-    ipiv: np.ndarray = field(repr=False)    # identity row interchanges for gbtrs
     fft_len: int = 0                        # the tail's three fields, set when head < n
     base: Optional[np.ndarray] = field(default=None, repr=False)   # first column of A
     inv_l: Optional[np.ndarray] = field(default=None, repr=False)  # spectrum of 1/l
@@ -194,11 +196,11 @@ class LUFactorization:
         y = _checked(*_trtrs(self.lower.T, b[:head], lower=0, trans=1, unitdiag=1))
         if head < n:
             size = self.fft_len
-            w = _checked(*_gbtrs(self.banded[:, :head], 0, 1, y, self.ipiv[:head]))
+            w = _checked(*_tbtrs(self.banded[:, :head], y))
             r = b[head:] - np.convolve(self.base, w)[head:n]  # b2 - A21 A11^-1 b1
             y2 = np.fft.irfft(self.inv_l * np.fft.rfft(r, size), size)[: n - head]  # T(1/l) r
             y = np.concatenate((y, y2))  # L^-1 b
-        v = _checked(*_gbtrs(self.banded, 0, 1, y, self.ipiv, overwrite_b=1))
+        v = _checked(*_tbtrs(self.banded, y, overwrite_b=1))
         return v if head == n else _clip_negative(v, b)
 
 
@@ -312,7 +314,7 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
     base[0] = sigma - tau * w[1]
     base[1:] = -tau * w[2 : n + 1]
     rows = n if dense else TAIL_MAX_J  # leading rows and columns of L kept
-    lower = np.zeros((rows, rows))
+    lower = np.eye(rows)
     if not dense:
         z = np.zeros(n)  # L^-1 e_0
         z[0] = 1.0
@@ -321,7 +323,7 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
     pivots = np.empty(n)
     col = base.copy()
     m = None
-    for j in range(n - 1):
+    for j in range(n):
         piv = col[0]
         if piv <= 0.0:
             raise NumericalError(f"nonpositive pivot {piv} at column {j}")
@@ -337,27 +339,21 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
         if not dense:
             z[j + 1 :] -= m * z[j]
         col = base[: n - 1 - j] - m * sup
-    else:
-        if col[0] <= 0.0:
-            raise NumericalError(f"nonpositive pivot {col[0]} at column {n - 1}")
-        pivots[n - 1] = col[0]
     banded = np.zeros((2, n), order="F")
     banded[0, 1:] = sup
     banded[1, :] = pivots
-    ipiv = np.arange(1, n + 1, dtype=np.intc)
     if head:
         lower = np.ascontiguousarray(lower[:head, :head])
-        np.fill_diagonal(lower, 1.0)
         tail = ()
         if head < n:  # from column head on, L is T(l), l = (1, m)
             size = _fft_len(2 * (n - head) - 1)
             tail = size, base, np.fft.rfft(_series_inverse(np.concatenate(([1.0], m))), size)
-        return LUFactorization(n, lower, banded, ipiv, *tail)
+        return LUFactorization(n, lower, banded, *tail)
     # x = A^-1 e_0 = U^-1 z and y = A^-1 e_{n-1} = U^-1 e_{n-1}, as L^-1 e_{n-1} = e_{n-1}
     rhs = np.zeros((n, 2), order="F")
     rhs[:, 0] = z
     rhs[n - 1, 1] = 1.0
-    x, y = _checked(*_gbtrs(banded, 0, 1, rhs, ipiv, overwrite_b=1)).T
+    x, y = _checked(*_tbtrs(banded, rhs, overwrite_b=1)).T
     size = _fft_len(2 * n - 1)
     upper = np.zeros((2, size))  # first rows yhat and Zxhat, wrapped for circular convolution
     upper[0, 0] = y[n - 1]

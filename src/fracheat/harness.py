@@ -22,7 +22,7 @@ from .interp import from_grid
 from .operators import GridFunction, apply, build_operator
 from .reference import principal_eigenvalue
 from .specfun import gamma
-from .weights import Scheme, check_alpha
+from .weights import MAX_N, Scheme, check_alpha
 
 CSV_HEADER = "scheme,alpha,n,h,dt,error,observed_order"
 TINY = np.finfo(float).tiny  # below it a grid or factor has lost its precision to underflow
@@ -100,10 +100,10 @@ def observed_order(chain: Sequence[tuple[float, float]]) -> float:
 
 
 def _grid_sizes(n_list: Sequence[int]) -> list[int]:
-    """n_list sorted ascending; the sizes must be distinct and >= 3 before h = 1/(n+1) is formed."""
+    """n_list sorted ascending; the sizes must be distinct and in [3, MAX_N] before h is formed."""
     sizes = sorted(n_list)
-    if not sizes or sizes[0] < 3 or len(set(sizes)) < len(sizes):
-        raise DomainError(f"n_list needs one or more distinct sizes, all >= 3, got {list(n_list)}")
+    if not sizes or sizes[0] < 3 or sizes[-1] > MAX_N or len(set(sizes)) < len(sizes):
+        raise DomainError(f"n_list needs one or more distinct sizes, all in [3, {MAX_N}], got {list(n_list)}")
     return sizes
 
 

@@ -26,6 +26,14 @@ def check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must be in (1, 2], got {alpha}")
 
 
+# At most this many interior nodes per grid; a larger one would not set up in
+# useful time, so it is a domain error, refused before anything of its size is
+# allocated. At n = 16384, new_weights takes 0.38 s and a Gohberg-Semencul
+# factorize 0.50 s (medians of 3, 2 vCPUs); both grow as n^2, to about 24 and
+# 31 minutes at 10^6.
+MAX_N = 10**6
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     alpha: float
@@ -57,8 +65,8 @@ def new_weights(alpha: float, n: int) -> WeightSequence:
     n in the thousands (flipping their sign near alpha = 2).
     """
     check_alpha(alpha)
-    if n < 2:
-        raise DomainError(f"new_weights needs n >= 2, got {n}")
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"new_weights needs 2 <= n <= {MAX_N}, got {n}")
     # p[j] = (j+1)^(alpha-1)
     p = np.arange(1, n + 2, dtype=np.longdouble) ** np.longdouble(alpha - 1.0)
     w = np.zeros(n + 1, dtype=np.longdouble)
@@ -71,8 +79,8 @@ def new_weights(alpha: float, n: int) -> WeightSequence:
 def grunwald_weights(alpha: float, n: int) -> WeightSequence:
     """Shifted-Grunwald weights w_k = (-1)^k binom(alpha, k)."""
     check_alpha(alpha)
-    if n < 2:
-        raise DomainError(f"grunwald_weights needs n >= 2, got {n}")
+    if not 2 <= n <= MAX_N:
+        raise DomainError(f"grunwald_weights needs 2 <= n <= {MAX_N}, got {n}")
     w = np.empty(n + 1)
     w[0] = 1.0
     for k in range(1, n + 1):

@@ -21,6 +21,7 @@ from fracheat import (
     principal_eigenvalue,
 )
 from fracheat.cli import COMMANDS, RunConfig, main, parse_config
+from fracheat.weights import MAX_N
 
 OPTION_NAMES = [f.name for f in fields(RunConfig) if f.name != "command"]
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -251,13 +252,25 @@ SCHEDULE = [
     (["converge", "--n-list", "8,16", "--t-final", "0.001"], "t_final=0.001 must exceed the coarsest h^alpha"),
 ]
 
-# Non-finite times, overflowing step counts, sizes below 3 or repeated in an
-# n-list, alpha below 1.01 on eigen paths, out-of-range alpha and t_final in a
-# study, a zero final time in a comparison, a Gaussian that is zero or
-# subnormal on every node of a comparison grid, a t_final by which the eigen
-# chain's decay factor or the comparison's reference underflows and an option
-# the run does not read are usage errors, never tracebacks. Negative values
-# take the --flag=value form.
+# A grid above MAX_N nodes, in each of the five commands that take a size, and
+# what its refusal names; nothing of that size is allocated before it.
+TOO_LARGE = [
+    (["weights", "--n", str(MAX_N + 1)], f"new_weights needs 2 <= n <= {MAX_N}"),
+    (["weights", "--scheme", "grunwald", "--n", str(MAX_N + 1)], f"grunwald_weights needs 2 <= n <= {MAX_N}"),
+    (["solve", "--n", str(MAX_N + 1), "--dt", "0.001", "--t-final", "0.01"], f"n must be in [3, {MAX_N}]"),
+    *(([command, "--n-list", f"8,{MAX_N + 1}"], f"all in [3, {MAX_N}]")
+      for command in ("converge", "consistency", "compare")),
+    # the nested reference of 8*(max n + 1) - 1 nodes counts too
+    (["compare", "--n-list", f"8,{MAX_N // 8}"], f"n must be in [3, {MAX_N}], got {8 * (MAX_N // 8 + 1) - 1}"),
+]
+
+# Non-finite times, overflowing step counts, sizes below 3, above MAX_N or
+# repeated in an n-list, alpha below 1.01 on eigen paths, out-of-range alpha
+# and t_final in a study, a zero final time in a comparison, a Gaussian that is
+# zero or subnormal on every node of a comparison grid, a t_final by which the
+# eigen chain's decay factor or the comparison's reference underflows and an
+# option the run does not read are usage errors, never tracebacks. Negative
+# values take the --flag=value form.
 USAGE_ERRORS = [
     ["solve", "--t-final", "inf"],
     ["solve", "--t-final", "nan"],
@@ -288,6 +301,7 @@ USAGE_ERRORS = [
     *(argv for argv, _ in UNDERFLOW),
     *(argv for argv, _ in NOT_SPATIAL),
     *(argv for argv, _ in SCHEDULE),
+    *(argv for argv, _ in TOO_LARGE),
     *RETIRED_STUDY_ARGV,
     *(argv for argv, _ in UNREAD),
 ]
@@ -324,6 +338,18 @@ class TestUsageErrors:
         path = tmp_path / "run.cfg"
         path.write_text("n_list = ,\n")
         self.assert_usage_error(["consistency", "--config", str(path)], tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv, names", TOO_LARGE, ids=[" ".join(a) for a, _ in TOO_LARGE])
+    def test_too_large_grid_names_the_bound(self, argv, names, capsys):
+        # refused before an array of the grid's size: one would hold 8*MAX_N bytes
+        tracemalloc.start()
+        try:
+            err = run_main(argv, capsys)[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert names in err
+        assert peak < MAX_N, f"tracemalloc peak {peak} B"
 
     @pytest.mark.parametrize("argv, names", UNDERFLOW, ids=[" ".join(a) for a, _ in UNDERFLOW])
     def test_underflow_names_its_cause(self, argv, names, capsys):

@@ -130,8 +130,8 @@ class TestStep:
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
     def test_dense_solve_is_scipy_wrappers_bit_for_bit(self, scheme, alpha, n):
-        # the direct trtrs/gbtrs calls run the kernels solve_triangular and
-        # solve_banded run, so 50 chained steps agree exactly
+        # the direct trtrs/tbtrs calls end in the BLAS kernels solve_triangular
+        # and solve_banded run, so 50 chained steps agree exactly
         op = build_operator(alpha, n, scheme)
         f = factorize(op, 0.7 * op.h**alpha)
         assert isinstance(f, LUFactorization) and f.lower.shape == (n, n)
@@ -143,20 +143,18 @@ class TestStep:
             np.testing.assert_array_equal(got, want)
 
     def test_lapack_failure_raises(self):
-        # a band of one row is an illegal argument to gbtrs (info = -7)
+        # a zero pivot in column 3 of a hand-built U: tbtrs reports it as info = 3
         n = 5
-        f = LUFactorization(
-            n=n, lower=np.eye(n), banded=np.ones((1, n), order="F"),
-            ipiv=np.arange(1, n + 1, dtype=np.intc),
-        )
-        with pytest.raises(NumericalError, match="info=-7"):
+        banded = np.ones((2, n), order="F")
+        banded[1, 2] = 0.0
+        f = LUFactorization(n=n, lower=np.eye(n), banded=banded)
+        with pytest.raises(NumericalError, match="info=3"):
             f.solve(np.ones(n))
 
     @pytest.mark.parametrize("n", [3, 50, 400, GS_MIN_N - 1, GS_MIN_N, 3200])
     def test_lu_holds_tail_arrays_only_with_a_tail(self, n):
-        # below GS_MIN_N the LU holds the arrays the dense factor held, n^2 + 2n
-        # doubles and n ints, so the traced factorization bytes stay put; from
-        # it on, at tau = 1, a head of at most TAIL_MAX_J columns and the tail
+        # below GS_MIN_N the LU holds n^2 + 2n doubles, all of L and U's band;
+        # from it on, at tau = 1, a head of at most TAIL_MAX_J columns and the tail
         op = build_operator(1.4, n)
         f = factorize(op, op.h**1.4)
         assert isinstance(f, LUFactorization)
@@ -164,7 +162,7 @@ class TestStep:
         if n < GS_MIN_N:
             assert f.fft_len == 0 and f.base is None and f.inv_l is None
             assert f.lower.shape == (n, n)
-            assert held == n * n * 8 + 2 * n * 8 + 4 * n
+            assert held == n * n * 8 + 2 * n * 8
         else:
             head = len(f.lower)
             assert f.lower.shape == (head, head) and head <= TAIL_MAX_J
@@ -173,7 +171,7 @@ class TestStep:
     @pytest.mark.parametrize("n", [GS_MIN_N - 1, GS_MIN_N])
     def test_solves_leave_their_input_alone(self, n):
         # all three solver paths (the step at n = GS_MIN_N takes the Toeplitz
-        # tail, the resolvent GS); gbtrs solves in place, so only its own copy
+        # tail, the resolvent GS); tbtrs solves in place, so only its own copy
         # may change
         alpha = 1.4
         op = build_operator(alpha, n)
@@ -252,9 +250,9 @@ class TestLapackLoader:
             from scipy.linalg import _flapack, get_lapack_funcs, solve_banded, solve_triangular
 
             assert evolution._trtrs is scipy.linalg.lapack.dtrtrs
-            assert evolution._gbtrs is scipy.linalg.lapack.dgbtrs
-            trtrs, gbtrs = get_lapack_funcs(("trtrs", "gbtrs"), dtype=np.float64)
-            assert trtrs is evolution._trtrs and gbtrs is evolution._gbtrs
+            assert evolution._tbtrs is scipy.linalg.lapack.dtbtrs
+            trtrs, tbtrs = get_lapack_funcs(("trtrs", "tbtrs"), dtype=np.float64)
+            assert trtrs is evolution._trtrs and tbtrs is evolution._tbtrs
             assert scipy.linalg._flapack is _flapack and _flapack.dtrtrs is evolution._trtrs
             np.testing.assert_array_equal(solve_triangular([[2.0, 0.0], [1.0, 4.0]], [2.0, 9.0], lower=True), [1.0, 2.0])
             np.testing.assert_array_equal(solve_banded((0, 1), [[0.0, 1.0], [2.0, 4.0]], [4.0, 8.0]), [1.0, 2.0])
