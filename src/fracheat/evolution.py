@@ -299,56 +299,47 @@ def _series_inverse(l: np.ndarray) -> np.ndarray:
 def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorization:
     """Factor A = sigma*I - tau*T, T the Toeplitz stencil matrix.
 
-    One elimination without pivoting serves both representations. Below
-    GS_MIN_N it keeps all of L, an LU without a tail. From GS_MIN_N on it keeps
-    the first TAIL_MAX_J columns and stops at the first column J <= TAIL_MAX_J
-    whose multipliers equal the previous column's to eps, for an LU whose L
-    ends in a Toeplitz tail; past TAIL_MAX_J it keeps only the pivots and
-    forward-substitutes e_0 as it goes, for the Gohberg-Semencul generators.
+    One elimination without pivoting serves all three representations; keep,
+    the leading rows and columns of L it stores, decides which. Below GS_MIN_N
+    it keeps all of L and ends in an LU without a tail. From GS_MIN_N on it
+    keeps TAIL_MAX_J columns and returns an LU whose L ends in a Toeplitz tail
+    at the first column J <= TAIL_MAX_J whose multipliers equal the previous
+    column's to eps; if none does, the e_0 it forward-substitutes as it goes
+    gives the Gohberg-Semencul generators.
     """
     w = op.weights.w
     n = op.n
-    dense = n < GS_MIN_N
+    keep = n if n < GS_MIN_N else TAIL_MAX_J
     sup = -tau * w[0]  # constant superdiagonal
-    base = np.empty(n)
-    base[0] = sigma - tau * w[1]
-    base[1:] = -tau * w[2 : n + 1]
-    rows = n if dense else TAIL_MAX_J  # leading rows and columns of L kept
-    lower = np.eye(rows)
-    if not dense:
-        z = np.zeros(n)  # L^-1 e_0
-        z[0] = 1.0
+    base = -tau * w[1 : n + 1]  # first column of A
+    base[0] += sigma
+    lower = np.eye(keep)
+    banded = np.zeros((2, n), order="F")  # U: superdiagonal, then the pivots as they are found
+    banded[0, 1:] = sup
+    z = np.zeros(n)  # L^-1 e_0, formed from GS_MIN_N on
+    z[0] = 1.0
     eps = np.finfo(float).eps
-    head = n if dense else 0  # columns of L before its Toeplitz tail; 0: GS
-    pivots = np.empty(n)
     col = base.copy()
     m = None
     for j in range(n):
         piv = col[0]
         if piv <= 0.0:
             raise NumericalError(f"nonpositive pivot {piv} at column {j}")
-        pivots[j] = piv
+        banded[1, j] = piv
         m, last = col[1:] / piv, m
-        may_stop = not dense and 0 < j <= TAIL_MAX_J
-        if may_stop and np.abs(m - last[:-1]).max() <= eps * np.abs(m).max():
-            head = j  # from column j on, L's columns repeat (1, m) and U's pivot piv
-            pivots[j + 1 :] = piv
-            break
-        if j < rows:
-            lower[j + 1 :, j] = m[: rows - j - 1]
-        if not dense:
+        if 0 < j <= keep < n and np.abs(m - last[:-1]).max() <= eps * np.abs(m).max():
+            # from column j on, L is T(l), l = (1, m), and U's pivot is piv
+            banded[1, j + 1 :] = piv
+            size = _fft_len(2 * (n - j) - 1)
+            inv_l = np.fft.rfft(_series_inverse(np.concatenate(([1.0], m))), size)
+            return LUFactorization(n, np.ascontiguousarray(lower[:j, :j]), banded, size, base, inv_l)
+        if j < keep:
+            lower[j + 1 :, j] = m[: keep - j - 1]
+        if keep < n:
             z[j + 1 :] -= m * z[j]
         col = base[: n - 1 - j] - m * sup
-    banded = np.zeros((2, n), order="F")
-    banded[0, 1:] = sup
-    banded[1, :] = pivots
-    if head:
-        lower = np.ascontiguousarray(lower[:head, :head])
-        tail = ()
-        if head < n:  # from column head on, L is T(l), l = (1, m)
-            size = _fft_len(2 * (n - head) - 1)
-            tail = size, base, np.fft.rfft(_series_inverse(np.concatenate(([1.0], m))), size)
-        return LUFactorization(n, lower, banded, *tail)
+    if keep == n:
+        return LUFactorization(n, lower, banded)
     # x = A^-1 e_0 = U^-1 z and y = A^-1 e_{n-1} = U^-1 e_{n-1}, as L^-1 e_{n-1} = e_{n-1}
     rhs = np.zeros((n, 2), order="F")
     rhs[:, 0] = z
