@@ -79,12 +79,15 @@ class TestFactorization:
         with pytest.raises(DomainError):
             factorize(op, 0.0)
 
-    # both solver paths: a NaN or infinite step once gave a factor full of NaN
-    @pytest.mark.parametrize("n", [8, 700])
+    # both sides of GS_MIN_N: a NaN or infinite step once gave a factor full of NaN
+    @pytest.mark.parametrize("n", [8, GS_MIN_N + 100])
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_dt(self, n, dt):
+        op = build_operator(1.4, n)
+        f = factorize(op, op.h**1.4)  # tau = 1: the dense LU, or the tail from GS_MIN_N on
+        assert isinstance(f, LUFactorization) and (len(f.lower) == n) == (n < GS_MIN_N)
         with pytest.raises(DomainError, match=f"got {dt!r}"):
-            factorize(build_operator(1.4, n), dt)
+            factorize(op, dt)
 
 
 class TestStep:
@@ -204,17 +207,17 @@ def run_child(code: str, *args: str) -> str:
     return proc.stdout
 
 
-# a dense (n = 50), a Toeplitz-tail (n = 700, tau = 0.7) and a GS (n = 700,
-# tau = 1600) solve, saved to argv[1] under the path each took
+# a dense (n = 50), a Toeplitz-tail (n = GS_MIN_N + 100, tau = 0.7) and a GS
+# (same n, tau = 1600) solve, saved to argv[1] under the path each took
 SOLVES = textwrap.dedent("""
     import sys
     import numpy as np
     from fracheat import build_operator, factorize
-    from fracheat.evolution import GohbergSemenculFactorization
+    from fracheat.evolution import GS_MIN_N, GohbergSemenculFactorization
 
     rng = np.random.default_rng(19)
     got = {}
-    for n, tau in ((50, 0.7), (700, 0.7), (700, 1600.0)):
+    for n, tau in ((50, 0.7), (GS_MIN_N + 100, 0.7), (GS_MIN_N + 100, 1600.0)):
         op = build_operator(1.4, n)
         f = factorize(op, tau * op.h**1.4)
         path = "gs" if isinstance(f, GohbergSemenculFactorization) else "dense" if len(f.lower) == n else "tail"
