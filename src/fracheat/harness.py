@@ -190,6 +190,10 @@ def figure1_comparison(
     n_list = _grid_sizes(n_list)
     if n_reference is None:
         n_reference = 8 * (n_list[-1] + 1) - 1
+        if n_reference > MAX_N:
+            raise DomainError(
+                f"n_list entry {n_list[-1]} needs the nested reference 8*(max n + 1) - 1 = {n_reference}, above {MAX_N}"
+            )
     elif n_reference < 8 * n_list[-1]:
         raise DomainError("n_reference must be at least 8 * max(n_list)")
     check_alpha(alpha)  # before h_min^(alpha+0.5) can overflow
@@ -204,12 +208,13 @@ def figure1_comparison(
             raise DomainError(
                 f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero or subnormal on every node at n = {n}"
             )
-    ref = evolve(base)
-    ref_sup = ref.sup_norm()
-    if ref_sup < TINY:
-        raise DomainError(
-            f"t_final={t_final!r} decays the reference to sup norm {ref_sup!r}, below the smallest normal float"
-        )
+    for t, ref in iter_states(base):  # refused at the first underflow: ||(I - dt*M_h)^-1||_inf <= 1
+        ref_sup = ref.sup_norm()
+        if ref_sup < TINY:
+            raise DomainError(
+                f"t_final={t_final!r} decays the reference below the smallest normal float"
+                f" by t = {t!r} (sup norm {ref_sup!r})"
+            )
 
     def rel_error(cfg: EvolutionConfig) -> float:
         return error_norms(evolve(cfg), ref)["sup"] / ref_sup

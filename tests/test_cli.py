@@ -228,10 +228,12 @@ RETIRED_STUDY_ARGV = [
 ]
 
 # A grid or factor below the smallest normal float, and what its refusal names.
-# The reference of the first decays to 0.0 by t_final; the Gaussian of the last
-# is about 1e-318 on every node.
+# The reference of the first two is refused at step 3,853 (t = 154.12) of their
+# 25,000 and 2.5e7; the Gaussian of the last is about 1e-318 on every node.
 UNDERFLOW = [
-    (["compare", "--n-list", "3,4", "--t-final", "1e3"], "t_final=1000.0 decays the reference"),
+    *((["compare", "--n-list", "3,4", "--t-final", t_final],
+       f"t_final={float(t_final)!r} decays the reference below the smallest normal float by t = 154.12")
+      for t_final in ("1e3", "1e6")),
     (["converge", "--n-list", "8,16", "--t-final", "300"], "t_final=300.0 decays u_c"),
     (["compare", "--alpha", "1.4", "--n-list", "9,19", "--sigma2", "1e-9", "--mu", "0.5012179201566255"],
      "sigma2=1e-09 is zero or subnormal on every node at n = 9"),
@@ -261,7 +263,8 @@ TOO_LARGE = [
     *(([command, "--n-list", f"8,{MAX_N + 1}"], f"all in [3, {MAX_N}]")
       for command in ("converge", "consistency", "compare")),
     # the nested reference of 8*(max n + 1) - 1 nodes counts too
-    (["compare", "--n-list", f"8,{MAX_N // 8}"], f"n must be in [3, {MAX_N}], got {8 * (MAX_N // 8 + 1) - 1}"),
+    (["compare", "--n-list", f"8,{MAX_N // 8}"],
+     f"n_list entry {MAX_N // 8} needs the nested reference 8*(max n + 1) - 1 = {8 * (MAX_N // 8 + 1) - 1}"),
 ]
 
 # Non-finite times, overflowing step counts, sizes below 3, above MAX_N or
