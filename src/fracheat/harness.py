@@ -29,6 +29,10 @@ TINY = np.finfo(float).tiny  # below it a grid or factor has lost its precision 
 # Largest eigen-chain error/decay still read as spatial. At alpha 1.5, n 8,16 it reads 0.081/0.031
 # at t_final 1, 2.10/0.44 at 10 and 2.2e11 at 150 (order 25.6); tier-1 chains reach 0.035.
 MAX_ERROR_OVER_DECAY = 0.5
+# Smallest consistency error over its rounding floor still read as truncation. On n = 50..400
+# the n = 400 row reads 3,628 at alpha 1.5, 10.7 at 1.8, 2.4 at 1.9, 0.9 at 1.95 and 0.25 at
+# 1.99, and alpha 2 (exact on x^3) reads 0.15-0.46 on every row; tested chains reach 194.
+MIN_ERROR_OVER_FLOOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -74,17 +78,12 @@ class ErrorReport:
 def error_norms(u: GridFunction, ref: GridFunction) -> dict[str, float]:
     """Sup and L1 error of u against a finer-grid reference.
 
-    The reference is read at the coarse nodes directly when the node sets
-    nest, and through its power interpolant otherwise.
+    The reference is read through its power interpolant, which is the
+    reference's own value at every node the two grids share.
     """
     if ref.n < u.n:
         raise DomainError("reference grid must be at least as fine")
-    if (ref.n + 1) % (u.n + 1) == 0:
-        stride = (ref.n + 1) // (u.n + 1)
-        rv = ref.values[stride - 1 :: stride][: u.n]
-    else:
-        rv = from_grid(ref.values, ref.alpha)(u.x)
-    diff = np.abs(u.values - rv)
+    diff = np.abs(u.values - from_grid(ref.values, ref.alpha)(u.x))
     return {"sup": float(diff.max()), "L1": float(u.h * diff.sum())}
 
 
@@ -184,7 +183,7 @@ def figure1_comparison(
     reference included, takes one schedule: the target step h_min^(alpha+0.5) of the finest
     entry in n_list, or t_final if that is smaller, snapped to land on t_final, so that the
     backward-Euler error cancels to leading order in the comparison. The reference is read
-    at coarse nodes directly when the grids nest and through power interpolation otherwise.
+    through its power interpolant, which is exact at every node it shares with a coarse grid.
     Errors are relative sup norm (divided by the reference sup norm).
     """
     n_list = _grid_sizes(n_list)
@@ -240,7 +239,8 @@ def operator_consistency_study(alpha: float, n_list: Sequence[int]) -> ErrorRepo
     """Pointwise consistency of the scheme on f = x^(2alpha-1) near x = 0.5.
 
     The fractional derivative of x^(2alpha-1) is Gamma(2alpha)/Gamma(alpha)
-    * x^(alpha-1); the error is measured at the interior node nearest 0.5.
+    * x^(alpha-1); the error is measured at the interior node nearest 0.5. A grid whose
+    error is within MIN_ERROR_OVER_FLOOR times that entry's rounding floor is refused.
     """
     sizes = _grid_sizes(n_list)
     base = EvolutionConfig(alpha=alpha, n=sizes[0], t_final=0.0)  # stationary: dt = 0.0
@@ -253,7 +253,16 @@ def operator_consistency_study(alpha: float, n_list: Sequence[int]) -> ErrorRepo
         u = GridFunction(alpha=alpha, n=n, values=x ** (2.0 * alpha - 1.0))
         v = apply(op, u).values
         i = int(np.argmin(np.abs(x - 0.5)))
-        return float(abs(v[i] - factor * x[i] ** (alpha - 1.0)))
+        err = float(abs(v[i] - factor * x[i] ** (alpha - 1.0)))
+        # rounding floor of v[i]: eps times its stencil sum in absolute values (u > 0)
+        w, uv = np.abs(op.weights.w), u.values
+        floor = float(np.finfo(float).eps * (w[0] * uv[i + 1] + w[1 : i + 2] @ uv[i::-1])) / cfg.h**alpha
+        if err < MIN_ERROR_OVER_FLOOR * floor:
+            raise DomainError(
+                f"alpha={alpha!r} reads error {err!r} at n = {n}, within {MIN_ERROR_OVER_FLOOR}"
+                f" times its rounding floor {floor!r}"
+            )
+        return err
 
     return ErrorReport(
         _chain(base, sizes, error),

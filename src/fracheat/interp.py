@@ -1,6 +1,6 @@
 """Piecewise power interpolation: cell-wise basis {1, x^(alpha-1)}, exact on x^(alpha-1).
 
-Reduces to piecewise linear interpolation at alpha = 2.
+Reduces to piecewise linear interpolation at alpha = 2. At each node it is that node's value.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class PowerInterpolant:
         return 1.0 / (self.n + 1)
 
     def __call__(self, x):
-        """The interpolant at x in [0, 1]: a float for a scalar x, else an array of x's shape."""
+        """The interpolant at x in [0, 1], y_j at a node x_j: a float for a scalar x, else an array of x's shape."""
         scalar = np.ndim(x) == 0
         # 1-d even for a scalar: numpy scalar math rounds ** apart from the array kernels
         x = np.array(x, dtype=float, ndmin=1)
@@ -45,18 +45,20 @@ class PowerInterpolant:
             raise DomainError(f"evaluation point {x[outside].flat[0]} outside [0, 1]")
         h = self.h
         beta = self.alpha - 1.0
-        i = np.minimum((x / h).astype(np.intp), self.n)  # ties resolve to the left cell
+        t = x / h
+        i = np.minimum(t.astype(np.intp), self.n)
         yi, yi1 = self.y[i], self.y[i + 1]
         # value = y_i + (y_{i+1}-y_i) * (x^b - x_i^b)/(x_{i+1}^b - x_i^b),
         # both differences via expm1 to survive the shrinking denominators
-        # (~ h * x_i^(alpha-2)) at large i. At x = x_i, num = expm1(0) = 0
-        # gives y_i exactly. The first cell (i = 0, 0/0 here) is y_1*(x/h)^b.
+        # (~ h * x_i^(alpha-2)) at large i. The first cell (i = 0, 0/0 here) is y_1*(x/h)^b.
         with np.errstate(divide="ignore", invalid="ignore"):
             num = np.expm1(beta * np.log(x / (i * h)))
             den = np.expm1(beta * np.log1p(1.0 / i))
             v = yi + (yi1 - yi) * num / den
-        v = np.where(i == 0, self.y[1] * (x / h) ** beta, v)
-        v = np.where(x == 1.0, self.y[self.n + 1], v)
+        v = np.where(i == 0, self.y[1] * t**beta, v)
+        # y_j where t is within rounding of j (x = k*h_c and x/h: 4 roundings, <= 2*eps*t), y_{n+1} at x = 1
+        j = np.rint(t)
+        v = np.where(np.abs(t - j) <= 4.0 * np.finfo(float).eps * t, self.y[j.astype(np.intp)], v)
         return float(v[0]) if scalar else v
 
 

@@ -33,7 +33,7 @@ class GridFunction:
             raise DomainError(
                 f"grid length {len(self.values)} does not match n={self.n}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise DomainError("grid values must be finite")
 
     @property

@@ -247,6 +247,14 @@ NOT_SPATIAL = [
      "t_final=10.0 reads error/decay 2.100120114156265 > 0.5 at n = 8"),
 ]
 
+# A consistency chain whose error is rounding, not truncation, and what its refusal
+# names: at alpha = 2 the scheme is exact on x^3, and at 1.9 the n = 400 error is
+# 2.4 times the rounding floor of M_h u there.
+ROUNDING = [
+    (["consistency", "--alpha", "2.0"], ("alpha=2.0 reads error ", " at n = 50, within 10.0 times its rounding floor ")),
+    (["consistency", "--alpha", "1.9"], ("alpha=1.9 reads error ", " at n = 400, within 10.0 times its rounding floor ")),
+]
+
 # A schedule the run cannot take, and the options its refusal names: a step
 # longer than the run, and an eigen chain shorter than its coarsest h^alpha.
 SCHEDULE = [
@@ -271,9 +279,9 @@ TOO_LARGE = [
 # repeated in an n-list, alpha below 1.01 on eigen paths, out-of-range alpha
 # and t_final in a study, a zero final time in a comparison, a Gaussian that is
 # zero or subnormal on every node of a comparison grid, a t_final by which the
-# eigen chain's decay factor or the comparison's reference underflows and an
-# option the run does not read are usage errors, never tracebacks. Negative
-# values take the --flag=value form.
+# eigen chain's decay factor or the comparison's reference underflows, a
+# consistency error within rounding and an option the run does not read are
+# usage errors, never tracebacks. Negative values take the --flag=value form.
 USAGE_ERRORS = [
     ["solve", "--t-final", "inf"],
     ["solve", "--t-final", "nan"],
@@ -303,6 +311,7 @@ USAGE_ERRORS = [
     ["converge", "--n-list", "8,16", "--t-final", "1e6"],  # 2.7e7 steps, refused before the first
     *(argv for argv, _ in UNDERFLOW),
     *(argv for argv, _ in NOT_SPATIAL),
+    *(argv for argv, _ in ROUNDING),
     *(argv for argv, _ in SCHEDULE),
     *(argv for argv, _ in TOO_LARGE),
     *RETIRED_STUDY_ARGV,
@@ -361,6 +370,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, names", NOT_SPATIAL, ids=[" ".join(a) for a, _ in NOT_SPATIAL])
     def test_non_spatial_error_names_its_cause(self, argv, names, capsys):
         assert f"fracheat: usage error: {names}\n" == run_main(argv, capsys)[2]
+
+    @pytest.mark.parametrize("argv, names", ROUNDING, ids=[" ".join(a) for a, _ in ROUNDING])
+    def test_rounding_error_names_its_floor(self, argv, names, capsys):
+        err = run_main(argv, capsys)[2]
+        assert all(name in err for name in names)
 
     @pytest.mark.parametrize("argv, names", SCHEDULE, ids=[" ".join(a) for a, _ in SCHEDULE])
     def test_schedule_refusal_names_options(self, argv, names, capsys):
@@ -549,8 +563,10 @@ SOLVE_DIGESTS = {
 }
 
 
-# sha256 of the other commands' output. Grids stay below GS_MIN_N and `compare`
-# references nest, so no digest rests on SIMD rounding in the power interpolant.
+# sha256 of the other commands' output. Grids stay below GS_MIN_N. A `compare`
+# reference holds every node of the finest grid, whose rows read the reference's
+# own values; n = 10 in 167 and n = 8 in 135 share no node with it and interpolate,
+# so their rows rest on the rounding of numpy's log and expm1 in the power interpolant.
 COMMAND_DIGESTS = {
     "weights --alpha 1.4 --n 20 --format csv":
         "2f1d26bbf7eff2abe00c23380cdeebfa9fe7e807ab3c9041ae266f14a6ef23ad",

@@ -326,6 +326,11 @@ class TestResolvent:
         with pytest.raises(DomainError, match=f"got {lam!r}"):
             resolvent_apply(op, lam, grid(1.5, 8, np.zeros(8)))
 
+    def test_rejects_grid_of_another_size(self):
+        op = build_operator(1.5, 8)
+        with pytest.raises(DomainError, match="operator n=8, grid n=9"):
+            resolvent_apply(op, 1.0, grid(1.5, 9, np.zeros(9)))
+
 
 class TestGohbergSemencul:
     """The n >= GS_MIN_N solvers, Toeplitz tail and Gohberg-Semencul, against dense oracles."""
@@ -490,6 +495,11 @@ class TestInitialGrid:
         u0 = initial_grid(cfg)
         x = np.arange(1, 10) / 10.0
         np.testing.assert_allclose(u0.values, 2.0 * x**0.5 - x**2.0, atol=1e-14)
+
+    def test_rejects_unknown_initial_condition(self):
+        cfg = EvolutionConfig(alpha=1.5, n=9, t_final=0.01, ic="gaussian")
+        with pytest.raises(DomainError, match="unknown initial condition 'gaussian'"):
+            initial_grid(cfg)
 
 
 class TestEvolve:

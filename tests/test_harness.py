@@ -27,7 +27,7 @@ def grid(alpha, n, values):
 
 class TestErrorNorms:
     def test_against_nested_grid(self):
-        # fine grid with (ref.n+1) divisible by (u.n+1): shared nodes read directly
+        # fine grid with (ref.n+1) divisible by (u.n+1): shared nodes read the reference's own values
         alpha = 1.5
         f = lambda x: x * (1 - x)
         nu, nr = 9, 39
@@ -46,6 +46,15 @@ class TestErrorNorms:
         # right boundary of ref is forced to 0, so exactness holds away from x=1
         e = error_norms(u, ref)
         assert e["L1"] <= 0.02
+
+    def test_reads_shared_nodes_of_non_nested_grids(self):
+        # 51 does not divide 3201, but x = 1/3 and 2/3 are nodes 17, 34 of n = 50 and
+        # 1067, 2134 of n = 3200; the reference vanishes more than 1/3201 from them
+        ref = np.zeros(3200)
+        ref[[1066, 2133]] = [0.7, -1.3]
+        u = np.zeros(50)
+        u[[16, 33]] = [0.7, -1.3]
+        assert error_norms(grid(1.4, 50, u), grid(1.4, 3200, ref)) == {"sup": 0.0, "L1": 0.0}
 
     def test_rejects_coarser_reference(self):
         u = grid(1.5, 9, np.zeros(9))

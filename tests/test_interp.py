@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracheat import DomainError, PowerInterpolant, from_grid
+from fracheat import DomainError, GridFunction, PowerInterpolant, from_grid
 
 
 def free_right(vals, alpha, right):
@@ -22,6 +22,14 @@ class TestNodeReproduction:
             assert p(i * h) == pytest.approx(vals[i - 1], abs=1e-14)
         assert p(0.0) == 0.0
         assert p(1.0) == 0.0
+
+    # x_i/h can round to i - 1 ulp, which truncates into cell i - 1
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 2.0])
+    @pytest.mark.parametrize("n", [37, 400, 3200, 3207])
+    def test_grid_nodes_read_their_own_values_bit_for_bit(self, n, alpha):
+        vals = np.random.default_rng(n).standard_normal(n)
+        x = GridFunction(alpha, n, vals).x
+        assert np.array_equal(from_grid(vals, alpha)(x), vals)
 
 
 class TestScalarArrayAgreement:

@@ -158,3 +158,8 @@ class TestGridFunction:
     def test_weights_length_guard(self):
         with pytest.raises(DomainError):
             OperatorMatrix(n=10, weights=new_weights(1.5, 4))
+
+    # build_operator refuses these first, so only a direct construction reaches this check
+    def test_direct_construction_rejects_small_n(self):
+        with pytest.raises(DomainError, match="operator needs n >= 3, got 2"):
+            OperatorMatrix(n=2, weights=new_weights(1.5, 4))
