@@ -2,22 +2,17 @@
 
 (I - dt*M_h) = sigma*I - tau*T, with T the lower-Hessenberg Toeplitz stencil
 matrix, is a nonsingular M-matrix (diagonal 1 + dt*|w_1|/h^alpha >= 1,
-nonpositive off-diagonals, row sums >= 1), so Gaussian elimination needs no
-pivoting, and each elimination step touches only the single superdiagonal
-entry of the pivot row: O(n^2) work. Two representations come out of it:
+nonpositive off-diagonals, row sums >= 1). It is factored one of two ways:
 
-- an LU factorization: a unit-lower-triangular head of L, an upper-bidiagonal
-  U and, from GS_MIN_N on when the elimination's multipliers converge by
-  column TAIL_MAX_J (tau up to about 3-10, depending on alpha), the Toeplitz
-  tail of L. Below GS_MIN_N the head is all of L, and a solve is triangular
-  substitution, LAPACK trtrs on L and tbtrs on U (no subtractions, so a solve
-  of b >= 0 is exactly nonnegative); with a tail it is O(n) memory and one
-  real FFT pair;
-- otherwise: the Gohberg-Semencul formula for the inverse of a Toeplitz
-  matrix from its first and last columns, O(n) memory and six real FFTs per
-  solve.
-
-The FFT solves project results of b >= 0 onto v >= 0.
+- below FFT_MIN_N, an LU without pivoting: each elimination step touches only
+  the single superdiagonal entry of the pivot row, O(n^2) work, and a solve is
+  triangular substitution, LAPACK trtrs on L and tbtrs on U (no subtractions,
+  so a solve of b >= 0 is exactly nonnegative);
+- from FFT_MIN_N on, the Toeplitz matrix with the one root of its symbol
+  inside the unit disc divided out (a Wiener-Hopf factorization): a
+  bidiagonal factor, a triangular Toeplitz factor applied as one real FFT
+  pair and a rank-1 correction, O(n log n) set-up and O(n) memory. Its solves
+  project results of b >= 0 onto v >= 0.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ import scipy
 from .errors import DomainError, NumericalError
 from .operators import GridFunction, OperatorMatrix, build_operator
 from .reference import eigenfunction_u_c, gaussian_ic, principal_eigenvalue
-from .weights import MAX_N, Scheme, check_alpha
+from .weights import MAX_N, Scheme, check_alpha, reciprocal_series
 
 
 # ---------------------------------------------------------------------------
@@ -130,106 +125,75 @@ def _load_flapack():
 _flapack = _load_flapack()
 _trtrs, _tbtrs = _flapack.dtrtrs, _flapack.dtbtrs
 
-# Grids with n >= GS_MIN_N solve through the Toeplitz tail or Gohberg-Semencul,
-# smaller ones through the dense factor. Median backward-Euler step in us,
-# dense / tail / GS, over 15 interleaved runs at alpha = 1.4 on a 2-vCPU host;
-# at tau = 1 the tail's head is J = 34 columns, at tau = 10 J = 136 (past
-# TAIL_MAX_J, so such grids take GS; the tail was built for the timing):
-#   n      400         600         650         700          750          800
-#   tau=1  31/72/93    71/83/118   90/94/132   115/100/141  127/91/135   161/99/137
-#   tau=10 27/75/91    65/94/116   81/98/128   113/113/133  136/117/138  159/126/142
-# The tail beats GS at every size, and dense in 13-15 of 15 runs at n = 750 at
-# both tau over nine repeats; at n = 700 it won 12-15 at tau = 1 but 4-15 at
-# tau = 10 over fourteen, and at n = 650 at most 13. The crossover is near 750, but
-# moving the rule changes `solve` output at the sizes it moves past; it keeps
-# n <= 400, where `solve` prints values with repr, on the dense arithmetic.
-GS_MIN_N = 600
+# Grids with n >= FFT_MIN_N solve through the ToeplitzFactorization, smaller
+# ones through the dense LU. Median backward-Euler step in us, dense / Toeplitz,
+# and the Toeplitz step's wins, over 15 interleaved runs of 200 steps at
+# alpha = 1.4 on a 2-vCPU host:
+#   n       400       500       550       600        650        700        750
+#   tau=1   33/53, 0  31/33, 0  35/36, 2  47/36, 15  58/40, 15  80/39, 15  105/43, 15
+#   tau=10  22/29, 0  32/33, 5  34/36, 0  47/36, 15  59/40, 15  82/40, 15  104/43, 15
+# The crossover lies between 550 and 600 (an earlier run without 550 agreed).
+# It keeps n <= 400, where `solve` prints values with repr, on dense arithmetic.
+FFT_MIN_N = 600
 
-# An FFT solve (tail or GS) of b >= 0 with an entry below
-# -GS_CLIP_C*eps*log2(n)*max(b) is an error, not rounding; see _clip_negative.
-# Over alpha in {1.1, 1.4, 1.9, 2.0}, both schemes, n from 600 to 4801 and ten
-# shapes of b (20 chained steps each): GS at tau = dt/h^alpha from 0.08 to 1600
-# and the resolvent at lam = 0, plus the n = 3200 Figure-1 reference runs,
-# reached 0.19 of eps*log2(n)*max(b); a second sweep whose shapes include a
-# step function reached 0.43 for GS (n = 1601, alpha = 1.1, tau = 0.08) and
-# 0.28 for the tail (n = 600, alpha = 1.9, tau = 0.08), over every tau in
-# {0.08, 0.3, 1, 3, 10} and resolvent lam*h^alpha in {0.3, 1, 10} that picks
-# it. 4.0 leaves a 9x margin for GS and 14x for the tail.
-GS_CLIP_C = 4.0
-
-# From GS_MIN_N on, a factorization whose multipliers converge by column
-# TAIL_MAX_J solves through the Toeplitz tail of its LU, any other through
-# Gohberg-Semencul. Convergence comes at J = 7-42 for tau <= 1 and alpha in
-# [1.05, 2], J = 55 (alpha = 2) to 241 (alpha = 1.05) at tau = 10, and never
-# at tau = 1600. A tail step costs n*J for its convolution: at alpha = 1.4,
-# tau = 0.5 the median step at J = 20 / 128 / 200 / 300 read 48 / 51 / 60 / 73
-# us at n = 600 (GS 63) and 257 / 265 / 306 / 422 us at n = 3200 (GS 353): the
-# crossover near J = 250 leaves a 2x margin at 128.
-TAIL_MAX_J = 128
+# An FFT solve of b >= 0 with an entry below -FFT_CLIP_C*eps*log2(n)*max(b) is
+# an error, not rounding; see _clip_negative. Over both schemes, alpha in
+# {1.1, 1.4, 1.9, 2.0}, n in {600, 1601, 3200, 4801}, six shapes of b (uniform,
+# Gaussian, step, spike, constant, x^(alpha-1)), 20 chained steps at each tau in
+# {0.08, 0.3, 1, 3, 10, 1600} and resolvents at lam*h^alpha in {0, 0.3, 1, 10}
+# (23,808 solves), the worst negative was 0.37 of eps*log2(n)*max(b) (alpha = 2,
+# n = 4801, tau = 1600, the spike): 4.0 leaves an 11x margin.
+FFT_CLIP_C = 4.0
 
 
 @dataclass(frozen=True)
 class LUFactorization:
-    """A = L U without pivoting: the head of L, U's band and, if any, L's Toeplitz tail.
+    """A = L U without pivoting, for n < FFT_MIN_N: all of L and U's band.
 
-    Below GS_MIN_N the head is all of L and a solve is two triangular
-    substitutions: trtrs on L, tbtrs on U's band, where a zero pivot raises
-    NumericalError. From GS_MIN_N on, eliminating column j turns the next
-    column into base - sup*m_j, so the multipliers m_j converge, at rate
-    |sup/pivot|, to a fixed point l; from column J on L is the lower triangular
-    Toeplitz matrix T(l) to rounding and U's pivot is constant. The head is
-    then J x J, and a solve also forms the Toeplitz block A21 w by a direct
-    convolution with A's first column and applies T(l)^-1 = T(1/l) as one real
-    FFT pair, with results of b >= 0 projected onto v >= 0. O(n) memory.
+    A solve is two triangular substitutions: trtrs on L, tbtrs on U's band,
+    where a zero pivot raises NumericalError.
     """
 
     n: int
-    lower: np.ndarray = field(repr=False)   # head x head of L, C order
+    lower: np.ndarray = field(repr=False)   # n x n unit-lower-triangular L, C order
     banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order: superdiag + pivots
-    fft_len: int = 0                        # the tail's three fields, set when head < n
-    base: Optional[np.ndarray] = field(default=None, repr=False)   # first column of A
-    inv_l: Optional[np.ndarray] = field(default=None, repr=False)  # spectrum of 1/l
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        n, head = self.n, len(self.lower)
         # trtrs solves L y = b through the F-ordered L^T, into a copy of b
-        y = _checked(*_trtrs(self.lower.T, b[:head], lower=0, trans=1, unitdiag=1))
-        if head < n:
-            size = self.fft_len
-            w = _checked(*_tbtrs(self.banded[:, :head], y))
-            r = b[head:] - np.convolve(self.base, w)[head:n]  # b2 - A21 A11^-1 b1
-            y2 = np.fft.irfft(self.inv_l * np.fft.rfft(r, size), size)[: n - head]  # T(1/l) r
-            y = np.concatenate((y, y2))  # L^-1 b
-        v = _checked(*_tbtrs(self.banded, y, overwrite_b=1))
-        return v if head == n else _clip_negative(v, b)
+        y = _checked(*_trtrs(self.lower.T, b, lower=0, trans=1, unitdiag=1))
+        return _checked(*_tbtrs(self.banded, y, overwrite_b=1))
 
 
 @dataclass(frozen=True)
-class GohbergSemenculFactorization:
-    """A^-1 from its first and last columns x, y, for n >= GS_MIN_N past TAIL_MAX_J.
+class ToeplitzFactorization:
+    """A^-1 b = x[:n] + s (r . x), x the first n+1 entries of T(h) U^-1 b, for n >= FFT_MIN_N.
 
-    A^-1 b = (1/x0) [L(x) U(yhat) b - L(Zy) U(Zxhat) b] (Gohberg & Semencul,
-    1972), with L(c) / U(r) the lower / upper triangular Toeplitz matrices of
-    first column c / first row r, yhat = y reversed, Zy = (0, y_0..y_{n-2})
-    and Zxhat = (0, x_{n-1}..x_1). Each triangular Toeplitz product is a
-    circular convolution of length fft_len >= 2n - 1, so a solve is six real
-    FFTs in four numpy calls, two of them batched over a stacked pair of
-    spectra, O(n) memory.
+    T(h) is lower triangular Toeplitz with first column h, U unit upper
+    bidiagonal. With p(z) = sigma*z - tau*sum_{k<=n} w_k z^k (A's symbol times z):
+    - sigma > 0: p = (z - z0) q for its root z0 in (0, 1), and exactly
+      A = U T(q) - z0 e_{n-1} q'^T with U = I - z0 Z^T and q'_j = q_{n-j}, so
+      h = 1/q, r = (q', 0) and Sherman-Morrison gives s;
+    - sigma = 0: A = -tau T, and T^-1 c = y - (y_n/g_n) g with g = 1/w and
+      y = g*(0, c) to n+1 terms, so U = I, h = -(0, g)/tau, r = e_n, s = -g/g_n.
+    A solve is one unit-diagonal tbtrs, one real FFT pair of fft_len >= 2n
+    points, a dot and an axpy, with results of b >= 0 projected onto v >= 0.
     """
 
     n: int
     fft_len: int
-    u: np.ndarray = field(repr=False)  # spectra of the U generators yhat, Zxhat
-    l: np.ndarray = field(repr=False)  # spectra of the L generators x, -Zy, / x0
+    band: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order: -z0 above the unit diagonal
+    spectrum: np.ndarray = field(repr=False)  # rfft of h, fft_len points
+    r: np.ndarray = field(repr=False)         # n + 1 entries
+    s: np.ndarray = field(repr=False)         # n entries
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        n, size = self.n, self.fft_len
-        pq = np.fft.irfft(self.u * np.fft.rfft(b, size), size, axis=1)[:, :n]
-        v = np.fft.irfft((self.l * np.fft.rfft(pq, size, axis=1)).sum(0), size)[:n]
-        return _clip_negative(v, b)
+        size = self.fft_len
+        y = _checked(*_tbtrs(self.band, b, diag="U"))  # U^-1 b, into a copy of b
+        x = np.fft.irfft(self.spectrum * np.fft.rfft(y, size), size)[: self.n + 1]
+        return _clip_negative(x[:-1] + self.s * (self.r @ x), b)
 
 
-Factorization = Union[LUFactorization, GohbergSemenculFactorization]
+Factorization = Union[LUFactorization, ToeplitzFactorization]
 
 
 def _checked(x: np.ndarray, info: int) -> np.ndarray:
@@ -239,18 +203,18 @@ def _checked(x: np.ndarray, info: int) -> np.ndarray:
 
 
 def _clip_negative(v: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Project an FFT solve (tail or GS) of b >= 0 onto v >= 0.
+    """Project an FFT solve of b >= 0 onto v >= 0.
 
     A is an M-matrix, so b >= 0 gives A^-1 b >= 0 exactly; the FFTs leave
     rounding-size negatives that would otherwise build up over the steps.
     Projection cannot increase any entry's error. A negative entry beyond the
-    rounding bound GS_CLIP_C*eps*log2(n)*max(b) raises NumericalError. For b
+    rounding bound FFT_CLIP_C*eps*log2(n)*max(b) raises NumericalError. For b
     with negative entries v is returned as is.
     """
     low = v.min()
     if low >= 0.0 or b.min() < 0.0:
         return v
-    bound = GS_CLIP_C * np.finfo(float).eps * math.log2(v.size) * b.max()
+    bound = FFT_CLIP_C * np.finfo(float).eps * math.log2(v.size) * b.max()
     if low < -bound:
         raise NumericalError(f"FFT solve of b >= 0 has entry {low!r} below -{bound!r}")
     return np.maximum(v, 0.0, out=v)
@@ -260,7 +224,7 @@ def _fft_len(m: int) -> int:
     """The smallest 2^a 3^b 5^c >= m.
 
     numpy's FFT is fast on such lengths and can be 10x slower on others: one
-    GS product at n = 3207 costs 2.2 ms at length 2n = 6414 = 2*3*1069 and
+    product at n = 3207 costs 2.2 ms at length 2n = 6414 = 2*3*1069 and
     0.13 ms at 6480.
     """
     best = 1 << (m - 1).bit_length()
@@ -296,65 +260,84 @@ def _series_inverse(l: np.ndarray) -> np.ndarray:
     return c
 
 
+def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray]:
+    """The root z0 in (0, 1) of p(z) = sum_k p_k z^k and the quotient q = p/(z - z0).
+
+    Refuses unless p_0 < 0 < p_1 - sum_{k != 1} |p_k|, summed pairwise: then,
+    by Rouche's theorem, p has exactly one root in the open unit disc and none
+    on the circle, and p(0) < 0 < p(1). Newton's iteration from z = 0, bisecting
+    the bracket whenever a step would leave it, evaluates p and p' by Horner's
+    rule: one tbtrs with U = I - z Z^T, whose solve for p_1..p_n is the quotient.
+    """
+    n = p.size - 1
+    if not p[0] < 0.0 < p[1] - np.abs(np.delete(p, 1)).sum():
+        raise NumericalError("the shifted stencil's symbol has no single root inside the unit disc")
+    rhs = np.zeros((n, 2), order="F")
+    rhs[:, 0] = p[1:]
+    rhs[:-1, 1] = np.arange(2, n + 1) * p[2:]  # p'(z) = p_1 + sum_{k>=2} k p_k z^(k-1)
+    band = np.ones((2, n), order="F")
+    eps = np.finfo(float).eps
+    lo, hi, z = 0.0, 1.0, 0.0
+    for _ in range(100):
+        band[0] = -z
+        t = _checked(*_tbtrs(band, rhs, diag="U"))
+        value = p[0] + z * t[0, 0]
+        dz = value / (p[1] + z * t[0, 1])
+        lo, hi = (z, hi) if value < 0.0 else (lo, z)
+        if abs(dz) <= eps * z or hi - lo <= eps * hi:
+            return z, t[:, 0]
+        z = z - dz if lo < z - dz < hi else 0.5 * (lo + hi)
+    raise NumericalError("the root search of the shifted stencil's symbol did not converge")
+
+
+def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFactorization:
+    n = op.n
+    size = _fft_len(2 * n)
+    band = np.ones((2, n), order="F")  # U's band; the unit diagonal row is not read
+    if sigma == 0.0:  # nothing to divide out (the root is 1 at alpha = 2): 1/w in closed form
+        band[0] = 0.0
+        g = reciprocal_series(op.weights, n)
+        h = -np.concatenate(([0.0], g[:-1])) / tau
+        r = np.zeros(n + 1)
+        r[n] = 1.0
+        return ToeplitzFactorization(n, size, band, np.fft.rfft(h, size), r, -g[:-1] / g[n])
+    p = -tau * op.weights.w[: n + 1]
+    p[1] += sigma
+    z0, q = _symbol_root(p)
+    band[0] = -z0
+    spectrum = np.fft.rfft(_series_inverse(q / q[0]) / q[0], size)
+    r = np.concatenate(([0.0], q[:0:-1], [0.0]))
+    u = np.fft.irfft(spectrum * np.fft.rfft(z0 ** np.arange(n - 1.0, -1.0, -1.0), size), size)[:n]
+    s = z0 * u / (1.0 - z0 * (r[:n] @ u))  # (U T(q))^-1 e_{n-1} = T(1/q) U^-1 e_{n-1} = u
+    return ToeplitzFactorization(n, size, band, spectrum, r, s)
+
+
 def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorization:
     """Factor A = sigma*I - tau*T, T the Toeplitz stencil matrix.
 
-    One elimination without pivoting serves all three representations; keep,
-    the leading rows and columns of L it stores, decides which. Below GS_MIN_N
-    it keeps all of L and ends in an LU without a tail. From GS_MIN_N on it
-    keeps TAIL_MAX_J columns and returns an LU whose L ends in a Toeplitz tail
-    at the first column J <= TAIL_MAX_J whose multipliers equal the previous
-    column's to eps; if none does, the e_0 it forward-substitutes as it goes
-    gives the Gohberg-Semencul generators.
+    From FFT_MIN_N on into a ToeplitzFactorization, below it by one
+    elimination without pivoting into an LU.
     """
-    w = op.weights.w
     n = op.n
-    keep = n if n < GS_MIN_N else TAIL_MAX_J
+    if n >= FFT_MIN_N:
+        return _factor_toeplitz(op, sigma, tau)
+    w = op.weights.w
     sup = -tau * w[0]  # constant superdiagonal
     base = -tau * w[1 : n + 1]  # first column of A
     base[0] += sigma
-    lower = np.eye(keep)
+    lower = np.eye(n)
     banded = np.zeros((2, n), order="F")  # U: superdiagonal, then the pivots as they are found
     banded[0, 1:] = sup
-    z = np.zeros(n)  # L^-1 e_0, formed from GS_MIN_N on
-    z[0] = 1.0
-    eps = np.finfo(float).eps
     col = base.copy()
-    m = None
     for j in range(n):
         piv = col[0]
         if piv <= 0.0:
             raise NumericalError(f"nonpositive pivot {piv} at column {j}")
         banded[1, j] = piv
-        m, last = col[1:] / piv, m
-        if 0 < j <= keep < n and np.abs(m - last[:-1]).max() <= eps * np.abs(m).max():
-            # from column j on, L is T(l), l = (1, m), and U's pivot is piv
-            banded[1, j + 1 :] = piv
-            size = _fft_len(2 * (n - j) - 1)
-            inv_l = np.fft.rfft(_series_inverse(np.concatenate(([1.0], m))), size)
-            return LUFactorization(n, np.ascontiguousarray(lower[:j, :j]), banded, size, base, inv_l)
-        if j < keep:
-            lower[j + 1 :, j] = m[: keep - j - 1]
-        if keep < n:
-            z[j + 1 :] -= m * z[j]
+        m = col[1:] / piv
+        lower[j + 1 :, j] = m
         col = base[: n - 1 - j] - m * sup
-    if keep == n:
-        return LUFactorization(n, lower, banded)
-    # x = A^-1 e_0 = U^-1 z and y = A^-1 e_{n-1} = U^-1 e_{n-1}, as L^-1 e_{n-1} = e_{n-1}
-    rhs = np.zeros((n, 2), order="F")
-    rhs[:, 0] = z
-    rhs[n - 1, 1] = 1.0
-    x, y = _checked(*_tbtrs(banded, rhs, overwrite_b=1)).T
-    size = _fft_len(2 * n - 1)
-    upper = np.zeros((2, size))  # first rows yhat and Zxhat, wrapped for circular convolution
-    upper[0, 0] = y[n - 1]
-    upper[0, size - n + 1 :] = y[:-1]
-    upper[1, size - n + 1 :] = x[1:]
-    lower_gen = np.zeros((2, n))  # first columns x and -Zy
-    lower_gen[0] = x
-    lower_gen[1, 1:] = -y[:-1]
-    spectra = np.fft.rfft(upper, axis=1), np.fft.rfft(lower_gen / x[0], size, axis=1)
-    return GohbergSemenculFactorization(n, size, *spectra)
+    return LUFactorization(n, lower, banded)
 
 
 def factorize(op: OperatorMatrix, dt: float) -> Factorization:

@@ -28,9 +28,9 @@ def check_alpha(alpha: float) -> None:
 
 # At most this many interior nodes per grid; a larger one would not set up in
 # useful time, so it is a domain error, refused before anything of its size is
-# allocated. At n = 16384, new_weights takes 0.38 s and a Gohberg-Semencul
-# factorize 0.50 s (medians of 3, 2 vCPUs); both grow as n^2, to about 24 and
-# 31 minutes at 10^6.
+# allocated. At n = 16384, new_weights takes 0.38 s (median of 3, 2 vCPUs) and
+# grows as n^2, to about 24 minutes at 10^6; factorize there is O(n log n),
+# 16-22 ms.
 MAX_N = 10**6
 
 
@@ -86,6 +86,19 @@ def grunwald_weights(alpha: float, n: int) -> WeightSequence:
     for k in range(1, n + 1):
         w[k] = w[k - 1] * (k - 1 - alpha) / k
     return WeightSequence(alpha=alpha, scheme=Scheme.GRUNWALD, w=w)
+
+
+def reciprocal_series(ws: WeightSequence, n: int) -> np.ndarray:
+    """g_0..g_n, the power series of 1/w(z) for the scheme's exact weights, in closed form.
+
+    (k+1)^(alpha-1)/Gamma(alpha) by the new scheme's defining system, and
+    Gamma(k+alpha)/(Gamma(alpha) k!) for Grunwald's w(z) = (1-z)^alpha: positive
+    terms, where inverting the rounded weights cancels every digit near alpha = 2.
+    """
+    if ws.scheme is Scheme.NEW:
+        return np.arange(1.0, n + 2) ** (ws.alpha - 1.0) / gamma(ws.alpha)
+    k = np.arange(1.0, n + 1)
+    return np.cumprod(np.concatenate(([1.0], (k - 1.0 + ws.alpha) / k)))
 
 
 def resubstitution_residual(ws: WeightSequence) -> float:

@@ -563,7 +563,7 @@ SOLVE_DIGESTS = {
 }
 
 
-# sha256 of the other commands' output. Grids stay below GS_MIN_N. A `compare`
+# sha256 of the other commands' output. Grids stay below FFT_MIN_N. A `compare`
 # reference holds every node of the finest grid, whose rows read the reference's
 # own values; n = 10 in 167 and n = 8 in 135 share no node with it and interpolate,
 # so their rows rest on the rounding of numpy's log and expm1 in the power interpolant.

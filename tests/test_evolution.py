@@ -28,19 +28,25 @@ from fracheat import (
 )
 from fracheat.errors import NumericalError
 from fracheat.evolution import (
-    GS_CLIP_C,
-    GS_MIN_N,
+    FFT_CLIP_C,
+    FFT_MIN_N,
     MAX_STEPS,
-    TAIL_MAX_J,
-    GohbergSemenculFactorization,
     LUFactorization,
+    ToeplitzFactorization,
     _clip_negative,
     _fft_len,
     _series_inverse,
+    _symbol_root,
     step_count,
 )
-from fracheat import evolution
+from fracheat.operators import OperatorMatrix
 from fracheat.reference import gaussian_ic
+from fracheat.weights import WeightSequence
+
+# the sizes on either side of FFT_MIN_N, with ids that name their role, so
+# that moving the constant renames no test
+FIRST_FFT = pytest.param(FFT_MIN_N, id="first-fft-size")
+LAST_DENSE = pytest.param(FFT_MIN_N - 1, id="last-dense-size")
 
 
 def grid(alpha, n, values):
@@ -79,13 +85,13 @@ class TestFactorization:
         with pytest.raises(DomainError):
             factorize(op, 0.0)
 
-    # both sides of GS_MIN_N: a NaN or infinite step once gave a factor full of NaN
-    @pytest.mark.parametrize("n", [8, GS_MIN_N + 100])
+    # both sides of FFT_MIN_N: a NaN or infinite step once gave a factor full of NaN
+    @pytest.mark.parametrize("n", [8, FIRST_FFT])
     @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_dt(self, n, dt):
         op = build_operator(1.4, n)
-        f = factorize(op, op.h**1.4)  # tau = 1: the dense LU, or the tail from GS_MIN_N on
-        assert isinstance(f, LUFactorization) and (len(f.lower) == n) == (n < GS_MIN_N)
+        f = factorize(op, op.h**1.4)  # tau = 1: the dense LU, or the Toeplitz factorization from FFT_MIN_N on
+        assert isinstance(f, LUFactorization if n < FFT_MIN_N else ToeplitzFactorization)
         with pytest.raises(DomainError, match=f"got {dt!r}"):
             factorize(op, dt)
 
@@ -129,7 +135,7 @@ class TestStep:
         v = step(factorize(op, dt), grid(2.0, n, u)).values
         np.testing.assert_allclose(v, u / (1.0 - dt * lam), atol=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 4, 50, 400, GS_MIN_N - 1])
+    @pytest.mark.parametrize("n", [3, 4, 50, 400, LAST_DENSE])
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
     def test_dense_solve_is_scipy_wrappers_bit_for_bit(self, scheme, alpha, n):
@@ -154,28 +160,26 @@ class TestStep:
         with pytest.raises(NumericalError, match="info=3"):
             f.solve(np.ones(n))
 
-    @pytest.mark.parametrize("n", [3, 50, 400, GS_MIN_N - 1, GS_MIN_N, 3200])
+    @pytest.mark.parametrize("n", [3, 50, 400, LAST_DENSE, FIRST_FFT, 3200])
     def test_lu_holds_tail_arrays_only_with_a_tail(self, n):
-        # below GS_MIN_N the LU holds n^2 + 2n doubles, all of L and U's band;
-        # from it on, at tau = 1, a head of at most TAIL_MAX_J columns and the tail
+        # below FFT_MIN_N the LU holds n^2 + 2n doubles, all of L and U's band;
+        # from it on, at tau = 1, the Toeplitz factorization holds U's band (2n),
+        # r (n + 1), s (n) and the spectrum of h (fft_len/2 + 1 complex)
         op = build_operator(1.4, n)
         f = factorize(op, op.h**1.4)
-        assert isinstance(f, LUFactorization)
         held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
-        if n < GS_MIN_N:
-            assert f.fft_len == 0 and f.base is None and f.inv_l is None
-            assert f.lower.shape == (n, n)
+        if n < FFT_MIN_N:
+            assert isinstance(f, LUFactorization) and f.lower.shape == (n, n)
             assert held == n * n * 8 + 2 * n * 8
         else:
-            head = len(f.lower)
-            assert f.lower.shape == (head, head) and head <= TAIL_MAX_J
-            assert f.fft_len >= 2 * (n - head) - 1 and f.base.shape == (n,) and f.inv_l is not None
+            assert isinstance(f, ToeplitzFactorization) and f.fft_len >= 2 * n
+            assert held == (4 * n + 1) * 8 + (f.fft_len // 2 + 1) * 16
 
-    @pytest.mark.parametrize("n", [GS_MIN_N - 1, GS_MIN_N])
+    @pytest.mark.parametrize("n", [LAST_DENSE, FIRST_FFT])
     def test_solves_leave_their_input_alone(self, n):
-        # all three solver paths (the step at n = GS_MIN_N takes the Toeplitz
-        # tail, the resolvent GS); tbtrs solves in place, so only its own copy
-        # may change
+        # the dense LU, and the Toeplitz factorization's root-divided (the step)
+        # and sigma = 0 (the resolvent) set-ups; tbtrs solves in place, so only
+        # its own copy may change
         alpha = 1.4
         op = build_operator(alpha, n)
         b = np.random.default_rng(16).uniform(0.0, 1.0, n)
@@ -207,20 +211,20 @@ def run_child(code: str, *args: str) -> str:
     return proc.stdout
 
 
-# a dense (n = 50), a Toeplitz-tail (n = GS_MIN_N + 100, tau = 0.7) and a GS
-# (same n, tau = 1600) solve, saved to argv[1] under the path each took
+# a dense (n = 50) and a Toeplitz-factorization (n = FFT_MIN_N + 100) solve at
+# tau = 0.7, saved to argv[1] under the path each took
 SOLVES = textwrap.dedent("""
     import sys
     import numpy as np
     from fracheat import build_operator, factorize
-    from fracheat.evolution import GS_MIN_N, GohbergSemenculFactorization
+    from fracheat.evolution import FFT_MIN_N, ToeplitzFactorization
 
     rng = np.random.default_rng(19)
     got = {}
-    for n, tau in ((50, 0.7), (GS_MIN_N + 100, 0.7), (GS_MIN_N + 100, 1600.0)):
+    for n in (50, FFT_MIN_N + 100):
         op = build_operator(1.4, n)
-        f = factorize(op, tau * op.h**1.4)
-        path = "gs" if isinstance(f, GohbergSemenculFactorization) else "dense" if len(f.lower) == n else "tail"
+        f = factorize(op, 0.7 * op.h**1.4)
+        path = "fft" if isinstance(f, ToeplitzFactorization) else "dense"
         got[path] = f.solve(rng.uniform(0.0, 1.0, n))
     np.savez(sys.argv[1], **got)
     print(*got, "scipy.linalg" in sys.modules)
@@ -267,7 +271,7 @@ class TestLapackLoader:
         # scipy.linalg; the import system's own finders keep theirs
         blind = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
         normal_path, blind_path = tmp_path / "normal.npz", tmp_path / "blind.npz"
-        kinds = "dense tail gs"
+        kinds = "dense fft"
         assert run_child(SOLVES, str(normal_path)) == f"{kinds} False\n"
         assert run_child(blind + SOLVES, str(blind_path)) == f"{kinds} True\n"
         with np.load(normal_path) as normal, np.load(blind_path) as fallback:
@@ -333,13 +337,17 @@ class TestResolvent:
 
 
 class TestGohbergSemencul:
-    """The n >= GS_MIN_N solvers, Toeplitz tail and Gohberg-Semencul, against dense oracles."""
+    """The n >= FFT_MIN_N solver, the Toeplitz factorization, against dense and closed-form oracles.
 
-    @pytest.mark.parametrize("n", [GS_MIN_N, 3200])
+    The class keeps the name of the Gohberg-Semencul solver it first tested,
+    so that its test ids stay put.
+    """
+
+    @pytest.mark.parametrize("n", [FIRST_FFT, 3200])
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
     def test_step_matches_dense_solve(self, scheme, alpha, n):
-        # tau = 0.08 takes the tail, 1600 GS, and 10 the tail at alpha >= 1.9
+        # tau = 0.08, 10 and 1600 put the symbol's root near 0.07, 0.8 and 0.99
         rng = np.random.default_rng(10)
         op = build_operator(alpha, n, scheme)
         m = op.dense()
@@ -347,35 +355,94 @@ class TestGohbergSemencul:
         for tau in (0.08, 10.0, 1600.0):
             dt = tau * op.h**alpha
             f = factorize(op, dt)
-            assert isinstance(f, GohbergSemenculFactorization) or len(f.lower) < n
+            assert isinstance(f, ToeplitzFactorization)
             a = m * -dt  # I - dt*M_h, one n x n temporary
             a.flat[:: n + 1] += 1.0
             want = np.linalg.solve(a, b)
             for k in range(b.shape[1]):
                 got = step(f, grid(alpha, n, b[:, k])).values
                 err = np.abs(got - want[:, k]).max() / np.abs(want[:, k]).max()
-                assert err <= 1e-12, (type(f).__name__, tau, k, err)
+                assert err <= 1e-12, (tau, k, err)
 
-    # the column at which the multipliers converge, the same at both sizes
-    @pytest.mark.parametrize("n", [GS_MIN_N, 3200])
-    @pytest.mark.parametrize(
-        "alpha,tau,head",
-        [(1.4, 0.08, 12), (1.4, 1.0, 34), (2.0, 10.0, 55), (1.4, 10.0, None), (2.0, 1600.0, None)],
-    )
-    def test_tail_or_gs_rule(self, alpha, tau, head, n):
-        op = build_operator(alpha, n)
-        f = factorize(op, tau * op.h**alpha)
-        if head is None:  # J = 136 at alpha = 1.4, tau = 10; no convergence at tau = 1600
-            assert isinstance(f, GohbergSemenculFactorization)
-        else:
-            assert isinstance(f, LUFactorization)
-            assert f.lower.shape == (head, head) and head <= TAIL_MAX_J
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_root_division_is_exact(self, scheme, alpha):
+        # A = U T(q) - z0 e_{n-1} r^T, U = I - z0 Z^T, r_j = q_{n-j}, to rounding,
+        # at sigma = 1 and at the resolvent's sigma = 0; there Rouche's condition
+        # fails at alpha = 2, where the symbol's root is 1, so sigma = 0 takes
+        # the series of 1/w instead
+        n = FFT_MIN_N
+        op = build_operator(alpha, n, scheme)
+        t = op.dense() * op.h**alpha
+        for sigma, tau in [(1.0, 0.08), (1.0, 1.0), (1.0, 10.0), (1.0, 1600.0), (0.0, 1.0 / op.h**alpha)]:
+            p = -tau * op.weights.w[: n + 1]
+            p[1] += sigma
+            if sigma == 0.0 and alpha == 2.0:
+                with pytest.raises(NumericalError, match="no single root"):
+                    _symbol_root(p)
+                continue
+            z0, q = _symbol_root(p)
+            tq = np.zeros((n, n))
+            for k in range(n):
+                tq[k:, k] = q[: n - k]
+            factored = tq.copy()
+            factored[:-1] -= z0 * tq[1:]  # U T(q)
+            factored[-1, 1:] -= z0 * q[:0:-1]
+            a = sigma * np.eye(n) - tau * t
+            res = np.abs(factored - a).max() / np.abs(a).max()
+            assert res <= 4 * np.finfo(float).eps, (sigma, tau, res)
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_root_in_unit_interval_and_inverse_quotient_nonnegative(self, scheme, alpha):
+        # w_1 < 0 <= w_k otherwise make q_0 > 0 >= q_k exactly, so 1/q >= 0;
+        # the series inverse keeps that to its rounding of the largest coefficient
+        n = FFT_MIN_N
+        op = build_operator(alpha, n, scheme)
+        for tau in (0.08, 1.0, 10.0, 1600.0):
+            p = -tau * op.weights.w[: n + 1]
+            p[1] += 1.0
+            z0, q = _symbol_root(p)
+            assert 0.0 < z0 < 1.0
+            assert q[0] > 0.0 and np.all(q[1:] <= 0.0)
+            inv = _series_inverse(q / q[0]) / q[0]
+            assert inv.min() >= -8 * np.finfo(float).eps * inv.max(), (tau, inv.min())
+
+    def test_refuses_a_symbol_without_one_root_in_the_disc(self):
+        # |sigma - tau*w_1| = 1 + tau against tau*(|w_0| + |w_2|) = 2*tau:
+        # Rouche's condition fails from tau = 1 on
+        n = FFT_MIN_N
+        w = np.zeros(n + 1)
+        w[:3] = 1.0, -1.0, 1.0
+        op = OperatorMatrix(n, WeightSequence(1.4, Scheme.NEW, w))
+        for tau in (1.0, 10.0):
+            with pytest.raises(NumericalError, match="no single root"):
+                factorize(op, tau * op.h**1.4)
+        with pytest.raises(NumericalError, match="no single root"):
+            resolvent_apply(op, 1.0, grid(1.4, n, np.ones(n)))
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_resolvent_is_backward_stable(self, scheme, alpha):
+        # |(lam - M_h) v - g| within rounding of |lam - M_h| |v|, at every
+        # lam*h^alpha: 0 takes the series of 1/w (the only check of Grunwald's
+        # closed form), the others divide out the root; the worst read 6.6 eps
+        n = FFT_MIN_N
+        op = build_operator(alpha, n, scheme)
+        m = op.dense()
+        g = np.random.default_rng(20).standard_normal(n)
+        for c in (0.0, 0.3, 1.0, 10.0):
+            lam = c / op.h**alpha
+            a = lam * np.eye(n) - m
+            v = resolvent_apply(op, lam, grid(alpha, n, g)).values
+            res = np.abs(a @ v - g).max() / (np.abs(a).sum(1).max() * np.abs(v).max())
+            assert res <= 16 * np.finfo(float).eps, (c, res)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 1000, 3000])
     def test_series_inverse_is_the_recurrence(self, size):
         # the O(n^2) coefficient recurrence of 1/l is the reference; for l[1:]
-        # <= 0, as the tail's multipliers are, it sums nonnegative terms, and
-        # Newton's FFT products may differ by rounding of the largest one
+        # <= 0, as q/q_0's are, it sums nonnegative terms, and Newton's FFT
+        # products may differ by rounding of the largest one
         l = np.ones(size)
         l[1:] = -0.4 * np.arange(1.0, size) ** -2.4
         want = np.zeros(size)
@@ -387,7 +454,10 @@ class TestGohbergSemencul:
         assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * want.max()
 
     @pytest.mark.parametrize(
-        "alpha,n", [(1.1, GS_MIN_N), (1.4, GS_MIN_N), (1.9, GS_MIN_N), (2.0, GS_MIN_N), (1.9, 3207)]
+        "alpha,n",
+        [
+            pytest.param(alpha, FFT_MIN_N, id=f"{alpha}-first-fft-size") for alpha in (1.1, 1.4, 1.9, 2.0)
+        ] + [(1.9, 3207)],
     )
     def test_resolvent_is_negative_closed_form_inverse(self, alpha, n):
         # cond(M_h) ~ n^alpha: the dense factor misses by as much (1.45e-11 at
@@ -396,27 +466,6 @@ class TestGohbergSemencul:
         want = -closed_form_inverse(alpha, n) @ g
         got = resolvent_apply(build_operator(alpha, n), 0.0, grid(alpha, n, g)).values
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-
-    @pytest.mark.parametrize("n", [GS_MIN_N, 3207])
-    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
-    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
-    def test_batched_solve_is_six_fft_formula(self, scheme, alpha, n):
-        # the four FFT calls, two of them batched, against the six separate
-        # ones, written out; tau = 1600 takes GS at every alpha
-        op = build_operator(alpha, n, scheme)
-        f = factorize(op, 1600.0 * op.h**alpha)
-        assert isinstance(f, GohbergSemenculFactorization)
-        size = f.fft_len
-        u_yhat, u_zxhat = f.u
-        l_x, l_zy = f.l[0], -f.l[1]
-        rng = np.random.default_rng(18)
-        for b in (rng.standard_normal(n), rng.uniform(0.0, 1.0, n)):
-            fb = np.fft.rfft(b, size)
-            p = np.fft.irfft(u_yhat * fb, size)[:n]
-            q = np.fft.irfft(u_zxhat * fb, size)[:n]
-            fpq = l_x * np.fft.rfft(p, size) - l_zy * np.fft.rfft(q, size)
-            want = _clip_negative(np.fft.irfft(fpq, size)[:n], b)
-            np.testing.assert_array_equal(f.solve(b), want)
 
     def test_fft_len_is_smallest_5_smooth(self):
         def smooth(k):
@@ -430,43 +479,37 @@ class TestGohbergSemencul:
             assert _fft_len(m) == want
 
     def test_size_rule(self):
-        op = build_operator(1.4, GS_MIN_N - 1)
-        f = factorize(op, 1e-3)
-        assert isinstance(f, LUFactorization) and len(f.lower) == f.n
+        for n, kind in ((FFT_MIN_N - 1, LUFactorization), (FFT_MIN_N, ToeplitzFactorization)):
+            f = factorize(build_operator(1.4, n), 1e-3)
+            assert isinstance(f, kind) and f.n == n
 
     def test_factorization_is_small(self):
         op = build_operator(1.4, 3200)
-        for dt, kind in ((1e-3, GohbergSemenculFactorization), (op.h**1.4, LUFactorization)):
+        for dt in (1e-3, op.h**1.4):
             f = factorize(op, dt)
-            assert isinstance(f, kind)
-            assert kind is GohbergSemenculFactorization or len(f.lower) < f.n
+            assert isinstance(f, ToeplitzFactorization)
             held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
             assert held < 1e6
 
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
-    def test_figure1_reference_stays_nonnegative(self, scheme, monkeypatch):
-        # the Figure-1 reference set-up at t_final = 0.01 (tau = 0.9), through
-        # the tail and, with the tail cap at 0, through GS; unprojected, GS
-        # leaves negatives here that build up over the 884 steps
+    def test_figure1_reference_stays_nonnegative(self, scheme):
+        # the Figure-1 reference set-up at t_final = 0.01 (tau = 0.9) over its
+        # 884 steps; unprojected, the FFT solves leave rounding-size negatives
+        # that would build up over them
         n, alpha, t_final = 3200, 1.4, 0.01
         cfg = EvolutionConfig(
             alpha=alpha, n=n, t_final=t_final, scheme=scheme, dt=(1.0 / 401) ** (alpha + 0.5),
             ic=GaussianIC(0.4, 0.0005),
         )
-        op = build_operator(alpha, n, scheme)
-        for cap, kind in ((TAIL_MAX_J, LUFactorization), (0, GohbergSemenculFactorization)):
-            monkeypatch.setattr(evolution, "TAIL_MAX_J", cap)
-            f = factorize(op, cfg.step_dt)
-            assert isinstance(f, kind)
-            assert kind is GohbergSemenculFactorization or len(f.lower) < n
-            for _, u in iter_states(cfg):
-                assert u.values.min() >= 0.0
+        assert isinstance(factorize(build_operator(alpha, n, scheme), cfg.step_dt), ToeplitzFactorization)
+        for _, u in iter_states(cfg):
+            assert u.values.min() >= 0.0
 
     def test_guard_raises_past_the_rounding_bound(self):
         n = 3200
         b = gaussian_ic(np.arange(1, n + 1) / (n + 1), 0.4, 0.0005)
         v = factorize(build_operator(1.4, n), 1e-3).solve(b)
-        bound = GS_CLIP_C * np.finfo(float).eps * math.log2(n) * b.max()
+        bound = FFT_CLIP_C * np.finfo(float).eps * math.log2(n) * b.max()
         inside = v.copy()
         inside[7] = -0.5 * bound
         clipped = _clip_negative(inside, b)
@@ -524,9 +567,9 @@ class TestEvolve:
         np.testing.assert_allclose(times, np.arange(6) * 0.002, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(grids[-1].values, evolve(cfg).values)
 
-    @pytest.mark.parametrize("n", [GS_MIN_N - 1, GS_MIN_N])
+    @pytest.mark.parametrize("n", [LAST_DENSE, FIRST_FFT])
     def test_evolve_is_last_state(self, n):
-        # the dense factor below GS_MIN_N, the Toeplitz tail (tau = 1) from it on
+        # the dense factor below FFT_MIN_N, the Toeplitz factorization from it on
         cfg = EvolutionConfig(alpha=1.4, n=n, t_final=0.01, ic=EigenfunctionIC())
         final = evolve(cfg)
         assert isinstance(final, GridFunction)

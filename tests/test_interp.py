@@ -61,13 +61,14 @@ class TestScalarArrayAgreement:
         y, h, beta = p.y, p.h, alpha - 1.0
 
         def reference(x):
-            if x == 1.0:
-                return y[n + 1]
-            i = min(int(x / h), n)
+            # the node rule: y_j where x/h lies within 4*eps*(x/h) of an integer j
+            t = x / h
+            j = round(t)
+            if abs(t - j) <= 4 * np.finfo(float).eps * t:
+                return y[j]
+            i = min(int(t), n)
             if i == 0:
-                return y[1] * (x / h) ** beta
-            if x == i * h:
-                return y[i]
+                return y[1] * t**beta
             num = math.expm1(beta * math.log(x / (i * h)))
             den = math.expm1(beta * math.log1p(1.0 / i))
             return y[i] + (y[i + 1] - y[i]) * num / den

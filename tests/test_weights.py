@@ -13,6 +13,7 @@ from fracheat import (
     qmatrix_report,
     resubstitution_residual,
 )
+from fracheat.weights import reciprocal_series
 
 ALPHAS = [round(1.1 + 0.1 * k, 1) for k in range(9)]  # 1.1 .. 1.9
 
@@ -125,3 +126,18 @@ class TestSignStructure:
     def test_scheme_tags(self):
         assert new_weights(1.5, 4).scheme is Scheme.NEW
         assert grunwald_weights(1.5, 4).scheme is Scheme.GRUNWALD
+
+
+class TestReciprocalSeries:
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("weights", [new_weights, grunwald_weights])
+    def test_inverts_the_weights(self, weights, alpha):
+        # w*g = (1, 0, 0, ...) to the rounding of the nonnegative sums |w|*g
+        n = 3200
+        ws = weights(alpha, n)
+        g = reciprocal_series(ws, n)
+        assert g.shape == (n + 1,) and np.all(g > 0.0)
+        residual = np.convolve(ws.w, g)[: n + 1]
+        residual[0] -= 1.0
+        scale = np.convolve(np.abs(ws.w), g)[: n + 1]
+        assert np.all(np.abs(residual) <= 8 * np.finfo(float).eps * scale)
