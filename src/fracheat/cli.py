@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConvergenceError, DomainError, NumericalError
@@ -22,7 +22,7 @@ from .evolution import (
     PowerLawIC,
     iter_states,
 )
-from .harness import eigen_decay_study, figure1_comparison, operator_consistency_study
+from .harness import ErrorRow, eigen_decay_study, figure1_comparison, operator_consistency_study
 from .operators import GridFunction
 from .reference import principal_eigenvalue
 from .weights import Scheme, grunwald_weights, new_weights
@@ -131,10 +131,19 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 # command bodies
 
-def _echo(cfg: RunConfig) -> str:
+def _echo(cfg: RunConfig) -> dict:
     # also unread options, at their defaults: the pinned `solve` header depends on these keys
     keys = ("command", "alpha", "n", "n_list", "dt", "t_final", "scheme", "ic")
-    return json.dumps({k: getattr(cfg, k) for k in keys}, sort_keys=True)
+    return {k: getattr(cfg, k) for k in keys}
+
+
+def _csv(head: dict, columns: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """``# {head as sorted JSON}``, the column names, then per row: floats as repr(float), None empty, else str."""
+    lines = [f"# {json.dumps(head, sort_keys=True)}", ",".join(columns)]
+    for row in rows:
+        cells = ("" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def _json(obj) -> list[str]:
@@ -150,20 +159,14 @@ def _run_weights(cfg: RunConfig) -> Iterable[str]:
         return _json(
             {"alpha": cfg.alpha, "scheme": cfg.scheme.value, "w": list(ws.w), "partial_sum": list(sums)}
         )
-    lines = [f"# {_echo(cfg)}", "k,w_k,partial_sum"]
-    for k in range(n + 1):
-        lines.append(f"{k},{float(ws.w[k])!r},{float(sums[k])!r}")
-    return ["\n".join(lines) + "\n"]
+    return [_csv(_echo(cfg), ("k", "w_k", "partial_sum"), zip(range(n + 1), ws.w, sums))]
 
 
 def _run_eigen(cfg: RunConfig) -> Iterable[str]:
     pair = principal_eigenvalue(cfg.alpha)
     if cfg.format == "json":
         return _json({"alpha": pair.alpha, "c": pair.c, "series_terms": pair.series_terms})
-    return [
-        f"# {_echo(cfg)}\nalpha,c,series_terms\n"
-        f"{pair.alpha!r},{pair.c!r},{pair.series_terms}\n"
-    ]
+    return [_csv(_echo(cfg), ("alpha", "c", "series_terms"), [(pair.alpha, pair.c, pair.series_terms)])]
 
 
 def _ic_of(cfg: RunConfig):
@@ -184,7 +187,7 @@ def _run_solve(cfg: RunConfig) -> Iterable[str]:
         times, grids = zip(*states)
         u = [list(g.values) for g in grids]
         return _json({"t": list(times), "x": list(grids[0].x), "u": u})
-    return _csv_rows(f"# {_echo(cfg)}\nt,x,u\n", states)
+    return _csv_rows(_csv(_echo(cfg), ("t", "x", "u"), ()), states)
 
 
 def _csv_rows(header: str, states: Iterable[tuple[float, GridFunction]]) -> Iterator[str]:
@@ -209,7 +212,9 @@ def _run_study(cfg: RunConfig) -> Iterable[str]:
         report = figure1_comparison(
             sigma2=cfg.sigma2, mu=cfg.mu, alpha=cfg.alpha, t_final=cfg.t_final, n_list=n_list
         )
-    return [report.to_json() if cfg.format == "json" else report.to_csv()]
+    if cfg.format == "json":  # indented, no trailing newline
+        return [json.dumps({"meta": report.meta, "rows": list(map(asdict, report.rows))}, sort_keys=True, indent=2)]
+    return [_csv(report.meta, [f.name for f in fields(ErrorRow)], map(astuple, report.rows))]
 
 
 def run(cfg: RunConfig) -> int:

@@ -360,6 +360,8 @@ def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunc
         raise DomainError(f"resolvent parameter must be finite and >= 0, got {lam!r}")
     if g.n != op.n:
         raise DomainError(f"dimension mismatch: operator n={op.n}, grid n={g.n}")
+    if g.alpha != op.alpha:
+        raise DomainError(f"alpha mismatch: operator alpha={op.alpha!r}, grid alpha={g.alpha!r}")
     f = _factor_shifted(op, lam, 1.0 / op.h**op.alpha)
     return GridFunction(alpha=op.alpha, n=op.n, values=f.solve(g.values))
 

@@ -1,7 +1,8 @@
 """Grid-refinement convergence studies and the Figure-1 style scheme comparison.
 
-Error reports are plain rows (scheme, alpha, n, h, dt, error, observed_order)
-emitted as CSV or JSON; the report's ``meta["norm"]`` names the error quantity.
+An error report is plain rows (scheme, alpha, n, h, dt, error, observed_order)
+and a ``meta`` dict, whose ``meta["norm"]`` names the error quantity; the CLI
+writes both as CSV or JSON, in these field names and this order.
 Observed orders on a row are the log-ratio against the previous row of the
 same chain; ``observed_order`` computes the least-squares slope over a whole
 chain.
@@ -9,9 +10,8 @@ chain.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .reference import principal_eigenvalue
 from .specfun import gamma
 from .weights import MAX_N, Scheme, check_alpha
 
-CSV_HEADER = "scheme,alpha,n,h,dt,error,observed_order"
 TINY = np.finfo(float).tiny  # below it a grid or factor has lost its precision to underflow
 # Largest eigen-chain error/decay still read as spatial. At alpha 1.5, n 8,16 it reads 0.081/0.031
 # at t_final 1, 2.10/0.44 at 10 and 2.2e11 at 150 (order 25.6); tier-1 chains reach 0.035.
@@ -58,22 +57,6 @@ class ErrorReport:
     def overall_order(self, scheme: Scheme | str) -> float:
         return observed_order(self.chain(scheme))
 
-    def to_csv(self) -> str:
-        lines = [f"# {json.dumps(self.meta, sort_keys=True)}", CSV_HEADER]
-        for r in self.rows:
-            oo = "" if r.observed_order is None else repr(r.observed_order)
-            lines.append(
-                f"{r.scheme},{r.alpha!r},{r.n},{r.h!r},{r.dt!r},{r.error!r},{oo}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"meta": self.meta, "rows": [asdict(r) for r in self.rows]},
-            sort_keys=True,
-            indent=2,
-        )
-
 
 def error_norms(u: GridFunction, ref: GridFunction) -> dict[str, float]:
     """Sup and L1 error of u against a finer-grid reference.
@@ -83,6 +66,8 @@ def error_norms(u: GridFunction, ref: GridFunction) -> dict[str, float]:
     """
     if ref.n < u.n:
         raise DomainError("reference grid must be at least as fine")
+    if ref.alpha != u.alpha:
+        raise DomainError(f"alpha mismatch: grid alpha={u.alpha!r}, reference alpha={ref.alpha!r}")
     diff = np.abs(u.values - from_grid(ref.values, ref.alpha)(u.x))
     return {"sup": float(diff.max()), "L1": float(u.h * diff.sum())}
 

@@ -10,11 +10,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .weights import check_alpha
 
 
 @dataclass(frozen=True)
 class PowerInterpolant:
-    """Interpolant of y_0..y_{n+1} on the uniform grid x_i = i*h, h = 1/(n+1).
+    """Interpolant of y_0..y_{n+1} on the uniform grid x_i = i*h, h = 1/(n+1), for alpha in (1, 2].
 
     y_0 = 0 always; y_{n+1} = 0 for Dirichlet data, free when interpolating
     data that need not vanish at x = 1.
@@ -25,6 +26,7 @@ class PowerInterpolant:
     y: np.ndarray = field(repr=False)  # length n+2 including boundaries
 
     def __post_init__(self):
+        check_alpha(self.alpha)
         if len(self.y) != self.n + 2:
             raise DomainError(f"need n+2 = {self.n + 2} values, got {len(self.y)}")
         if self.y[0] != 0.0:

@@ -93,6 +93,8 @@ def apply(op: OperatorMatrix, u: GridFunction) -> GridFunction:
     """Matrix-vector product v = M_h u using the Toeplitz structure, O(n^2)."""
     if u.n != op.n:
         raise DomainError(f"dimension mismatch: operator n={op.n}, grid n={u.n}")
+    if u.alpha != op.alpha:
+        raise DomainError(f"alpha mismatch: operator alpha={op.alpha!r}, grid alpha={u.alpha!r}")
     w = op.weights.w
     n = op.n
     v = np.convolve(w[1 : n + 1], u.values)[:n]

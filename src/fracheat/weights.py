@@ -105,8 +105,10 @@ def resubstitution_residual(ws: WeightSequence) -> float:
     """Max-norm residual of the defining system when the weights are re-substituted.
 
     Convolving w with (1, 2^(alpha-1), ..., (N+1)^(alpha-1)) must reproduce
-    (Gamma(alpha), 0, ..., 0). Only meaningful for the new scheme.
+    (Gamma(alpha), 0, ..., 0). Defined for the new scheme only.
     """
+    if ws.scheme is not Scheme.NEW:
+        raise DomainError("resubstitution_residual is defined for the new scheme only")
     w = ws.w
     n = ws.n_max
     p = np.arange(1, n + 2, dtype=float) ** (ws.alpha - 1.0)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import child_env
+import scipy.linalg
 from scipy.linalg import solve_banded, solve_triangular
 
 from fracheat import (
@@ -19,6 +20,7 @@ from fracheat import (
     Scheme,
     build_operator,
     closed_form_inverse,
+    evolution,
     evolve,
     factorize,
     initial_grid,
@@ -161,7 +163,7 @@ class TestStep:
             f.solve(np.ones(n))
 
     @pytest.mark.parametrize("n", [3, 50, 400, LAST_DENSE, FIRST_FFT, 3200])
-    def test_lu_holds_tail_arrays_only_with_a_tail(self, n):
+    def test_held_bytes_by_representation(self, n):
         # below FFT_MIN_N the LU holds n^2 + 2n doubles, all of L and U's band;
         # from it on, at tau = 1, the Toeplitz factorization holds U's band (2n),
         # r (n + 1), s (n) and the spectrum of h (fft_len/2 + 1 complex)
@@ -266,6 +268,23 @@ class TestLapackLoader:
             """
         )
 
+    def test_fallback_returns_the_packages_module(self, monkeypatch):
+        # a finder that finds no extension file sends the loader to scipy.linalg
+        class Blind:
+            def __init__(self, path, *loaders):
+                pass
+
+            def find_spec(self, name):
+                asked.append(name)
+
+        asked = []
+        monkeypatch.setattr(evolution, "FileFinder", Blind)
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        module = evolution._load_flapack()
+        assert asked == ["scipy.linalg._flapack"]
+        assert module is scipy.linalg._flapack
+        assert module.dtrtrs is evolution._trtrs and module.dtbtrs is evolution._tbtrs
+
     def test_fallback_through_scipy_linalg_solves_the_same(self, tmp_path):
         # a finder that knows no extension suffix sends the loader through
         # scipy.linalg; the import system's own finders keep theirs
@@ -335,13 +354,14 @@ class TestResolvent:
         with pytest.raises(DomainError, match="operator n=8, grid n=9"):
             resolvent_apply(op, 1.0, grid(1.5, 9, np.zeros(9)))
 
+    def test_rejects_grid_of_another_alpha(self):
+        op = build_operator(1.4, 8)
+        with pytest.raises(DomainError, match="operator alpha=1.4, grid alpha=1.9"):
+            resolvent_apply(op, 1.0, grid(1.9, 8, np.zeros(8)))
 
-class TestGohbergSemencul:
-    """The n >= FFT_MIN_N solver, the Toeplitz factorization, against dense and closed-form oracles.
 
-    The class keeps the name of the Gohberg-Semencul solver it first tested,
-    so that its test ids stay put.
-    """
+class TestToeplitzFactorization:
+    """The n >= FFT_MIN_N solver against dense and closed-form oracles."""
 
     @pytest.mark.parametrize("n", [FIRST_FFT, 3200])
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])

@@ -10,6 +10,7 @@ from fracheat import (
     ErrorRow,
     GridFunction,
     Scheme,
+    cli,
     eigen_decay_study,
     error_norms,
     figure1_comparison,
@@ -62,6 +63,11 @@ class TestErrorNorms:
         with pytest.raises(DomainError):
             error_norms(u, ref)
 
+    def test_rejects_reference_of_another_alpha(self):
+        # read through the reference's own interpolant, ones against ones would read 0
+        with pytest.raises(DomainError, match="grid alpha=1.4, reference alpha=1.8"):
+            error_norms(grid(1.4, 9, np.ones(9)), grid(1.8, 39, np.ones(39)))
+
 
 class TestObservedOrder:
     def test_exact_power_law(self):
@@ -94,8 +100,14 @@ class TestErrorReport:
             np.log(1e-2 / 3.5e-3) / np.log(2.0)
         )
 
-    def test_csv_shape(self):
-        text = self._report().to_csv()
+    def _written(self, fmt, monkeypatch, capsys):
+        """The demo report as the CLI writes a study's report."""
+        monkeypatch.setattr(cli, "operator_consistency_study", lambda alpha, n_list: self._report())
+        assert cli.main(["consistency", "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    def test_csv_shape(self, monkeypatch, capsys):
+        text = self._written("csv", monkeypatch, capsys)
         lines = text.strip().split("\n")
         assert lines[0] == '# {"study": "demo"}'
         assert lines[1] == CSV_HEADER
@@ -105,8 +117,8 @@ class TestErrorReport:
         assert float(first[5]) == 1e-2
         assert first[6] == ""  # no observed order on the first row
 
-    def test_json_round_trip(self):
-        data = json.loads(self._report().to_json())
+    def test_json_round_trip(self, monkeypatch, capsys):
+        data = json.loads(self._written("json", monkeypatch, capsys))
         assert data["meta"]["study"] == "demo"
         assert len(data["rows"]) == 3
         assert data["rows"][1]["observed_order"] == 1.5

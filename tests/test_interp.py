@@ -146,6 +146,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             PowerInterpolant(alpha=1.5, n=3, y=np.array([1.0, 0, 0, 0, 0]))
 
+    @pytest.mark.parametrize("alpha", [1.0, np.nan, 3.0])
+    def test_rejects_alpha_outside_one_two(self, alpha):
+        # unchecked, these read nan at 0.55, nan at 0.05 and 0.25 at 0.05
+        with pytest.raises(DomainError, match="alpha must be in"):
+            from_grid(np.ones(9), alpha)
+
 
 class TestLargeCellStability:
     def test_no_cancellation_blowup_far_right(self):

@@ -106,6 +106,11 @@ class TestApply:
         with pytest.raises(DomainError):
             apply(op, grid(1.4, 8, np.zeros(8)))
 
+    def test_alpha_mismatch(self):
+        op = build_operator(1.4, 8)
+        with pytest.raises(DomainError, match="operator alpha=1.4, grid alpha=1.9"):
+            apply(op, grid(1.9, 8, np.zeros(8)))
+
 
 class TestExactnessResidual:
     @pytest.mark.parametrize("alpha,n,tol", [(1.4, 512, 1e-9), (1.9, 64, 1e-9), (2.0, 512, 1e-12)])

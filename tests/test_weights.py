@@ -37,6 +37,10 @@ class TestNewWeights:
             ws = new_weights(alpha, 2048)
             assert resubstitution_residual(ws) <= 1e-10 * gamma(alpha)
 
+    def test_resubstitution_refuses_grunwald(self):
+        with pytest.raises(DomainError, match="new scheme only"):
+            resubstitution_residual(grunwald_weights(1.5, 50))
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             new_weights(1.0, 16)
