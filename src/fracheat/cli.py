@@ -43,6 +43,14 @@ def int_list(text: str) -> tuple[int, ...]:
     return sizes
 
 
+# --ic: each name's initial condition, built from the run's options
+_ICS = {
+    "gaussian": lambda cfg: GaussianIC(mu=cfg.mu, sigma2=cfg.sigma2),
+    "eigen": lambda cfg: EigenfunctionIC(),
+    "power": lambda cfg: PowerLawIC(a=cfg.power_a, b=cfg.power_b),
+}
+
+
 # reads: the runs that read the option, each a command or "command:ic" (only with that --ic)
 def _option(default, type, reads=COMMANDS, choices=None, help=None):
     return field(default=default, metadata={"reads": reads, "type": type, "choices": choices, "help": help})
@@ -62,7 +70,7 @@ class RunConfig:
     dt: Optional[float] = _option(None, finite_float, ("solve",))
     t_final: float = _option(0.01, finite_float, ("solve", "converge", "compare"))
     scheme: Scheme = _option(Scheme.NEW, Scheme, ("weights", "solve", "converge"), [s.value for s in Scheme])
-    ic: str = _option("gaussian", str, ("solve",), ["gaussian", "eigen", "power"])
+    ic: str = _option("gaussian", str, ("solve",), list(_ICS))
     mu: float = _option(0.4, finite_float, ("solve:gaussian", "compare"))
     sigma2: float = _option(0.0005, finite_float, ("solve:gaussian", "compare"))
     power_a: float = _option(1.0, finite_float, ("solve:power",))
@@ -169,18 +177,10 @@ def _run_eigen(cfg: RunConfig) -> Iterable[str]:
     return [_csv(_echo(cfg), ("alpha", "c", "series_terms"), [(pair.alpha, pair.c, pair.series_terms)])]
 
 
-def _ic_of(cfg: RunConfig):
-    if cfg.ic == "gaussian":
-        return GaussianIC(mu=cfg.mu, sigma2=cfg.sigma2)
-    if cfg.ic == "eigen":
-        return EigenfunctionIC()
-    return PowerLawIC(a=cfg.power_a, b=cfg.power_b)
-
-
 def _run_solve(cfg: RunConfig) -> Iterable[str]:
     n = cfg.n if cfg.n is not None else 100
     econf = EvolutionConfig(
-        alpha=cfg.alpha, n=n, t_final=cfg.t_final, scheme=cfg.scheme, dt=cfg.dt, ic=_ic_of(cfg)
+        alpha=cfg.alpha, n=n, t_final=cfg.t_final, scheme=cfg.scheme, dt=cfg.dt, ic=_ICS[cfg.ic](cfg)
     )
     states = iter_states(econf)
     if cfg.format == "json":

@@ -35,17 +35,22 @@ from .weights import MAX_N, Scheme, check_alpha, reciprocal_series
 
 
 # ---------------------------------------------------------------------------
-# initial-condition descriptors
+# initial-condition descriptors: ic(alpha, x) is the data at the nodes x
 
 @dataclass(frozen=True)
 class GaussianIC:
     mu: float = 0.4
     sigma2: float = 0.0005
 
+    def __call__(self, alpha: float, x: np.ndarray) -> np.ndarray:
+        return gaussian_ic(x, self.mu, self.sigma2)
+
 
 @dataclass(frozen=True)
 class EigenfunctionIC:
-    pass
+    def __call__(self, alpha: float, x: np.ndarray) -> np.ndarray:
+        c = principal_eigenvalue(alpha).c
+        return np.array([eigenfunction_u_c(alpha, c, xi) for xi in x])
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,9 @@ class PowerLawIC:
 
     a: float = 1.0
     b: float = 0.0
+
+    def __call__(self, alpha: float, x: np.ndarray) -> np.ndarray:
+        return self.a * x ** (alpha - 1.0) + self.b * x ** (2.0 * alpha - 1.0)
 
 
 InitialCondition = Union[GaussianIC, EigenfunctionIC, PowerLawIC]
@@ -85,6 +93,8 @@ class EvolutionConfig:
             raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         if self.dt is not None and self.t_final > 0.0 and self.dt > self.t_final:
             raise DomainError(f"dt={self.dt!r} must not exceed t_final={self.t_final!r}")
+        if not isinstance(self.ic, InitialCondition):
+            raise DomainError(f"unknown initial condition {self.ic!r}")
         dt = self.h**self.alpha if self.dt is None else self.dt
         steps = step_count(self.t_final, dt) if self.t_final > 0.0 else 0
         object.__setattr__(self, "steps", steps)
@@ -154,7 +164,7 @@ class LUFactorization:
     where a zero pivot raises NumericalError.
     """
 
-    n: int
+    op: OperatorMatrix  # the operator whose shift this factors
     lower: np.ndarray = field(repr=False)   # n x n unit-lower-triangular L, C order
     banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order: superdiag + pivots
 
@@ -179,7 +189,7 @@ class ToeplitzFactorization:
     points, a dot and an axpy, with results of b >= 0 projected onto v >= 0.
     """
 
-    n: int
+    op: OperatorMatrix  # the operator whose shift this factors
     fft_len: int
     band: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order: -z0 above the unit diagonal
     spectrum: np.ndarray = field(repr=False)  # rfft of h, fft_len points
@@ -189,7 +199,7 @@ class ToeplitzFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         size = self.fft_len
         y = _checked(*_tbtrs(self.band, b, diag="U"))  # U^-1 b, into a copy of b
-        x = np.fft.irfft(self.spectrum * np.fft.rfft(y, size), size)[: self.n + 1]
+        x = np.fft.irfft(self.spectrum * np.fft.rfft(y, size), size)[: self.op.n + 1]
         return _clip_negative(x[:-1] + self.s * (self.r @ x), b)
 
 
@@ -300,7 +310,7 @@ def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFa
         h = -np.concatenate(([0.0], g[:-1])) / tau
         r = np.zeros(n + 1)
         r[n] = 1.0
-        return ToeplitzFactorization(n, size, band, np.fft.rfft(h, size), r, -g[:-1] / g[n])
+        return ToeplitzFactorization(op, size, band, np.fft.rfft(h, size), r, -g[:-1] / g[n])
     p = -tau * op.weights.w[: n + 1]
     p[1] += sigma
     z0, q = _symbol_root(p)
@@ -309,7 +319,7 @@ def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFa
     r = np.concatenate(([0.0], q[:0:-1], [0.0]))
     u = np.fft.irfft(spectrum * np.fft.rfft(z0 ** np.arange(n - 1.0, -1.0, -1.0), size), size)[:n]
     s = z0 * u / (1.0 - z0 * (r[:n] @ u))  # (U T(q))^-1 e_{n-1} = T(1/q) U^-1 e_{n-1} = u
-    return ToeplitzFactorization(n, size, band, spectrum, r, s)
+    return ToeplitzFactorization(op, size, band, spectrum, r, s)
 
 
 def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorization:
@@ -337,7 +347,7 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
         m = col[1:] / piv
         lower[j + 1 :, j] = m
         col = base[: n - 1 - j] - m * sup
-    return LUFactorization(n, lower, banded)
+    return LUFactorization(op, lower, banded)
 
 
 def factorize(op: OperatorMatrix, dt: float) -> Factorization:
@@ -348,22 +358,15 @@ def factorize(op: OperatorMatrix, dt: float) -> Factorization:
 
 
 def step(f: Factorization, u: GridFunction) -> GridFunction:
-    """One backward-Euler step: solve (I - dt*M_h) v = u."""
-    if u.n != f.n:
-        raise DomainError(f"dimension mismatch: factorization n={f.n}, grid n={u.n}")
-    return GridFunction(alpha=u.alpha, n=u.n, values=f.solve(u.values))
+    """Solve f's A v = u, for f = factorize(op, dt) one backward-Euler step; refuses a grid not of f's operator."""
+    return GridFunction(alpha=u.alpha, n=u.n, values=f.solve(f.op.fit(u)))
 
 
 def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunction:
-    """Solve (lam*I - M_h) v = g for lam >= 0; lam = 0 is the negative inverse."""
+    """Solve (lam*I - M_h) v = g for lam >= 0 (lam = 0: the negative inverse) by a step on its own factorization."""
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"resolvent parameter must be finite and >= 0, got {lam!r}")
-    if g.n != op.n:
-        raise DomainError(f"dimension mismatch: operator n={op.n}, grid n={g.n}")
-    if g.alpha != op.alpha:
-        raise DomainError(f"alpha mismatch: operator alpha={op.alpha!r}, grid alpha={g.alpha!r}")
-    f = _factor_shifted(op, lam, 1.0 / op.h**op.alpha)
-    return GridFunction(alpha=op.alpha, n=op.n, values=f.solve(g.values))
+    return step(_factor_shifted(op, lam, 1.0 / op.h**op.alpha), g)
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +397,7 @@ def step_count(t_final: float, dt: float) -> int:
 def initial_grid(cfg: EvolutionConfig) -> GridFunction:
     """Sample the configured initial condition at the interior nodes."""
     x = np.arange(1, cfg.n + 1) * cfg.h
-    ic = cfg.ic
-    if isinstance(ic, GaussianIC):
-        vals = gaussian_ic(x, ic.mu, ic.sigma2)
-    elif isinstance(ic, EigenfunctionIC):
-        pair = principal_eigenvalue(cfg.alpha)
-        vals = np.array([eigenfunction_u_c(cfg.alpha, pair.c, xi) for xi in x])
-    elif isinstance(ic, PowerLawIC):
-        vals = ic.a * x ** (cfg.alpha - 1.0) + ic.b * x ** (2.0 * cfg.alpha - 1.0)
-    else:
-        raise DomainError(f"unknown initial condition {ic!r}")
-    return GridFunction(alpha=cfg.alpha, n=cfg.n, values=vals)
+    return GridFunction(alpha=cfg.alpha, n=cfg.n, values=cfg.ic(cfg.alpha, x))
 
 
 def iter_states(cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:

@@ -74,12 +74,14 @@ def error_norms(u: GridFunction, ref: GridFunction) -> dict[str, float]:
 
 def observed_order(chain: Sequence[tuple[float, float]]) -> float:
     """Least-squares slope of log(error) vs log(h) over a refinement chain."""
-    if len(chain) < 2:
-        raise DomainError("observed_order needs at least 2 rows")
-    h = np.array([c[0] for c in chain])
-    e = np.array([c[1] for c in chain])
-    if np.any(e <= 0.0):
-        raise DomainError("observed order undefined for nonpositive errors")
+    h = np.array([c[0] for c in chain], dtype=float)
+    e = np.array([c[1] for c in chain], dtype=float)
+    if not (np.isfinite(h).all() and np.isfinite(e).all()):
+        raise DomainError("observed order undefined for non-finite h or errors")
+    if np.unique(h).size < 2:
+        raise DomainError("observed_order needs at least 2 rows of distinct h")
+    if np.any(h <= 0.0) or np.any(e <= 0.0):
+        raise DomainError("observed order undefined for nonpositive h or errors")
     return float(np.polyfit(np.log(h), np.log(e), 1)[0])
 
 

@@ -31,6 +31,8 @@ class PowerInterpolant:
             raise DomainError(f"need n+2 = {self.n + 2} values, got {len(self.y)}")
         if self.y[0] != 0.0:
             raise DomainError("left boundary value must be 0")
+        if not np.isfinite(self.y).all():
+            raise DomainError("interpolant values must be finite")
         self.y.setflags(write=False)
 
     @property

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import gamma
-from .weights import Scheme, WeightSequence, grunwald_weights, new_weights
+from .weights import Scheme, WeightSequence, check_alpha, grunwald_weights, new_weights
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,7 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_alpha(self.alpha)
         if len(self.values) != self.n:
             raise DomainError(
                 f"grid length {len(self.values)} does not match n={self.n}"
@@ -72,6 +73,14 @@ class OperatorMatrix:
     def h(self) -> float:
         return 1.0 / (self.n + 1)
 
+    def fit(self, u: GridFunction) -> np.ndarray:
+        """u's values, refused unless u is a grid of this operator's n and alpha."""
+        if u.n != self.n:
+            raise DomainError(f"dimension mismatch: operator n={self.n}, grid n={u.n}")
+        if u.alpha != self.alpha:
+            raise DomainError(f"alpha mismatch: operator alpha={self.alpha!r}, grid alpha={u.alpha!r}")
+        return u.values
+
     def dense(self) -> np.ndarray:
         """Densified n x n matrix; O(n^2) memory, for solvers and oracles only."""
         w = self.weights.w
@@ -91,14 +100,11 @@ def build_operator(alpha: float, n: int, scheme: Scheme = Scheme.NEW) -> Operato
 
 def apply(op: OperatorMatrix, u: GridFunction) -> GridFunction:
     """Matrix-vector product v = M_h u using the Toeplitz structure, O(n^2)."""
-    if u.n != op.n:
-        raise DomainError(f"dimension mismatch: operator n={op.n}, grid n={u.n}")
-    if u.alpha != op.alpha:
-        raise DomainError(f"alpha mismatch: operator alpha={op.alpha!r}, grid alpha={u.alpha!r}")
+    values = op.fit(u)
     w = op.weights.w
     n = op.n
-    v = np.convolve(w[1 : n + 1], u.values)[:n]
-    v[:-1] += w[0] * u.values[1:]  # superdiagonal; u_{n+1} = 0
+    v = np.convolve(w[1 : n + 1], values)[:n]
+    v[:-1] += w[0] * values[1:]  # superdiagonal; u_{n+1} = 0
     v /= op.h**op.alpha
     return GridFunction(alpha=op.alpha, n=n, values=v)
 

@@ -178,6 +178,6 @@ def continuous_inverse_apply(alpha: float, g: Callable[[np.ndarray], np.ndarray]
 
 def gaussian_ic(x, mu: float = 0.4, sigma2: float = 0.0005):
     """Gaussian density with mean mu and variance sigma2 (the Figure-1 data)."""
-    if sigma2 <= 0.0:
-        raise DomainError(f"sigma2 must be > 0, got {sigma2}")
+    if not (math.isfinite(mu) and 0.0 < sigma2 < math.inf):  # nan included
+        raise DomainError(f"Gaussian needs a finite mu and a finite sigma2 > 0, got mu={mu}, sigma2={sigma2}")
     return np.exp(-((x - mu) ** 2) / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)

@@ -708,6 +708,10 @@ class TestReadme:
         argv = shlex.split(line, comments=True)[1:]
         assert parse_config(argv).command == argv[0]
 
+    def test_python_example_runs(self, capsys):
+        exec("\n".join(readme_blocks("python")), {})
+        assert capsys.readouterr().out.startswith("[0.00497512 0.00995025 0.01492537]")
+
     def test_config_example_parses(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("\n".join(readme_blocks("ini")) + "\n")

@@ -158,7 +158,7 @@ class TestStep:
         n = 5
         banded = np.ones((2, n), order="F")
         banded[1, 2] = 0.0
-        f = LUFactorization(n=n, lower=np.eye(n), banded=banded)
+        f = LUFactorization(op=build_operator(1.5, n), lower=np.eye(n), banded=banded)
         with pytest.raises(NumericalError, match="info=3"):
             f.solve(np.ones(n))
 
@@ -199,6 +199,18 @@ class TestStep:
         f = factorize(op, 1e-3)
         with pytest.raises(DomainError):
             step(f, grid(1.5, 8, np.zeros(8)))
+
+    @pytest.mark.parametrize("n", [10, FIRST_FFT])
+    def test_alpha_guard(self, n):
+        # a factorization carries its operator, so a grid of another alpha is
+        # refused, not returned under its own label
+        op = build_operator(1.4, n)
+        f = factorize(op, 1e-3)
+        assert f.op is op
+        with pytest.raises(DomainError, match="operator alpha=1.4, grid alpha=1.9"):
+            step(f, grid(1.9, n, np.ones(n)))
+        with pytest.raises(DomainError, match=f"dimension mismatch: operator n={n}, grid n={n + 1}"):
+            step(f, grid(1.4, n + 1, np.ones(n + 1)))
 
 
 def run_child(code: str, *args: str) -> str:
@@ -299,6 +311,14 @@ class TestLapackLoader:
 
 
 class TestResolvent:
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_grid_guard(self, lam):
+        op = build_operator(1.4, 8)
+        with pytest.raises(DomainError, match="operator alpha=1.4, grid alpha=1.9"):
+            resolvent_apply(op, lam, grid(1.9, 8, np.ones(8)))
+        with pytest.raises(DomainError, match="dimension mismatch: operator n=8, grid n=9"):
+            resolvent_apply(op, lam, grid(1.4, 9, np.ones(9)))
+
     def test_lambda_zero_is_negative_inverse(self):
         rng = np.random.default_rng(6)
         n = 64
@@ -501,7 +521,7 @@ class TestToeplitzFactorization:
     def test_size_rule(self):
         for n, kind in ((FFT_MIN_N - 1, LUFactorization), (FFT_MIN_N, ToeplitzFactorization)):
             f = factorize(build_operator(1.4, n), 1e-3)
-            assert isinstance(f, kind) and f.n == n
+            assert isinstance(f, kind) and f.op.n == n
 
     def test_factorization_is_small(self):
         op = build_operator(1.4, 3200)
@@ -559,10 +579,15 @@ class TestInitialGrid:
         x = np.arange(1, 10) / 10.0
         np.testing.assert_allclose(u0.values, 2.0 * x**0.5 - x**2.0, atol=1e-14)
 
+    def test_rejects_a_gaussian_mean_at_infinity(self):
+        # unchecked, evolve read all zeros
+        cfg = EvolutionConfig(alpha=1.5, n=9, t_final=0.01, ic=GaussianIC(mu=math.inf))
+        with pytest.raises(DomainError, match="got mu=inf"):
+            evolve(cfg)
+
     def test_rejects_unknown_initial_condition(self):
-        cfg = EvolutionConfig(alpha=1.5, n=9, t_final=0.01, ic="gaussian")
         with pytest.raises(DomainError, match="unknown initial condition 'gaussian'"):
-            initial_grid(cfg)
+            EvolutionConfig(alpha=1.5, n=9, t_final=0.01, ic="gaussian")
 
 
 class TestEvolve:

@@ -80,6 +80,28 @@ class TestObservedOrder:
         with pytest.raises(DomainError):
             observed_order([(0.1, 1.0), (0.05, 0.0)])
 
+    def test_refuses_a_chain_of_one_h(self):
+        # unchecked, this read 0.075 with a RankWarning
+        with pytest.raises(DomainError, match="2 rows of distinct h"):
+            observed_order([(0.1, 1.0), (0.1, 0.5)])
+
+    @pytest.mark.parametrize("h", [0.0, -0.1])
+    def test_refuses_a_nonpositive_h(self, h):
+        # unchecked, numpy's polyfit raised LinAlgError on log(h)
+        with pytest.raises(DomainError, match="nonpositive h"):
+            observed_order([(h, 1.0), (0.05, 0.5)])
+
+    def test_refuses_a_nonfinite_h(self):
+        # unchecked, numpy's polyfit raised LinAlgError
+        with pytest.raises(DomainError, match="non-finite"):
+            observed_order([(0.1, 1.0), (np.nan, 0.5), (0.025, 0.25)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_a_nonfinite_error(self, bad):
+        # unchecked, a nan error read as order nan
+        with pytest.raises(DomainError, match="non-finite"):
+            observed_order([(0.1, 1.0), (0.05, bad)])
+
 
 class TestErrorReport:
     def _report(self):

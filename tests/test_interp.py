@@ -146,6 +146,16 @@ class TestValidation:
         with pytest.raises(DomainError):
             PowerInterpolant(alpha=1.5, n=3, y=np.array([1.0, 0, 0, 0, 0]))
 
+    def test_rejects_nonfinite_grid_values(self):
+        # unchecked, this reads inf at 0.5
+        with pytest.raises(DomainError, match="must be finite"):
+            from_grid(np.array([1.0, np.inf, 2.0]), 1.5)
+
+    def test_rejects_nan_in_y(self):
+        # unchecked, this reads nan in the cells next to the nan
+        with pytest.raises(DomainError, match="must be finite"):
+            PowerInterpolant(alpha=1.5, n=3, y=np.array([0.0, 1.0, np.nan, 1.0, 0.0]))
+
     @pytest.mark.parametrize("alpha", [1.0, np.nan, 3.0])
     def test_rejects_alpha_outside_one_two(self, alpha):
         # unchecked, these read nan at 0.55, nan at 0.05 and 0.25 at 0.05

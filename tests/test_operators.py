@@ -155,6 +155,12 @@ class TestGridFunction:
         with pytest.raises(DomainError):
             grid(1.5, 4, [0.0, 1.0])
 
+    @pytest.mark.parametrize("alpha", [1.0, np.nan, 3.0])
+    def test_rejects_alpha_outside_one_two(self, alpha):
+        # unchecked, a nan grid constructs and two of them read as an alpha mismatch
+        with pytest.raises(DomainError, match="alpha must be in"):
+            grid(alpha, 3, np.ones(3))
+
     def test_norms(self):
         g = grid(1.5, 3, [1.0, -2.0, 0.5])
         assert g.sup_norm() == 2.0

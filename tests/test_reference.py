@@ -349,3 +349,15 @@ class TestGaussianIC:
     def test_rejects_bad_variance(self):
         with pytest.raises(DomainError):
             gaussian_ic(np.array([0.5]), sigma2=0.0)
+
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+    def test_rejects_nonfinite_variance(self, sigma2):
+        # unchecked, nan passed `sigma2 <= 0` and read nan on every node, and inf read 0.0
+        with pytest.raises(DomainError, match="needs a finite mu and a finite sigma2 > 0"):
+            gaussian_ic(np.array([0.5]), 0.4, sigma2)
+
+    @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_mean(self, mu):
+        # unchecked, mu = inf read 0.0 on every node
+        with pytest.raises(DomainError, match="needs a finite mu and a finite sigma2 > 0"):
+            gaussian_ic(np.array([0.5]), mu)
