@@ -71,10 +71,10 @@ class RunConfig:
     t_final: float = _option(0.01, finite_float, ("solve", "converge", "compare"))
     scheme: Scheme = _option(Scheme.NEW, Scheme, ("weights", "solve", "converge"), [s.value for s in Scheme])
     ic: str = _option("gaussian", str, ("solve",), list(_ICS))
-    mu: float = _option(0.4, finite_float, ("solve:gaussian", "compare"))
-    sigma2: float = _option(0.0005, finite_float, ("solve:gaussian", "compare"))
-    power_a: float = _option(1.0, finite_float, ("solve:power",))
-    power_b: float = _option(0.0, finite_float, ("solve:power",))
+    mu: float = _option(GaussianIC.mu, finite_float, ("solve:gaussian", "compare"))
+    sigma2: float = _option(GaussianIC.sigma2, finite_float, ("solve:gaussian", "compare"))
+    power_a: float = _option(PowerLawIC.a, finite_float, ("solve:power",))
+    power_b: float = _option(PowerLawIC.b, finite_float, ("solve:power",))
     out: Optional[str] = _option(None, str)
     format: str = _option("csv", str, choices=["csv", "json"])
 
@@ -182,23 +182,24 @@ def _run_solve(cfg: RunConfig) -> Iterable[str]:
     econf = EvolutionConfig(
         alpha=cfg.alpha, n=n, t_final=cfg.t_final, scheme=cfg.scheme, dt=cfg.dt, ic=_ICS[cfg.ic](cfg)
     )
-    states = iter_states(econf)
-    if cfg.format == "json":
-        times, grids = zip(*states)
-        u = [list(g.values) for g in grids]
-        return _json({"t": list(times), "x": list(grids[0].x), "u": u})
-    return _csv_rows(_csv(_echo(cfg), ("t", "x", "u"), ()), states)
+    return _solve_chunks(cfg, econf, iter_states(econf))
 
 
-def _csv_rows(header: str, states: Iterable[tuple[float, GridFunction]]) -> Iterator[str]:
-    """The header, then one chunk of ``t,x,u`` rows per state, as the states are read."""
-    yield header
-    xs = None
-    for t, u in states:
-        if xs is None:
-            xs = [f",{xi!r}," for xi in u.x.tolist()]
+def _solve_chunks(cfg: RunConfig, econf: EvolutionConfig, states: Iterator[tuple[float, GridFunction]]) -> Iterator[str]:
+    """One chunk per state, as it is read: its ``t,x,u`` rows after the CSV header, or its row of the JSON
+    ``u``, in the bytes of json.dumps(sort_keys=True): ``t`` (t_k = k*step_dt) first, then ``u``, then ``x``."""
+    if as_json := cfg.format == "json":
+        yield from (('{"t": [' if k == 0 else ", ") + repr(k * econf.step_dt) for k in range(econf.steps + 1))
+    yield '], "u": [' if as_json else _csv(_echo(cfg), ("t", "x", "u"), ())
+    for k, (t, u) in enumerate(states):
+        if as_json:  # a finite float as repr, as json.dumps writes it
+            yield ("[" if k == 0 else ", [") + ", ".join(map(repr, u.values.tolist())) + "]"
+            continue
+        xs = xs if k else [f",{xi!r}," for xi in u.x.tolist()]
         tt = repr(t)
         yield "".join([f"{tt}{xi}{ui!r}\n" for xi, ui in zip(xs, u.values.tolist())])
+    if as_json:
+        yield f'], "x": [{", ".join(map(repr, u.x.tolist()))}]}}'
 
 
 def _run_study(cfg: RunConfig) -> Iterable[str]:

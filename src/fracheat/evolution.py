@@ -366,6 +366,7 @@ def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunc
     """Solve (lam*I - M_h) v = g for lam >= 0 (lam = 0: the negative inverse) by a step on its own factorization."""
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"resolvent parameter must be finite and >= 0, got {lam!r}")
+    op.fit(g)  # a grid of another n or alpha is refused before the factorization
     return step(_factor_shifted(op, lam, 1.0 / op.h**op.alpha), g)
 
 

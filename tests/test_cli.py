@@ -619,10 +619,12 @@ class TestSolveOutput:
     def test_pinned_digest(self, flags, tmp_path, capsys):
         assert_digest(["solve", *flags.split()], SOLVE_DIGESTS[flags], tmp_path, capsys)
 
-    def test_rows_stream_in_small_memory(self, tmp_path):
-        # 2,000 steps at n = 64: 128,064 rows, 6.47 MB of CSV written as it is computed
-        path = tmp_path / "solve.csv"
-        argv = ["solve", "--alpha", "1.5", "--n", "64", "--t-final", "0.05", "--dt", "2.5e-5"]
+    @pytest.mark.parametrize("fmt, min_size", [("csv", 6_000_000), ("json", 2_500_000)], ids=["csv", "json"])
+    def test_rows_stream_in_small_memory(self, fmt, min_size, tmp_path):
+        # 2,000 steps at n = 64 written as they are computed: 128,064 CSV rows
+        # (6.47 MB), or 2,001 rows of the JSON "u" (2.67 MB)
+        path = tmp_path / f"solve.{fmt}"
+        argv = ["solve", "--alpha", "1.5", "--n", "64", "--t-final", "0.05", "--dt", "2.5e-5", "--format", fmt]
         tracemalloc.start()
         try:
             assert main(argv + ["--out", str(path)]) == 0
@@ -630,8 +632,24 @@ class TestSolveOutput:
         finally:
             tracemalloc.stop()
         size = path.stat().st_size
-        assert size > 6_000_000
+        assert size > min_size
         assert peak < 0.25 * size, f"tracemalloc peak {peak} B for {size} B of output"
+
+    def test_json_holds_the_csv_columns(self, capsys):
+        # the Toeplitz path, where no digest pins the output: 4 steps at n = FFT_MIN_N
+        n = evolution.FFT_MIN_N
+        argv = ["solve", "--alpha", "1.3", "--n", str(n), "--t-final", "0.001", "--dt", "0.00025"]
+        code, csv_out, _ = run_main(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        code, json_out, _ = run_main(argv + ["--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(json_out)
+        rows = [[float(v) for v in line.split(",")] for line in csv_out.splitlines()[2:]]
+        t, x, u = (list(col) for col in zip(*rows))
+        assert len(doc["t"]) == len(doc["u"]) == 5
+        assert doc["t"] == t[::n]
+        assert doc["x"] == x[:n] and x == doc["x"] * 5
+        assert [v for row in doc["u"] for v in row] == u
 
 
 class TestCommandOutput:

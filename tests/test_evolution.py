@@ -369,12 +369,21 @@ class TestResolvent:
         with pytest.raises(DomainError, match=f"got {lam!r}"):
             resolvent_apply(op, lam, grid(1.5, 8, np.zeros(8)))
 
-    def test_rejects_grid_of_another_size(self):
+    @pytest.fixture
+    def unfactored(self, monkeypatch):
+        """A grid that resolvent_apply refuses is refused before lam*I - M_h is factored."""
+
+        def factor(*args):
+            raise AssertionError("factored before the grid was checked")
+
+        monkeypatch.setattr(evolution, "_factor_shifted", factor)
+
+    def test_rejects_grid_of_another_size(self, unfactored):
         op = build_operator(1.5, 8)
         with pytest.raises(DomainError, match="operator n=8, grid n=9"):
             resolvent_apply(op, 1.0, grid(1.5, 9, np.zeros(9)))
 
-    def test_rejects_grid_of_another_alpha(self):
+    def test_rejects_grid_of_another_alpha(self, unfactored):
         op = build_operator(1.4, 8)
         with pytest.raises(DomainError, match="operator alpha=1.4, grid alpha=1.9"):
             resolvent_apply(op, 1.0, grid(1.9, 8, np.zeros(8)))
