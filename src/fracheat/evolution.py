@@ -21,12 +21,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 from typing import Iterator, Optional, Union
 
 import numpy as np
-import scipy
 
 from .errors import DomainError, NumericalError
 from .operators import GridFunction, OperatorMatrix, build_operator
@@ -112,10 +112,11 @@ def _load_flapack():
     # scipy's LAPACK extension loads alone in 5 ms, where importing the
     # scipy.linalg package took 0.28 s of every process's set-up (Python 3.11,
     # scipy 1.17, 2 vCPUs), most of it numpy.f2py, numpy.testing, numpy.ma and
-    # numpy.random. `import scipy` is cheap and runs its DLL set-up on Windows.
+    # numpy.random. `import scipy` takes about 15 ms and runs its DLL set-up on Windows.
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
+    import scipy
     loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
     spec = FileFinder(os.path.join(scipy.__path__[0], "linalg"), loaders).find_spec(name)
     if spec is None:  # no extension file there: the package knows where it is
@@ -129,11 +130,18 @@ def _load_flapack():
     return module
 
 
+def _bind(kernel: str, *args, **kwargs):
+    # the first solve through a stand-in below binds both kernels: a run that never factors skips scipy
+    global _trtrs, _tbtrs
+    flapack = _load_flapack()
+    _trtrs, _tbtrs = flapack.dtrtrs, flapack.dtbtrs
+    return getattr(flapack, kernel)(*args, **kwargs)
+
+
 # LAPACK's triangular solves, called directly: at n <= 400 the per-call checks and
 # copies of scipy's wrappers cost more than the flops. trtrs is solve_triangular's
 # kernel; tbtrs ends in the BLAS tbsv call solve_banded makes for U's band.
-_flapack = _load_flapack()
-_trtrs, _tbtrs = _flapack.dtrtrs, _flapack.dtbtrs
+_trtrs, _tbtrs = partial(_bind, "dtrtrs"), partial(_bind, "dtbtrs")
 
 # Grids with n >= FFT_MIN_N solve through the ToeplitzFactorization, smaller
 # ones through the dense LU. Median backward-Euler step in us, dense / Toeplitz,
@@ -358,8 +366,15 @@ def factorize(op: OperatorMatrix, dt: float) -> Factorization:
 
 
 def step(f: Factorization, u: GridFunction) -> GridFunction:
-    """Solve f's A v = u, for f = factorize(op, dt) one backward-Euler step; refuses a grid not of f's operator."""
-    return GridFunction(alpha=u.alpha, n=u.n, values=f.solve(f.op.fit(u)))
+    """Solve f's A v = u, for f = factorize(op, dt) one backward-Euler step; refuses a grid not of f's operator.
+
+    u's values are finite, so non-finite values of v are an overflow of the solve: NumericalError.
+    """
+    v = f.solve(f.op.fit(u))
+    try:
+        return GridFunction(alpha=u.alpha, n=u.n, values=v)
+    except DomainError:
+        raise NumericalError(f"step: the solve of a finite grid (n={u.n}) overflowed to non-finite values") from None
 
 
 def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunction:
@@ -398,7 +413,9 @@ def step_count(t_final: float, dt: float) -> int:
 def initial_grid(cfg: EvolutionConfig) -> GridFunction:
     """Sample the configured initial condition at the interior nodes."""
     x = np.arange(1, cfg.n + 1) * cfg.h
-    return GridFunction(alpha=cfg.alpha, n=cfg.n, values=cfg.ic(cfg.alpha, x))
+    with np.errstate(over="ignore", invalid="ignore"):  # GridFunction refuses what overflowed
+        values = cfg.ic(cfg.alpha, x)
+    return GridFunction(alpha=cfg.alpha, n=cfg.n, values=values)
 
 
 def iter_states(cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:

@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -445,6 +446,10 @@ class TestArgvFuzz:
             assert (code, out) == (2, ""), argv
 
 
+# power-law data of finite but extreme size, at the default alpha = 1.5
+POWER_OVERFLOW = ["--t-final", "1", "--dt", "0.5", "--ic", "power", "--power-a", "1e308", "--power-b", "1e308"]
+
+
 class TestExitCodes:
     def test_bad_alpha_is_usage_error(self, capsys):
         code, _, err = run_main(["eigen", "--alpha", "2.5"], capsys)
@@ -471,6 +476,21 @@ class TestExitCodes:
         code, out, err = run_main(["eigen"], capsys)
         assert (code, out) == (3, "")
         assert "fracheat: numerical error: injected" in err
+
+    def test_overflowing_step_is_numerical_error(self, capsys):
+        # valid data whose first L-solve overflows: the t = 0 state, then exit 3
+        code, out, err = run_main(["solve", "--n", "8", *POWER_OVERFLOW], capsys)
+        assert code == 3
+        rows = out.splitlines()[1:]
+        assert rows[0] == "t,x,u" and len(rows) == 9 and all(r.startswith("0.0,") for r in rows[1:])
+        assert err == "fracheat: numerical error: step: the solve of a finite grid (n=8) overflowed to non-finite values\n"
+
+    def test_overflowing_initial_condition_is_only_refused(self, capsys):
+        # the power law overflows at n = 1000: no numpy warning, the refusal alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(["solve", "--n", "1000", *POWER_OVERFLOW], capsys)
+        assert (code, out, err) == (2, "", "fracheat: usage error: grid values must be finite\n")
 
     def test_success(self, capsys):
         code, out, _ = run_main(["eigen", "--alpha", "2.0"], capsys)

@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,14 @@ class TestStep:
             np.testing.assert_array_equal(g.values, b)
             assert not np.shares_memory(v, g.values)
 
+    def test_overflowing_solve_is_numerical_error(self):
+        # finite data whose L-solve overflows, through step and through evolve
+        cfg = EvolutionConfig(alpha=1.5, n=8, t_final=1.0, dt=0.5, ic=PowerLawIC(a=1e308, b=1e308))
+        f = factorize(build_operator(1.5, 8), cfg.step_dt)
+        for run in (lambda: step(f, initial_grid(cfg)), lambda: evolve(cfg)):
+            with pytest.raises(NumericalError, match=r"finite grid \(n=8\) overflowed"):
+                run()
+
     def test_dimension_guard(self):
         op = build_operator(1.5, 16)
         f = factorize(op, 1e-3)
@@ -262,11 +271,32 @@ class TestLapackLoader:
         )
         assert out == "[]\n"
 
+    def test_runs_that_never_factor_import_no_scipy(self, tmp_path):
+        # the kernels bind at the first solve; import and these commands never factor
+        out = run_child(
+            """
+            import sys
+            import fracheat, fracheat.cli
+
+            def loaded():
+                return [m for m in ("scipy", "scipy.linalg._flapack") if m in sys.modules]
+
+            print("import", loaded())
+            for argv in (["eigen"], ["weights", "--n", "8"], ["consistency"], ["solve", "--n", "8", "--t-final", "0"]):
+                assert fracheat.cli.main([*argv, "--out", sys.argv[1]]) == 0, argv
+                print(argv[0], loaded())
+            """,
+            str(tmp_path / "out.csv"),
+        )
+        assert out == "import []\neigen []\nweights []\nconsistency []\nsolve []\n"
+
     def test_kernels_are_scipys_own(self):
         run_child(
             """
             import numpy as np
-            from fracheat import evolution
+            from fracheat import build_operator, evolution, factorize
+
+            factorize(build_operator(1.4, 8), 1e-3).solve(np.ones(8))  # the first solve binds the kernels
             import scipy.linalg
             from scipy.linalg import _flapack, get_lapack_funcs, solve_banded, solve_triangular
 
@@ -290,6 +320,7 @@ class TestLapackLoader:
                 asked.append(name)
 
         asked = []
+        factorize(build_operator(1.4, 8), 1e-3).solve(np.ones(8))  # the first solve binds the kernels
         monkeypatch.setattr(evolution, "FileFinder", Blind)
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         module = evolution._load_flapack()
@@ -395,19 +426,35 @@ class TestToeplitzFactorization:
     @pytest.mark.parametrize("n", [FIRST_FFT, 3200])
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
-    def test_step_matches_dense_solve(self, scheme, alpha, n):
-        # tau = 0.08, 10 and 1600 put the symbol's root near 0.07, 0.8 and 0.99
+    def test_step_matches_dense_solve(self, scheme, alpha, n, monkeypatch):
+        # tau = 0.08, 10 and 1600 put the symbol's root near 0.07, 0.8 and 0.99.
+        # The oracle is np.linalg.solve on op.dense() at n = FFT_MIN_N and for
+        # one case at n = 3200, where the pivot-free LU, forced past FFT_MIN_N,
+        # must agree with it too; the other n = 3200 cases read that LU (0.3 s
+        # against 2 s a case). Over all eight, the LU's worst error against
+        # np.linalg.solve read 2.2e-13 (new, alpha = 1.4) and the Toeplitz
+        # solve's against the LU 2.3e-13 (grunwald, alpha = 2)
         rng = np.random.default_rng(10)
         op = build_operator(alpha, n, scheme)
-        m = op.dense()
+        dense = n == FFT_MIN_N or (scheme, alpha) == (Scheme.NEW, 1.4)
+        m = op.dense() if dense else None
         b = np.column_stack([rng.standard_normal(n), rng.uniform(0.0, 1.0, n)])
         for tau in (0.08, 10.0, 1600.0):
             dt = tau * op.h**alpha
             f = factorize(op, dt)
             assert isinstance(f, ToeplitzFactorization)
-            a = m * -dt  # I - dt*M_h, one n x n temporary
-            a.flat[:: n + 1] += 1.0
-            want = np.linalg.solve(a, b)
+            with monkeypatch.context() as patched:
+                patched.setattr(evolution, "FFT_MIN_N", n + 1)
+                lu = factorize(op, dt)
+            assert isinstance(lu, LUFactorization)
+            want = np.column_stack([lu.solve(b[:, k]) for k in range(b.shape[1])])
+            if dense:
+                a = m * -dt  # I - dt*M_h, one n x n temporary
+                a.flat[:: n + 1] += 1.0
+                exact = np.linalg.solve(a, b)
+                err = np.abs(want - exact).max(0) / np.abs(exact).max(0)
+                assert np.all(err <= 1e-12), (tau, "lu", err)
+                want = exact
             for k in range(b.shape[1]):
                 got = step(f, grid(alpha, n, b[:, k])).values
                 err = np.abs(got - want[:, k]).max() / np.abs(want[:, k]).max()
@@ -593,6 +640,14 @@ class TestInitialGrid:
         cfg = EvolutionConfig(alpha=1.5, n=9, t_final=0.01, ic=GaussianIC(mu=math.inf))
         with pytest.raises(DomainError, match="got mu=inf"):
             evolve(cfg)
+
+    def test_overflowing_power_law_is_only_refused(self):
+        # the sum overflows at n = 1000: no numpy warning, the refusal alone
+        cfg = EvolutionConfig(alpha=1.5, n=1000, t_final=1.0, dt=0.5, ic=PowerLawIC(a=1e308, b=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="grid values must be finite"):
+                initial_grid(cfg)
 
     def test_rejects_unknown_initial_condition(self):
         with pytest.raises(DomainError, match="unknown initial condition 'gaussian'"):
