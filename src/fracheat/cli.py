@@ -15,13 +15,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .evolution import (
-    EigenfunctionIC,
-    EvolutionConfig,
-    GaussianIC,
-    PowerLawIC,
-    iter_states,
-)
+from .evolution import EigenfunctionIC, EvolutionConfig, GaussianIC, PowerLawIC, iter_states
 from .harness import ErrorRow, eigen_decay_study, figure1_comparison, operator_consistency_study
 from .operators import GridFunction
 from .reference import principal_eigenvalue

@@ -108,50 +108,49 @@ class EvolutionConfig:
 # ---------------------------------------------------------------------------
 # factorizations of A = sigma*I - tau*T
 
-def _load_flapack():
-    # scipy's LAPACK extension loads alone in 5 ms, where importing the
-    # scipy.linalg package took 0.28 s of every process's set-up (Python 3.11,
-    # scipy 1.17, 2 vCPUs), most of it numpy.f2py, numpy.testing, numpy.ma and
-    # numpy.random. `import scipy` takes about 15 ms and runs its DLL set-up on Windows.
-    name = "scipy.linalg._flapack"
+def _load_extension(name: str):
+    # scipy's extension module `name`, loaded from its file without importing its package:
+    # _flapack loads in 5 ms, where the scipy.linalg import took 0.28 s of every set-up (Python
+    # 3.11, scipy 1.17, 2 vCPUs), most of it numpy.f2py, numpy.testing, numpy.ma and numpy.random,
+    # and pypocketfft in 0.7 ms. `import scipy` takes about 15 ms and runs its DLL set-up on Windows.
     if name in sys.modules:
         return sys.modules[name]
     import scipy
+    package, _, module = name.rpartition(".")
     loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
-    spec = FileFinder(os.path.join(scipy.__path__[0], "linalg"), loaders).find_spec(name)
+    spec = FileFinder(os.path.join(scipy.__path__[0], *package.split(".")[1:]), loaders).find_spec(name)
     if spec is None:  # no extension file there: the package knows where it is
-        from scipy.linalg import _flapack
-        return _flapack
-    module = module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # the extension enters itself in sys.modules; without that entry a later
-    # `import scipy.linalg` binds it to its package, with the same kernels
+        return getattr(__import__(package, fromlist=[module]), module)
+    extension = module_from_spec(spec)
+    spec.loader.exec_module(extension)
+    # the extension may enter itself in sys.modules; without that entry a later
+    # import of its package binds it to the package, with the same kernels
     sys.modules.pop(name, None)
-    return module
+    return extension
 
 
-def _bind(kernel: str, *args, **kwargs):
-    # the first solve through a stand-in below binds both kernels: a run that never factors skips scipy
-    global _trtrs, _tbtrs
-    flapack = _load_flapack()
-    _trtrs, _tbtrs = flapack.dtrtrs, flapack.dtbtrs
-    return getattr(flapack, kernel)(*args, **kwargs)
+def _bind(name: str, kernel: str, *args, **kwargs):
+    # the first call through a stand-in below binds its extension's kernels: a run that never factors skips scipy
+    global _trtrs, _tbtrs, _r2c, _c2r, _good_size
+    extension = _load_extension(name)
+    if name == _FLAPACK:
+        _trtrs, _tbtrs = extension.dtrtrs, extension.dtbtrs
+    else:
+        _r2c, _c2r, _good_size = extension.r2c, extension.c2r, extension.good_size
+    return getattr(extension, kernel)(*args, **kwargs)
 
 
-# LAPACK's triangular solves, called directly: at n <= 400 the per-call checks and
-# copies of scipy's wrappers cost more than the flops. trtrs is solve_triangular's
-# kernel; tbtrs ends in the BLAS tbsv call solve_banded makes for U's band.
-_trtrs, _tbtrs = partial(_bind, "dtrtrs"), partial(_bind, "dtbtrs")
+# LAPACK's triangular solves and pocketfft's real FFT pair, called directly: at n <= 400 the per-call
+# checks and copies of scipy's wrappers cost more than the flops, and np.fft's pair takes 134 us at
+# 6,400 points to 103 (2 vCPUs). trtrs is solve_triangular's kernel; tbtrs ends in the BLAS tbsv call
+# solve_banded makes for U's band; r2c/c2r return numpy 2's np.fft.rfft/irfft bit for bit.
+_FLAPACK, _POCKETFFT = "scipy.linalg._flapack", "scipy.fft._pocketfft.pypocketfft"
+_trtrs, _tbtrs = partial(_bind, _FLAPACK, "dtrtrs"), partial(_bind, _FLAPACK, "dtbtrs")
+_r2c, _c2r, _good_size = (partial(_bind, _POCKETFFT, kernel) for kernel in ("r2c", "c2r", "good_size"))
 
-# Grids with n >= FFT_MIN_N solve through the ToeplitzFactorization, smaller
-# ones through the dense LU. Median backward-Euler step in us, dense / Toeplitz,
-# and the Toeplitz step's wins, over 15 interleaved runs of 200 steps at
-# alpha = 1.4 on a 2-vCPU host:
-#   n       400       500       550       600        650        700        750
-#   tau=1   33/53, 0  31/33, 0  35/36, 2  47/36, 15  58/40, 15  80/39, 15  105/43, 15
-#   tau=10  22/29, 0  32/33, 5  34/36, 0  47/36, 15  59/40, 15  82/40, 15  104/43, 15
-# The crossover lies between 550 and 600 (an earlier run without 550 agreed).
-# It keeps n <= 400, where `solve` prints values with repr, on dense arithmetic.
+# Grids with n >= FFT_MIN_N solve through the ToeplitzFactorization, smaller ones through
+# the dense LU. README's numerical notes time both steps from n = 400 to 750: they cross
+# between 500 and 600. It keeps n <= 400, where `solve` prints values with repr, on dense arithmetic.
 FFT_MIN_N = 600
 
 # An FFT solve of b >= 0 with an entry below -FFT_CLIP_C*eps*log2(n)*max(b) is
@@ -207,7 +206,7 @@ class ToeplitzFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         size = self.fft_len
         y = _checked(*_tbtrs(self.band, b, diag="U"))  # U^-1 b, into a copy of b
-        x = np.fft.irfft(self.spectrum * np.fft.rfft(y, size), size)[: self.op.n + 1]
+        x = _irfft(self.spectrum * _rfft(y, size), size)[: self.op.n + 1]
         return _clip_negative(x[:-1] + self.s * (self.r @ x), b)
 
 
@@ -238,25 +237,25 @@ def _clip_negative(v: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(v, 0.0, out=v)
 
 
-def _fft_len(m: int) -> int:
-    """The smallest 2^a 3^b 5^c >= m.
+def _rfft(a: np.ndarray, size: int) -> np.ndarray:
+    """np.fft.rfft(a, size) for a.size <= size: r2c of a zero-padded to size."""
+    padded = np.zeros(size)
+    padded[: a.size] = a
+    return _r2c(padded)
 
-    numpy's FFT is fast on such lengths and can be 10x slower on others: one
-    product at n = 3207 costs 2.2 ms at length 2n = 6414 = 2*3*1069 and
-    0.13 ms at 6480.
+
+def _irfft(spectrum: np.ndarray, size: int) -> np.ndarray:
+    """np.fft.irfft(spectrum, size): c2r with inorm=2, the 1/size that numpy applies."""
+    return _c2r(spectrum, lastsize=size, forward=False, inorm=2)
+
+
+def _fft_len(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m, pocketfft's good_size for real transforms.
+
+    pocketfft can be 10x slower on other lengths: one product at n = 3207 costs
+    2.2 ms at length 2n = 6414 = 2*3*1069 and 0.13 ms at 6480.
     """
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < m:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+    return _good_size(m, True)
 
 
 def _series_inverse(l: np.ndarray) -> np.ndarray:
@@ -271,9 +270,9 @@ def _series_inverse(l: np.ndarray) -> np.ndarray:
     while m < l.size:
         k = min(2 * m, l.size)
         size = _fft_len(k + m - 1)
-        fc = np.fft.rfft(c, size)
-        e = np.fft.irfft(np.fft.rfft(l[:k], size) * fc, size)[m:k]  # l*c - 1, past the m zeros
-        c = np.concatenate((c, -np.fft.irfft(fc * np.fft.rfft(e, size), size)[: k - m]))
+        fc = _rfft(c, size)
+        e = _irfft(_rfft(l[:k], size) * fc, size)[m:k]  # l*c - 1, past the m zeros
+        c = np.concatenate((c, -_irfft(fc * _rfft(e, size), size)[: k - m]))
         m = k
     return c
 
@@ -318,14 +317,14 @@ def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFa
         h = -np.concatenate(([0.0], g[:-1])) / tau
         r = np.zeros(n + 1)
         r[n] = 1.0
-        return ToeplitzFactorization(op, size, band, np.fft.rfft(h, size), r, -g[:-1] / g[n])
+        return ToeplitzFactorization(op, size, band, _rfft(h, size), r, -g[:-1] / g[n])
     p = -tau * op.weights.w[: n + 1]
     p[1] += sigma
     z0, q = _symbol_root(p)
     band[0] = -z0
-    spectrum = np.fft.rfft(_series_inverse(q / q[0]) / q[0], size)
+    spectrum = _rfft(_series_inverse(q / q[0]) / q[0], size)
     r = np.concatenate(([0.0], q[:0:-1], [0.0]))
-    u = np.fft.irfft(spectrum * np.fft.rfft(z0 ** np.arange(n - 1.0, -1.0, -1.0), size), size)[:n]
+    u = _irfft(spectrum * _rfft(z0 ** np.arange(n - 1.0, -1.0, -1.0), size), size)[:n]
     s = z0 * u / (1.0 - z0 * (r[:n] @ u))  # (U T(q))^-1 e_{n-1} = T(1/q) U^-1 e_{n-1} = u
     return ToeplitzFactorization(op, size, band, spectrum, r, s)
 
@@ -370,11 +369,13 @@ def step(f: Factorization, u: GridFunction) -> GridFunction:
 
     u's values are finite, so non-finite values of v are an overflow of the solve: NumericalError.
     """
-    v = f.solve(f.op.fit(u))
-    try:
-        return GridFunction(alpha=u.alpha, n=u.n, values=v)
-    except DomainError:
-        raise NumericalError(f"step: the solve of a finite grid (n={u.n}) overflowed to non-finite values") from None
+    return GridFunction(alpha=u.alpha, n=u.n, values=_finite(f.solve(f.op.fit(u))))
+
+
+def _finite(v: np.ndarray) -> np.ndarray:
+    if not np.isfinite(v).all():  # a solve of finite values overflowed
+        raise NumericalError(f"step: the solve of a finite grid (n={v.size}) overflowed to non-finite values")
+    return v
 
 
 def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunction:
@@ -418,29 +419,47 @@ def initial_grid(cfg: EvolutionConfig) -> GridFunction:
     return GridFunction(alpha=cfg.alpha, n=cfg.n, values=values)
 
 
-def iter_states(cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:
-    """The backward-Euler states (t_k, u_k), k = 0..cfg.steps, with t_k = k*cfg.step_dt.
+# A solve keeps a non-finite entry non-finite (b_i enters v_i additively), so the march
+# scans for one every FINITE_CHECK_STEPS steps and at its end.
+FINITE_CHECK_STEPS = 32
+
+
+def iter_values(cfg: EvolutionConfig) -> Iterator[np.ndarray]:
+    """The march: the backward-Euler values u_0..u_K (K = cfg.steps) as bare arrays.
 
     One factorization is reused throughout. Every fallible set-up (initial
-    grid, operator, factorization) runs before this returns, and the states
-    are then computed one at a time as they are read.
+    grid, operator, factorization) runs before this returns, and the values
+    are then computed one at a time as they are read. An overflow raises
+    NumericalError within FINITE_CHECK_STEPS solves; numpy's warnings of it are the caller's.
     """
     u = initial_grid(cfg)
     f = factorize(build_operator(cfg.alpha, cfg.n, cfg.scheme), cfg.step_dt) if cfg.steps else None
-    return _march(f, u, cfg)
+    return _values(f, u.values, cfg.steps)
 
 
-def _march(
-    f: Optional[Factorization], u: GridFunction, cfg: EvolutionConfig
-) -> Iterator[tuple[float, GridFunction]]:
-    yield 0.0, u
-    for k in range(1, cfg.steps + 1):
-        u = step(f, u)
-        yield k * cfg.step_dt, u
+def _values(f: Optional[Factorization], v: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    yield v
+    for k in range(1, steps + 1):
+        v = f.solve(v)
+        yield _finite(v) if k % FINITE_CHECK_STEPS == 0 or k == steps else v
+
+
+def iter_states(cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:
+    """The march's states (t_k, u_k), k = 0..cfg.steps, with t_k = k*cfg.step_dt, each checked as it is read."""
+    return _states(iter_values(cfg), cfg)
+
+
+def _states(values: Iterator[np.ndarray], cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:
+    for k in range(cfg.steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):  # step k's solve: an overflow is refused, not warned of
+            v = _finite(next(values))
+        yield k * cfg.step_dt, GridFunction(alpha=cfg.alpha, n=cfg.n, values=v)
 
 
 def evolve(cfg: EvolutionConfig) -> GridFunction:
-    """The grid at t_final: the last state of ``iter_states``."""
-    for _, u in iter_states(cfg):
-        pass
-    return u
+    """The grid at t_final: the march's last state."""
+    values = iter_values(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError, not a warning
+        for v in values:
+            pass
+    return GridFunction(alpha=cfg.alpha, n=cfg.n, values=v)

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .evolution import EigenfunctionIC, EvolutionConfig, GaussianIC, evolve, initial_grid, iter_states
+from .evolution import EigenfunctionIC, EvolutionConfig, GaussianIC, evolve, initial_grid, iter_values
 from .interp import from_grid
 from .operators import GridFunction, apply, build_operator
 from .reference import principal_eigenvalue
@@ -133,11 +133,11 @@ def eigen_decay_study(
         raise DomainError(f"t_final={t_final!r} decays u_c by {decay!r}, below the smallest normal float")
 
     def error(cfg: EvolutionConfig) -> float:
-        states = iter_states(cfg)
-        _, u0 = next(states)
-        for _, final in states:
+        values = iter_values(cfg)
+        u0 = next(values)
+        for final in values:
             pass
-        err = float(np.abs(final.values - decay * u0.values).max())
+        err = float(np.abs(final - decay * u0).max())
         if err > MAX_ERROR_OVER_DECAY * decay:
             raise DomainError(f"t_final={t_final!r} reads error/decay {err / decay!r} > {MAX_ERROR_OVER_DECAY} at n = {cfg.n}")
         return err
@@ -194,13 +194,14 @@ def figure1_comparison(
             raise DomainError(
                 f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero or subnormal on every node at n = {n}"
             )
-    for t, ref in iter_states(base):  # refused at the first underflow: ||(I - dt*M_h)^-1||_inf <= 1
-        ref_sup = ref.sup_norm()
+    for k, values in enumerate(iter_values(base)):  # refused at the first underflow: ||(I - dt*M_h)^-1||_inf <= 1
+        ref_sup = float(np.abs(values).max())
         if ref_sup < TINY:
             raise DomainError(
                 f"t_final={t_final!r} decays the reference below the smallest normal float"
-                f" by t = {t!r} (sup norm {ref_sup!r})"
+                f" by t = {k * base.step_dt!r} (sup norm {ref_sup!r})"
             )
+    ref = GridFunction(alpha=alpha, n=n_reference, values=values)
 
     def rel_error(cfg: EvolutionConfig) -> float:
         return error_norms(evolve(cfg), ref)["sup"] / ref_sup

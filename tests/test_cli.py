@@ -8,13 +8,13 @@ import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import child_env
 
 from fracheat import (
     ConvergenceError,
-    GridFunction,
     NumericalError,
     Scheme,
     evolution,
@@ -22,6 +22,7 @@ from fracheat import (
     principal_eigenvalue,
 )
 from fracheat.cli import COMMANDS, RunConfig, main, parse_config
+from fracheat.evolution import LUFactorization
 from fracheat.weights import MAX_N
 
 OPTION_NAMES = [f.name for f in fields(RunConfig) if f.name != "command"]
@@ -368,6 +369,16 @@ class TestUsageErrors:
     def test_underflow_names_its_cause(self, argv, names, capsys):
         assert names in run_main(argv, capsys)[2]
 
+    def test_underflow_is_refused_at_its_step(self, monkeypatch, capsys):
+        # the reference's sup norm is read after every step: of the 2.5e7 steps
+        # to t_final = 1e6, the march makes 3,853, the first that underflows
+        solves = []
+        real_solve = LUFactorization.solve  # the reference of 39 nodes is dense
+        monkeypatch.setattr(LUFactorization, "solve", lambda f, b: solves.append(1) or real_solve(f, b))
+        argv, names = UNDERFLOW[1]
+        assert argv[-1] == "1e6" and names in run_main(argv, capsys)[2]
+        assert len(solves) == 3853
+
     @pytest.mark.parametrize("argv, names", NOT_SPATIAL, ids=[" ".join(a) for a, _ in NOT_SPATIAL])
     def test_non_spatial_error_names_its_cause(self, argv, names, capsys):
         assert f"fracheat: usage error: {names}\n" == run_main(argv, capsys)[2]
@@ -484,6 +495,19 @@ class TestExitCodes:
         rows = out.splitlines()[1:]
         assert rows[0] == "t,x,u" and len(rows) == 9 and all(r.startswith("0.0,") for r in rows[1:])
         assert err == "fracheat: numerical error: step: the solve of a finite grid (n=8) overflowed to non-finite values\n"
+
+    def test_overflowing_fft_step_is_only_refused(self):
+        # at n = 1000 the Toeplitz factorization's FFTs read the overflowed values:
+        # numpy warned before the refusal, and under -W error it ended in a traceback
+        argv = ["solve", "--n", "1000", *POWER_OVERFLOW[:-2]]  # without --power-b: finite data
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fracheat.cli", *argv], capture_output=True, text=True, env=child_env()
+        )
+        assert (proc.returncode, proc.stderr) == (
+            3, "fracheat: numerical error: step: the solve of a finite grid (n=1000) overflowed to non-finite values\n"
+        )
+        rows = proc.stdout.splitlines()[1:]
+        assert rows[0] == "t,x,u" and len(rows) == 1001 and all(r.startswith("0.0,") for r in rows[1:])
 
     def test_overflowing_initial_condition_is_only_refused(self, capsys):
         # the power law overflows at n = 1000: no numpy warning, the refusal alone
@@ -689,24 +713,23 @@ RESNAP_ARGV = [
 class TestSchedule:
     @pytest.mark.parametrize("argv", RESNAP_ARGV, ids=" ".join)
     def test_every_grid_takes_the_recorded_step(self, argv, monkeypatch, capsys):
-        # a step scales its input by u_c's backward-Euler factor 1/(1 - c*dt), so the
+        # a solve scales its input by u_c's backward-Euler factor 1/(1 - c*dt), so the
         # runs count their steps without solving, and the eigen chain's error stays
         # the spatial readout it is refused without (here 0: u_0 is u_c sampled)
-        real_iter_states = evolution.iter_states
+        real_iter_values = evolution.iter_values
         taken = []
 
         def counted(cfg):
-            states = list(real_iter_states(cfg))
-            taken.append(len(states) - 1)
-            return iter(states)
+            values = list(real_iter_values(cfg))
+            taken.append(len(values) - 1)
+            return iter(values)
 
-        def scaled(dt, u):
-            return GridFunction(u.alpha, u.n, u.values / (1.0 - principal_eigenvalue(u.alpha).c * dt))
+        def scaled(op, dt):
+            return SimpleNamespace(solve=lambda v: v / (1.0 - principal_eigenvalue(op.alpha).c * dt))
 
-        monkeypatch.setattr(evolution, "factorize", lambda op, dt: dt)
-        monkeypatch.setattr(evolution, "step", scaled)
-        monkeypatch.setattr(harness, "iter_states", counted)
-        monkeypatch.setattr(harness, "evolve", lambda cfg: list(counted(cfg))[-1][1])
+        monkeypatch.setattr(evolution, "factorize", scaled)
+        monkeypatch.setattr(evolution, "iter_values", counted)  # evolve's march
+        monkeypatch.setattr(harness, "iter_values", counted)
         code, out, _ = run_main(argv + ["--format", "json"], capsys)
         assert code == 0
         report = json.loads(out)

@@ -33,11 +33,14 @@ from fracheat.errors import NumericalError
 from fracheat.evolution import (
     FFT_CLIP_C,
     FFT_MIN_N,
+    FINITE_CHECK_STEPS,
     MAX_STEPS,
     LUFactorization,
     ToeplitzFactorization,
     _clip_negative,
     _fft_len,
+    _irfft,
+    _rfft,
     _series_inverse,
     _symbol_root,
     step_count,
@@ -203,6 +206,16 @@ class TestStep:
             with pytest.raises(NumericalError, match=r"finite grid \(n=8\) overflowed"):
                 run()
 
+    def test_overflowing_fft_solve_is_only_refused(self):
+        # at n >= FFT_MIN_N the overflowed tbtrs result went through numpy's FFT
+        # and multiply, which warned before the refusal (a RuntimeWarning under "error")
+        cfg = EvolutionConfig(alpha=1.5, n=1000, t_final=1.0, dt=0.5, ic=PowerLawIC(a=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run in (lambda: evolve(cfg), lambda: list(iter_states(cfg))):
+                with pytest.raises(NumericalError, match=r"finite grid \(n=1000\) overflowed"):
+                    run()
+
     def test_dimension_guard(self):
         op = build_operator(1.5, 16)
         f = factorize(op, 1e-3)
@@ -250,7 +263,7 @@ SOLVES = textwrap.dedent("""
         path = "fft" if isinstance(f, ToeplitzFactorization) else "dense"
         got[path] = f.solve(rng.uniform(0.0, 1.0, n))
     np.savez(sys.argv[1], **got)
-    print(*got, "scipy.linalg" in sys.modules)
+    print(*got, "scipy.linalg" in sys.modules, "scipy.fft" in sys.modules)
 """)
 
 
@@ -258,18 +271,22 @@ class TestLapackLoader:
     """The kernels load from scipy's LAPACK extension, not the scipy.linalg package."""
 
     def test_cli_solve_imports_neither_scipy_linalg_nor_fft(self, tmp_path):
-        # a later import in src/ that brings either back shows here
-        out = run_child(
-            """
-            import sys
-            import fracheat, fracheat.cli
+        # a later import in src/ that brings either back shows here, on the dense
+        # path and on the Toeplitz factorization's FFT path
+        for n in (8, FFT_MIN_N):
+            out = run_child(
+                """
+                import sys
+                import fracheat, fracheat.cli
 
-            assert fracheat.cli.main(["solve", "--n", "8", "--t-final", "0.01", "--out", sys.argv[1]]) == 0
-            print([m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules])
-            """,
-            str(tmp_path / "solve.csv"),
-        )
-        assert out == "[]\n"
+                argv = ["solve", "--n", sys.argv[2], "--t-final", "0.01", "--out", sys.argv[1]]
+                assert fracheat.cli.main(argv) == 0
+                print([m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules])
+                """,
+                str(tmp_path / "solve.csv"),
+                str(n),
+            )
+            assert out == "[]\n", n
 
     def test_runs_that_never_factor_import_no_scipy(self, tmp_path):
         # the kernels bind at the first solve; import and these commands never factor
@@ -310,8 +327,27 @@ class TestLapackLoader:
             """
         )
 
+    def test_fft_kernels_are_scipys_own(self):
+        run_child(
+            """
+            import numpy as np
+            from fracheat import build_operator, evolution, factorize
+            from fracheat.evolution import FFT_MIN_N
+
+            factorize(build_operator(1.4, FFT_MIN_N), 1e-3)  # the first set-up binds the kernels
+            import scipy.fft
+            from scipy.fft._pocketfft import pypocketfft
+
+            assert evolution._r2c is pypocketfft.r2c and evolution._c2r is pypocketfft.c2r
+            assert evolution._good_size is pypocketfft.good_size
+            assert scipy.fft._pocketfft.pypocketfft is pypocketfft
+            np.testing.assert_array_equal(scipy.fft.irfft(scipy.fft.rfft([1.0, 2.0, 3.0, 4.0])), [1.0, 2.0, 3.0, 4.0])
+            """
+        )
+
     def test_fallback_returns_the_packages_module(self, monkeypatch):
-        # a finder that finds no extension file sends the loader to scipy.linalg
+        # a finder that finds no extension file sends the loader to the package:
+        # scipy.linalg for LAPACK, scipy.fft._pocketfft for pocketfft
         class Blind:
             def __init__(self, path, *loaders):
                 pass
@@ -320,22 +356,28 @@ class TestLapackLoader:
                 asked.append(name)
 
         asked = []
-        factorize(build_operator(1.4, 8), 1e-3).solve(np.ones(8))  # the first solve binds the kernels
+        factorize(build_operator(1.4, FFT_MIN_N), 1e-3)  # the first set-up binds both extensions' kernels
         monkeypatch.setattr(evolution, "FileFinder", Blind)
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        module = evolution._load_flapack()
+        module = evolution._load_extension("scipy.linalg._flapack")
         assert asked == ["scipy.linalg._flapack"]
         assert module is scipy.linalg._flapack
         assert module.dtrtrs is evolution._trtrs and module.dtbtrs is evolution._tbtrs
+        monkeypatch.delitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", raising=False)
+        module = evolution._load_extension("scipy.fft._pocketfft.pypocketfft")
+        assert asked == ["scipy.linalg._flapack", "scipy.fft._pocketfft.pypocketfft"]
+        assert module is sys.modules["scipy.fft._pocketfft"].pypocketfft
+        assert module.r2c is evolution._r2c and module.c2r is evolution._c2r
 
     def test_fallback_through_scipy_linalg_solves_the_same(self, tmp_path):
         # a finder that knows no extension suffix sends the loader through
-        # scipy.linalg; the import system's own finders keep theirs
+        # scipy.linalg for LAPACK and scipy.fft for pocketfft; the import
+        # system's own finders keep theirs
         blind = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
         normal_path, blind_path = tmp_path / "normal.npz", tmp_path / "blind.npz"
         kinds = "dense fft"
-        assert run_child(SOLVES, str(normal_path)) == f"{kinds} False\n"
-        assert run_child(blind + SOLVES, str(blind_path)) == f"{kinds} True\n"
+        assert run_child(SOLVES, str(normal_path)) == f"{kinds} False False\n"
+        assert run_child(blind + SOLVES, str(blind_path)) == f"{kinds} True True\n"
         with np.load(normal_path) as normal, np.load(blind_path) as fallback:
             for kind in kinds.split():
                 np.testing.assert_array_equal(fallback[kind], normal[kind])
@@ -563,6 +605,21 @@ class TestToeplitzFactorization:
         got = resolvent_apply(build_operator(alpha, n), 0.0, grid(alpha, n, g)).values
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
+    @pytest.mark.parametrize("m", [2, 7, 97, 2 * FFT_MIN_N, 6400, 9601])
+    def test_fft_pair_is_numpys_within_rounding(self, m):
+        # the same transforms as np.fft.rfft/irfft; numpy 2 ships the same pocketfft
+        # (bit for bit), numpy 1.24 an older one, so the bound is a rounding bound
+        size = _fft_len(m)
+        rng = np.random.default_rng(m)
+        eps = np.finfo(float).eps
+        for fill in sorted({1, m // 2 + 1, m, size}):
+            a = rng.standard_normal(fill)
+            want = np.fft.rfft(a, size)
+            assert np.linalg.norm(_rfft(a, size) - want) <= 8 * eps * math.log2(size) * np.linalg.norm(want)
+        spectrum = np.fft.rfft(rng.standard_normal(size))
+        want = np.fft.irfft(spectrum, size)
+        assert np.linalg.norm(_irfft(spectrum, size) - want) <= 8 * eps * math.log2(size) * np.linalg.norm(want)
+
     def test_fft_len_is_smallest_5_smooth(self):
         def smooth(k):
             for p in (2, 3, 5):
@@ -685,6 +742,42 @@ class TestEvolve:
         *_, (t_last, u_last) = iter_states(cfg)
         assert t_last == pytest.approx(0.01, abs=1e-15)
         np.testing.assert_array_equal(final.values, u_last.values)
+
+    @pytest.mark.parametrize("n, kind, ic", [
+        (8, LUFactorization, PowerLawIC(a=1e308, b=1e308)),
+        (1000, ToeplitzFactorization, PowerLawIC(a=1e308)),
+    ])
+    def test_overflow_is_refused_within_the_check_interval(self, n, kind, ic, monkeypatch):
+        # the bare-array march scans for non-finite values every FINITE_CHECK_STEPS
+        # solves, and a solve keeps them non-finite, so a run of 20,000 steps that
+        # overflows at its first stops at the first scan
+        solves = []
+        real_solve = kind.solve
+        monkeypatch.setattr(kind, "solve", lambda f, b: solves.append(1) or real_solve(f, b))
+        cfg = EvolutionConfig(alpha=1.5, n=n, t_final=1e4, dt=0.5, ic=ic)
+        assert cfg.steps == 20_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=rf"finite grid \(n={n}\) overflowed"):
+                evolve(cfg)
+        assert len(solves) == FINITE_CHECK_STEPS
+
+    @pytest.mark.parametrize("steps", [1, FINITE_CHECK_STEPS - 1, FINITE_CHECK_STEPS + 1])
+    def test_overflow_at_the_last_step_is_refused(self, steps, monkeypatch):
+        # the march scans its last state whatever the step count
+        real_solve = LUFactorization.solve
+        solves = []
+
+        def solve(f, b):
+            solves.append(1)
+            return real_solve(f, b) if len(solves) < steps else np.full_like(b, np.inf)
+
+        monkeypatch.setattr(LUFactorization, "solve", solve)
+        cfg = EvolutionConfig(alpha=1.5, n=8, t_final=1.0, dt=1.0 / steps)
+        assert cfg.steps == steps
+        with pytest.raises(NumericalError, match=r"finite grid \(n=8\) overflowed"):
+            evolve(cfg)
+        assert len(solves) == steps
 
     def test_norm_monotone_decay(self):
         cfg = EvolutionConfig(alpha=1.3, n=60, t_final=0.05)

@@ -8,11 +8,14 @@ from fracheat import (
     DomainError,
     ErrorReport,
     ErrorRow,
+    EvolutionConfig,
+    GaussianIC,
     GridFunction,
     Scheme,
     cli,
     eigen_decay_study,
     error_norms,
+    evolve,
     figure1_comparison,
     harness,
     observed_order,
@@ -253,6 +256,19 @@ class TestFigureComparison:
             figure1_comparison(
                 sigma2=0.0005, mu=0.4, alpha=1.4, t_final=0.0, n_list=[8, 16], n_reference=135
             )
+
+    def test_reference_is_evolve_bit_for_bit(self, monkeypatch):
+        # the reference marches on bare arrays, reading its sup norm each step;
+        # its grid is evolve's, here on the Toeplitz path at fig1's n = 3200
+        refs = []
+        real_error_norms = harness.error_norms
+        monkeypatch.setattr(harness, "error_norms", lambda u, ref: refs.append(ref) or real_error_norms(u, ref))
+        figure1_comparison(sigma2=0.0005, mu=0.4, alpha=1.4, t_final=0.01, n_list=[400], n_reference=3200)
+        cfg = EvolutionConfig(
+            alpha=1.4, n=3200, t_final=0.01, ic=GaussianIC(mu=0.4, sigma2=0.0005), dt=(1.0 / 401) ** 1.9
+        )
+        assert len(refs) == 2 and refs[0] is refs[1] and cfg.steps == 884
+        np.testing.assert_array_equal(refs[0].values, evolve(cfg).values)
 
     # sigma2 = 1e-9 is 0.0 on every node of n = 50, though not of n = 400 or the reference
     def test_rejects_gaussian_a_study_grid_cannot_see(self):
