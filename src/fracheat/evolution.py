@@ -11,8 +11,9 @@ nonpositive off-diagonals, row sums >= 1). It is factored one of two ways:
 - from FFT_MIN_N on, the Toeplitz matrix with the one root of its symbol
   inside the unit disc divided out (a Wiener-Hopf factorization): a
   bidiagonal factor, a triangular Toeplitz factor applied as one real FFT
-  pair and a rank-1 correction, O(n log n) set-up and O(n) memory. Its solves
-  project results of b >= 0 onto v >= 0.
+  pair and a rank-1 correction, O(n) memory, set up in O(n^2) flops from
+  sums of one sign (1/q >= 0 to a few eps relative). Its solves project
+  results of b >= 0 onto v >= 0.
 """
 
 from __future__ import annotations
@@ -158,8 +159,8 @@ FFT_MIN_N = 600
 # {1.1, 1.4, 1.9, 2.0}, n in {600, 1601, 3200, 4801}, six shapes of b (uniform,
 # Gaussian, step, spike, constant, x^(alpha-1)), 20 chained steps at each tau in
 # {0.08, 0.3, 1, 3, 10, 1600} and resolvents at lam*h^alpha in {0, 0.3, 1, 10}
-# (23,808 solves), the worst negative was 0.37 of eps*log2(n)*max(b) (alpha = 2,
-# n = 4801, tau = 1600, the spike): 4.0 leaves an 11x margin.
+# (23,808 solves), the worst negative was 0.32 of eps*log2(n)*max(b) (alpha = 2,
+# n = 4801, tau = 0.08, the step): 4.0 leaves a 12x margin.
 FFT_CLIP_C = 4.0
 
 
@@ -190,7 +191,8 @@ class ToeplitzFactorization:
     - sigma > 0: p = (z - z0) q for its root z0 in (0, 1), and exactly
       A = U T(q) - z0 e_{n-1} q'^T with U = I - z0 Z^T and q'_j = q_{n-j}, so
       h = 1/q, r = (q', 0) and Sherman-Morrison gives s;
-    - sigma = 0: A = -tau T, and T^-1 c = y - (y_n/g_n) g with g = 1/w and
+    - sigma = 0, or below half an ulp of p_1, where A rounds to the sigma = 0
+      matrix: A = -tau T, and T^-1 c = y - (y_n/g_n) g with g = 1/w and
       y = g*(0, c) to n+1 terms, so U = I, h = -(0, g)/tau, r = e_n, s = -g/g_n.
     A solve is one unit-diagonal tbtrs, one real FFT pair of fft_len >= 2n
     points, a dot and an axpy, with results of b >= 0 projected onto v >= 0.
@@ -206,7 +208,8 @@ class ToeplitzFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         size = self.fft_len
         y = _checked(*_tbtrs(self.band, b, diag="U"))  # U^-1 b, into a copy of b
-        x = _irfft(self.spectrum * _rfft(y, size), size)[: self.op.n + 1]
+        # c2r with inorm=2 is np.fft.irfft: it applies numpy's 1/size
+        x = _c2r(self.spectrum * _rfft(y, size), lastsize=size, forward=False, inorm=2)[: self.op.n + 1]
         return _clip_negative(x[:-1] + self.s * (self.r @ x), b)
 
 
@@ -244,35 +247,22 @@ def _rfft(a: np.ndarray, size: int) -> np.ndarray:
     return _r2c(padded)
 
 
-def _irfft(spectrum: np.ndarray, size: int) -> np.ndarray:
-    """np.fft.irfft(spectrum, size): c2r with inorm=2, the 1/size that numpy applies."""
-    return _c2r(spectrum, lastsize=size, forward=False, inorm=2)
-
-
-def _fft_len(m: int) -> int:
-    """The smallest 2^a 3^b 5^c >= m, pocketfft's good_size for real transforms.
-
-    pocketfft can be 10x slower on other lengths: one product at n = 3207 costs
-    2.2 ms at length 2n = 6414 = 2*3*1069 and 0.13 ms at 6480.
-    """
-    return _good_size(m, True)
-
-
 def _series_inverse(l: np.ndarray) -> np.ndarray:
-    """The first len(l) power-series coefficients of 1/l(z), l[0] = 1.
+    """The first len(l) power-series coefficients of 1/l(z), for l[0] = 1 >= 0 >= l[1:].
 
     Newton's iteration c <- c - c*(l*c - 1) doubles the number of correct
-    coefficients a round, each product a real FFT pair: O(n log n), where the
-    coefficient recurrence is O(n^2) (1.5 vs 12 ms at n = 3200).
+    coefficients a round. Both products are direct sums of terms of one sign
+    (l[1:] <= 0 <= c), so every coefficient is >= 0 with a relative error of a
+    few eps however small it is, where an FFT product errs by eps times the
+    largest. O(n^2) flops in C: 21-26 ms at n = 12,800, where new_weights
+    takes 210-240 ms (2 vCPUs).
     """
     c = np.ones(1)
     m = 1
     while m < l.size:
         k = min(2 * m, l.size)
-        size = _fft_len(k + m - 1)
-        fc = _rfft(c, size)
-        e = _irfft(_rfft(l[:k], size) * fc, size)[m:k]  # l*c - 1, past the m zeros
-        c = np.concatenate((c, -_irfft(fc * _rfft(e, size), size)[: k - m]))
+        e = np.convolve(l[1:k], c, "valid")  # (l*c)[m:k]: l*c - 1 past its m zeros
+        c = np.concatenate((c, -np.convolve(c[: k - m], e)[: k - m]))
         m = k
     return c
 
@@ -285,6 +275,7 @@ def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray]:
     on the circle, and p(0) < 0 < p(1). Newton's iteration from z = 0, bisecting
     the bracket whenever a step would leave it, evaluates p and p' by Horner's
     rule: one tbtrs with U = I - z Z^T, whose solve for p_1..p_n is the quotient.
+    Its q_1.. sum terms of one sign; q_0 = -p_0/z0, since p_1 + z0 q_1 subtracts.
     """
     n = p.size - 1
     if not p[0] < 0.0 < p[1] - np.abs(np.delete(p, 1)).sum():
@@ -302,6 +293,7 @@ def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray]:
         dz = value / (p[1] + z * t[0, 1])
         lo, hi = (z, hi) if value < 0.0 else (lo, z)
         if abs(dz) <= eps * z or hi - lo <= eps * hi:
+            t[0, 0] = -p[0] / z
             return z, t[:, 0]
         z = z - dz if lo < z - dz < hi else 0.5 * (lo + hi)
     raise NumericalError("the root search of the shifted stencil's symbol did not converge")
@@ -309,24 +301,29 @@ def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFactorization:
     n = op.n
-    size = _fft_len(2 * n)
+    # pocketfft's good_size, the smallest 2^a 3^b 5^c >= 2n: it can be 10x slower on other lengths,
+    # one product at n = 3207 cost 2.2 ms at length 2n = 6414 = 2*3*1069 and 0.13 ms at 6480
+    size = _good_size(2 * n, True)
     band = np.ones((2, n), order="F")  # U's band; the unit diagonal row is not read
-    if sigma == 0.0:  # nothing to divide out (the root is 1 at alpha = 2): 1/w in closed form
+    p = -tau * op.weights.w[: n + 1]
+    if p[1] + sigma == p[1]:  # A is -tau*T to the last bit: 1/w in closed form (the root is 1 at alpha = 2)
         band[0] = 0.0
         g = reciprocal_series(op.weights, n)
         h = -np.concatenate(([0.0], g[:-1])) / tau
         r = np.zeros(n + 1)
         r[n] = 1.0
         return ToeplitzFactorization(op, size, band, _rfft(h, size), r, -g[:-1] / g[n])
-    p = -tau * op.weights.w[: n + 1]
     p[1] += sigma
     z0, q = _symbol_root(p)
     band[0] = -z0
-    spectrum = _rfft(_series_inverse(q / q[0]) / q[0], size)
+    h = _series_inverse(q / q[0]) / q[0]
     r = np.concatenate(([0.0], q[:0:-1], [0.0]))
-    u = _irfft(spectrum * _rfft(z0 ** np.arange(n - 1.0, -1.0, -1.0), size), size)[:n]
-    s = z0 * u / (1.0 - z0 * (r[:n] @ u))  # (U T(q))^-1 e_{n-1} = T(1/q) U^-1 e_{n-1} = u
-    return ToeplitzFactorization(op, size, band, spectrum, r, s)
+    # (U T(q))^-1 e_{n-1} = T(h) U^-1 e_{n-1} = u, u_i = sum_{m<=i} h_m z0^(n-1-i+m): positive terms
+    k = np.arange(n)  # z0^k is 0 from k*ln(1/z0) > 745.2 on, where pow takes a slow path (0.1 us a power)
+    powers = np.power(z0, k, out=np.zeros(n), where=k * -math.log(z0) < 745.2)
+    u = powers[::-1] * np.cumsum(h * powers)
+    s = z0 * u / (1.0 - z0 * (r[:n] @ u))
+    return ToeplitzFactorization(op, size, band, _rfft(h, size), r, s)
 
 
 def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorization:

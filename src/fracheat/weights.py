@@ -29,8 +29,8 @@ def check_alpha(alpha: float) -> None:
 # At most this many interior nodes per grid; a larger one would not set up in
 # useful time, so it is a domain error, refused before anything of its size is
 # allocated. At n = 16384, new_weights takes 0.38 s (median of 3, 2 vCPUs) and
-# grows as n^2, to about 24 minutes at 10^6; factorize there is O(n log n),
-# 16-22 ms.
+# grows as n^2, to about 24 minutes at 10^6; factorize there is O(n^2) too
+# (the series 1/q), 34-45 ms.
 MAX_N = 10**6
 
 

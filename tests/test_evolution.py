@@ -38,8 +38,7 @@ from fracheat.evolution import (
     LUFactorization,
     ToeplitzFactorization,
     _clip_negative,
-    _fft_len,
-    _irfft,
+    _factor_toeplitz,
     _rfft,
     _series_inverse,
     _symbol_root,
@@ -436,6 +435,20 @@ class TestResolvent:
         with pytest.raises(DomainError):
             resolvent_apply(op, -1.0, grid(1.5, 8, np.zeros(8)))
 
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    @pytest.mark.parametrize("n,lam", [(FFT_MIN_N, 1e-12), (3200, 1e-12), (3200, 1e-9)])
+    def test_tiny_shift_at_alpha_two_solves(self, scheme, n, lam, monkeypatch):
+        # lam below half an ulp of p_1 vanishes when the diagonal is formed, so the
+        # matrix is the lam = 0 one to the last bit; its symbol's root is 1 at
+        # alpha = 2, and the root search refused it. The oracle is the pivot-free LU
+        # forced past FFT_MIN_N (the worst read 3.9e-13)
+        op = build_operator(2.0, n, scheme)
+        g = np.random.default_rng(22).standard_normal(n)
+        got = resolvent_apply(op, lam, grid(2.0, n, g)).values
+        monkeypatch.setattr(evolution, "FFT_MIN_N", n + 1)
+        want = evolution._factor_shifted(op, lam, 1.0 / op.h**2.0).solve(g)
+        assert np.abs(got - want).max() <= 2e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_rejects_non_finite_lambda(self, lam):
         op = build_operator(1.5, 8)
@@ -533,8 +546,8 @@ class TestToeplitzFactorization:
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
     def test_root_in_unit_interval_and_inverse_quotient_nonnegative(self, scheme, alpha):
-        # w_1 < 0 <= w_k otherwise make q_0 > 0 >= q_k exactly, so 1/q >= 0;
-        # the series inverse keeps that to its rounding of the largest coefficient
+        # w_1 < 0 <= w_k otherwise make q_0 = -p_0/z0 > 0 >= q_k exactly, and the
+        # series inverse sums terms of one sign, so 1/q >= 0 with no exception
         n = FFT_MIN_N
         op = build_operator(alpha, n, scheme)
         for tau in (0.08, 1.0, 10.0, 1600.0):
@@ -542,9 +555,67 @@ class TestToeplitzFactorization:
             p[1] += 1.0
             z0, q = _symbol_root(p)
             assert 0.0 < z0 < 1.0
-            assert q[0] > 0.0 and np.all(q[1:] <= 0.0)
+            assert q[0] == -p[0] / z0 and np.all(q[1:] <= 0.0)
             inv = _series_inverse(q / q[0]) / q[0]
-            assert inv.min() >= -8 * np.finfo(float).eps * inv.max(), (tau, inv.min())
+            assert inv.min() >= 0.0, (tau, inv.min())
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_set_up_matches_a_40_digit_oracle_entry_by_entry(self, scheme, alpha, monkeypatch):
+        # the oracle divides the float p by z - z0 in 40 digits, for the set-up's own
+        # root z0, then forms 1/q by its recurrence, u and s; z0 itself is checked
+        # against the 40-digit root. Every entry of 1/q (read where the set-up
+        # transforms it) and of s above 1e-300 is within 1e-13 relative: the worst
+        # read 1.2e-14 and 1.9e-15, where FFT products erred by up to 7e114
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        n = 100
+        op = build_operator(alpha, n, scheme)
+        transformed = []
+        rfft = evolution._rfft
+        monkeypatch.setattr(evolution, "_rfft", lambda a, size: transformed.append(a) or rfft(a, size))
+        for tau in (0.08, 1.0, 10.0, 1600.0):
+            f = _factor_toeplitz(op, 1.0, tau)
+            p = -tau * op.weights.w[: n + 1]
+            p[1] += 1.0
+            z0 = -f.band[0, 0]
+            with mp.workdps(40):
+                p = [mp.mpf(float(v)) for v in p]
+                z = root = mp.mpf(z0)
+                for _ in range(5):
+                    value, slope = mp.polyval(p[::-1], root, derivative=True)
+                    root -= value / slope
+                assert abs(z - root) <= 1e-14 * root, tau
+                q = [p[n]]
+                for k in range(n - 1, 0, -1):
+                    q.insert(0, p[k] + z * q[0])
+                h = [1 / q[0]]
+                for k in range(1, n):
+                    h.append(-mp.fdot(q[1 : k + 1], h[::-1]) / q[0])
+                partial = np.cumsum([v * z**m for m, v in enumerate(h)])  # 40-digit running sums
+                u = [z ** (n - 1 - i) * v for i, v in enumerate(partial)]
+                s = [z * v / (1 - z * mp.fdot(q[:0:-1], u[1:])) for v in u]
+            for got, want in ((transformed.pop()[:n], h), (f.s, s)):
+                want = np.array(want, dtype=float)
+                assert got.min() >= 0.0, tau
+                shown = want > 1e-300
+                assert np.all(np.abs(got - want)[shown] <= 1e-13 * want[shown]), tau
+
+    def test_set_up_transforms_once(self, monkeypatch):
+        # the spectrum of 1/q is the set-up's only transform (38 r2c and 25 c2r
+        # calls at n = 3200 when Newton's products ran on FFTs)
+        op = build_operator(1.4, 3200)
+        factorize(op, 1e-3)  # the first set-up binds the kernels
+        calls = []
+
+        def spy(name):
+            kernel = getattr(evolution, name)
+            return lambda *args, **kwargs: calls.append(name) or kernel(*args, **kwargs)
+
+        for name in ("_r2c", "_c2r"):
+            monkeypatch.setattr(evolution, name, spy(name))
+        assert isinstance(factorize(op, op.h**1.4), ToeplitzFactorization)
+        assert calls == ["_r2c"]
 
     def test_refuses_a_symbol_without_one_root_in_the_disc(self):
         # |sigma - tau*w_1| = 1 + tau against tau*(|w_0| + |w_2|) = 2*tau:
@@ -579,8 +650,8 @@ class TestToeplitzFactorization:
     @pytest.mark.parametrize("size", [1, 2, 3, 1000, 3000])
     def test_series_inverse_is_the_recurrence(self, size):
         # the O(n^2) coefficient recurrence of 1/l is the reference; for l[1:]
-        # <= 0, as q/q_0's are, it sums nonnegative terms, and Newton's FFT
-        # products may differ by rounding of the largest one
+        # <= 0, as q/q_0's are, it and Newton's direct products sum terms of one
+        # sign, so they agree to a few eps on every coefficient, however small
         l = np.ones(size)
         l[1:] = -0.4 * np.arange(1.0, size) ** -2.4
         want = np.zeros(size)
@@ -589,7 +660,7 @@ class TestToeplitzFactorization:
             want[k] = -np.dot(l[k:0:-1], want[:k])
         got = _series_inverse(l)
         assert got.shape == (size,)
-        assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * want.max()
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * want)
 
     @pytest.mark.parametrize(
         "alpha,n",
@@ -608,8 +679,9 @@ class TestToeplitzFactorization:
     @pytest.mark.parametrize("m", [2, 7, 97, 2 * FFT_MIN_N, 6400, 9601])
     def test_fft_pair_is_numpys_within_rounding(self, m):
         # the same transforms as np.fft.rfft/irfft; numpy 2 ships the same pocketfft
-        # (bit for bit), numpy 1.24 an older one, so the bound is a rounding bound
-        size = _fft_len(m)
+        # (bit for bit), numpy 1.24 an older one, so the bound is a rounding bound;
+        # a solve calls c2r as below
+        size = evolution._good_size(m, True)
         rng = np.random.default_rng(m)
         eps = np.finfo(float).eps
         for fill in sorted({1, m // 2 + 1, m, size}):
@@ -618,7 +690,8 @@ class TestToeplitzFactorization:
             assert np.linalg.norm(_rfft(a, size) - want) <= 8 * eps * math.log2(size) * np.linalg.norm(want)
         spectrum = np.fft.rfft(rng.standard_normal(size))
         want = np.fft.irfft(spectrum, size)
-        assert np.linalg.norm(_irfft(spectrum, size) - want) <= 8 * eps * math.log2(size) * np.linalg.norm(want)
+        got = evolution._c2r(spectrum, lastsize=size, forward=False, inorm=2)
+        assert np.linalg.norm(got - want) <= 8 * eps * math.log2(size) * np.linalg.norm(want)
 
     def test_fft_len_is_smallest_5_smooth(self):
         def smooth(k):
@@ -627,9 +700,13 @@ class TestToeplitzFactorization:
                     k //= p
             return k == 1
 
+        # pocketfft's good_size for real transforms, and the length a set-up pads
+        # 2n to (6414 = 2*3*1069 would take 10x longer than 6480 at n = 3207)
         for m in range(1, 2000):
             want = next(k for k in range(m, 2 * m + 1) if smooth(k))
-            assert _fft_len(m) == want
+            assert evolution._good_size(m, True) == want
+        for n, want in ((FFT_MIN_N, 1200), (3207, 6480)):
+            assert factorize(build_operator(1.4, n), 1e-3).fft_len == want
 
     def test_size_rule(self):
         for n, kind in ((FFT_MIN_N - 1, LUFactorization), (FFT_MIN_N, ToeplitzFactorization)):
