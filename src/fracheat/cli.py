@@ -19,7 +19,7 @@ from .evolution import EigenfunctionIC, EvolutionConfig, GaussianIC, PowerLawIC,
 from .harness import ErrorRow, eigen_decay_study, figure1_comparison, operator_consistency_study
 from .operators import GridFunction
 from .reference import principal_eigenvalue
-from .weights import Scheme, grunwald_weights, new_weights
+from .weights import Scheme, weights
 
 COMMANDS = ("weights", "eigen", "solve", "converge", "consistency", "compare")
 
@@ -63,7 +63,7 @@ class RunConfig:
     )
     dt: Optional[float] = _option(None, finite_float, ("solve",))
     t_final: float = _option(0.01, finite_float, ("solve", "converge", "compare"))
-    scheme: Scheme = _option(Scheme.NEW, Scheme, ("weights", "solve", "converge"), [s.value for s in Scheme])
+    scheme: Scheme = _option(Scheme.NEW, Scheme, ("weights", "solve"), [s.value for s in Scheme])
     ic: str = _option("gaussian", str, ("solve",), list(_ICS))
     mu: float = _option(GaussianIC.mu, finite_float, ("solve:gaussian", "compare"))
     sigma2: float = _option(GaussianIC.sigma2, finite_float, ("solve:gaussian", "compare"))
@@ -154,8 +154,7 @@ def _json(obj) -> list[str]:
 
 def _run_weights(cfg: RunConfig) -> Iterable[str]:
     n = cfg.n if cfg.n is not None else 64
-    maker = new_weights if cfg.scheme is Scheme.NEW else grunwald_weights
-    ws = maker(cfg.alpha, n)
+    ws = weights(cfg.alpha, n, cfg.scheme)
     sums = ws.partial_sums()
     if cfg.format == "json":
         return _json(
@@ -200,7 +199,7 @@ def _run_study(cfg: RunConfig) -> Iterable[str]:
     """The command's study, one library call, as one CSV or JSON report."""
     n_list = cfg.n_list or (50, 100, 200, 400)
     if cfg.command == "converge":
-        report = eigen_decay_study(cfg.alpha, n_list, cfg.t_final, scheme=cfg.scheme)
+        report = eigen_decay_study(cfg.alpha, n_list, cfg.t_final)
     elif cfg.command == "consistency":
         report = operator_consistency_study(cfg.alpha, n_list)
     else:

@@ -86,6 +86,7 @@ class EvolutionConfig:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        object.__setattr__(self, "scheme", Scheme(self.scheme))  # a name, or DomainError
         if not 3 <= self.n <= MAX_N:
             raise DomainError(f"n must be in [3, {MAX_N}], got {self.n}")
         if not 0.0 <= self.t_final < math.inf:

@@ -1,11 +1,12 @@
-"""Grid-refinement convergence studies and the Figure-1 style scheme comparison.
+"""Grid-refinement studies, each of both schemes: eigen decay, operator consistency
+and the Figure-1 style comparison.
 
 An error report is plain rows (scheme, alpha, n, h, dt, error, observed_order)
 and a ``meta`` dict, whose ``meta["norm"]`` names the error quantity; the CLI
-writes both as CSV or JSON, in these field names and this order.
-Observed orders on a row are the log-ratio against the previous row of the
-same chain; ``observed_order`` computes the least-squares slope over a whole
-chain.
+writes both as CSV or JSON, in these field names and this order. A study's rows
+are one refinement chain per scheme, the new scheme's first. Observed orders on
+a row are the log-ratio against the previous row of the same chain;
+``observed_order`` computes the least-squares slope over a whole chain.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .weights import MAX_N, Scheme, check_alpha
 
 TINY = np.finfo(float).tiny  # below it a grid or factor has lost its precision to underflow
 # Largest eigen-chain error/decay still read as spatial. At alpha 1.5, n 8,16 it reads 0.081/0.031
-# at t_final 1, 2.10/0.44 at 10 and 2.2e11 at 150 (order 25.6); tier-1 chains reach 0.035.
+# (new) and 0.038/0.026 (Grunwald) at t_final 1, 2.10/0.44 and 0.69/0.26 at 10, and 2.2e11 at 150
+# (order 25.6); other tier-1 chains reach 0.035 (Grunwald, alpha 1.2, n 50, t_final 0.05).
 MAX_ERROR_OVER_DECAY = 0.5
 # Smallest consistency error over its rounding floor still read as truncation. On n = 50..400
 # the n = 400 row reads 3,628 at alpha 1.5, 10.7 at 1.8, 2.4 at 1.9, 0.9 at 1.95 and 0.25 at
@@ -96,33 +98,27 @@ def _grid_sizes(n_list: Sequence[int]) -> list[int]:
 def _chain(
     base: EvolutionConfig, sizes: Sequence[int], error: Callable[[EvolutionConfig], float]
 ) -> list[ErrorRow]:
-    """Rows of one refinement chain; error(cfg) is the error of the grid cfg = replace(base, n=n).
-
-    Each row's scheme, alpha, h and dt are its grid's, so a chain has one scheme and one step.
-    """
+    """Rows of one refinement chain per scheme, the new scheme's first. error(cfg) is the error of
+    the grid cfg = replace(base, scheme=scheme, n=n); its row takes cfg's scheme, alpha, h and dt."""
     rows: list[ErrorRow] = []
-    for n in sizes:
-        cfg = replace(base, n=n)
-        err = error(cfg)
-        order = None
-        if rows and not (rows[-1].error <= 0.0 or err <= 0.0):
-            order = math.log(rows[-1].error / err) / math.log(rows[-1].h / cfg.h)
-        rows.append(ErrorRow(cfg.scheme.value, cfg.alpha, n, cfg.h, cfg.step_dt, err, order))
+    for scheme in Scheme:
+        for k, n in enumerate(sizes):
+            cfg = replace(base, scheme=scheme, n=n)
+            err = error(cfg)
+            order = None
+            if k and not (rows[-1].error <= 0.0 or err <= 0.0):
+                order = math.log(rows[-1].error / err) / math.log(rows[-1].h / cfg.h)
+            rows.append(ErrorRow(scheme.value, cfg.alpha, n, cfg.h, cfg.step_dt, err, order))
     return rows
 
 
-def eigen_decay_study(
-    alpha: float,
-    n_list: Sequence[int],
-    t_final: float,
-    scheme: Scheme = Scheme.NEW,
-) -> ErrorReport:
-    """Evolve the eigenfunction u_c against its backward-Euler image (1 - c*dt)^(-K) u_c.
+def eigen_decay_study(alpha: float, n_list: Sequence[int], t_final: float) -> ErrorReport:
+    """Evolve the eigenfunction u_c on both schemes against its backward-Euler image (1 - c*dt)^(-K) u_c.
 
     The error is purely spatial; all grids share one schedule, the coarsest h^alpha snapped to t_final.
     """
     sizes = _grid_sizes(n_list)
-    coarsest = EvolutionConfig(alpha=alpha, n=sizes[0], t_final=t_final, scheme=scheme, ic=EigenfunctionIC())
+    coarsest = EvolutionConfig(alpha=alpha, n=sizes[0], t_final=t_final, ic=EigenfunctionIC())
     pair = principal_eigenvalue(alpha)
     h_alpha = coarsest.h**alpha
     if t_final <= h_alpha:
@@ -139,7 +135,10 @@ def eigen_decay_study(
             pass
         err = float(np.abs(final - decay * u0).max())
         if err > MAX_ERROR_OVER_DECAY * decay:
-            raise DomainError(f"t_final={t_final!r} reads error/decay {err / decay!r} > {MAX_ERROR_OVER_DECAY} at n = {cfg.n}")
+            raise DomainError(
+                f"the {cfg.scheme.value} scheme at t_final={t_final!r} reads error/decay {err / decay!r}"
+                f" > {MAX_ERROR_OVER_DECAY} at n = {cfg.n}"
+            )
         return err
 
     return ErrorReport(
@@ -206,7 +205,8 @@ def figure1_comparison(
     def rel_error(cfg: EvolutionConfig) -> float:
         return error_norms(evolve(cfg), ref)["sup"] / ref_sup
 
-    report = ErrorReport(
+    return ErrorReport(
+        _chain(base, n_list, rel_error),
         meta={
             "study": "figure1_comparison",
             "alpha": alpha,
@@ -216,15 +216,12 @@ def figure1_comparison(
             "n_reference": n_reference,
             "dt": base.step_dt,
             "norm": "relative sup",
-        }
+        },
     )
-    for scheme in (Scheme.NEW, Scheme.GRUNWALD):
-        report.rows.extend(_chain(replace(base, scheme=scheme), n_list, rel_error))
-    return report
 
 
 def operator_consistency_study(alpha: float, n_list: Sequence[int]) -> ErrorReport:
-    """Pointwise consistency of the scheme on f = x^(2alpha-1) near x = 0.5.
+    """Pointwise consistency of both schemes on f = x^(2alpha-1) near x = 0.5.
 
     The fractional derivative of x^(2alpha-1) is Gamma(2alpha)/Gamma(alpha)
     * x^(alpha-1); the error is measured at the interior node nearest 0.5. A grid whose
@@ -247,8 +244,8 @@ def operator_consistency_study(alpha: float, n_list: Sequence[int]) -> ErrorRepo
         floor = float(np.finfo(float).eps * (w[0] * uv[i + 1] + w[1 : i + 2] @ uv[i::-1])) / cfg.h**alpha
         if err < MIN_ERROR_OVER_FLOOR * floor:
             raise DomainError(
-                f"alpha={alpha!r} reads error {err!r} at n = {n}, within {MIN_ERROR_OVER_FLOOR}"
-                f" times its rounding floor {floor!r}"
+                f"the {cfg.scheme.value} scheme at alpha={alpha!r} reads error {err!r} at n = {n},"
+                f" within {MIN_ERROR_OVER_FLOOR} times its rounding floor {floor!r}"
             )
         return err
 

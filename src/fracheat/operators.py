@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import gamma
-from .weights import Scheme, WeightSequence, check_alpha, grunwald_weights, new_weights
+from .weights import Scheme, WeightSequence, check_alpha, weights
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,11 @@ class GridFunction:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        if np.iscomplexobj(self.values):  # the cast below would drop the imaginary part
+            raise DomainError("grid values must be real")
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))  # no copy of float64
+        if self.values.ndim != 1:
+            raise DomainError(f"grid values must be 1-D, got shape {self.values.shape}")
         if len(self.values) != self.n:
             raise DomainError(
                 f"grid length {len(self.values)} does not match n={self.n}"
@@ -91,11 +96,10 @@ class OperatorMatrix:
         return m / self.h**self.alpha
 
 
-def build_operator(alpha: float, n: int, scheme: Scheme = Scheme.NEW) -> OperatorMatrix:
+def build_operator(alpha: float, n: int, scheme: Scheme | str = Scheme.NEW) -> OperatorMatrix:
     if n < 3:  # before the weights, whose own floor is n >= 2
         raise DomainError(f"operator needs n >= 3, got {n}")
-    maker = new_weights if scheme is Scheme.NEW else grunwald_weights
-    return OperatorMatrix(n=n, weights=maker(alpha, n))
+    return OperatorMatrix(n=n, weights=weights(alpha, n, scheme))
 
 
 def apply(op: OperatorMatrix, u: GridFunction) -> GridFunction:

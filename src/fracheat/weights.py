@@ -20,6 +20,10 @@ class Scheme(str, Enum):
     NEW = "new"
     GRUNWALD = "grunwald"
 
+    @classmethod
+    def _missing_(cls, value):  # Scheme(name) refuses an unknown name
+        raise DomainError(f"unknown scheme {value!r}, expected one of {[s.value for s in cls]}")
+
 
 def check_alpha(alpha: float) -> None:
     if not 1.0 < alpha <= 2.0:
@@ -86,6 +90,11 @@ def grunwald_weights(alpha: float, n: int) -> WeightSequence:
     for k in range(1, n + 1):
         w[k] = w[k - 1] * (k - 1 - alpha) / k
     return WeightSequence(alpha=alpha, scheme=Scheme.GRUNWALD, w=w)
+
+
+def weights(alpha: float, n: int, scheme: Scheme | str = Scheme.NEW) -> WeightSequence:
+    """w_0..w_n of the scheme, given as a Scheme or by its name."""
+    return new_weights(alpha, n) if Scheme(scheme) is Scheme.NEW else grunwald_weights(alpha, n)
 
 
 def reciprocal_series(ws: WeightSequence, n: int) -> np.ndarray:

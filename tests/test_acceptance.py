@@ -5,12 +5,14 @@ terminal-summary hook prints after the run so they show regardless of
 pytest's output capturing.
 """
 
+import functools
 import math
 
 import numpy as np
 from conftest import ACCEPTANCE_LINES
 
 from fracheat import (
+    ErrorReport,
     Scheme,
     build_operator,
     closed_form_inverse,
@@ -105,14 +107,14 @@ def test_criterion_05_generating_identity():
     report(5, "generating-function identity, N=2048", worst <= 1e-8, f"max residual {worst:.2e}")
 
 
-def _decay_order(scheme: Scheme) -> float:
-    # one dt per chain, the coarsest grid's h^alpha, against the Euler image of u_c
-    rep = eigen_decay_study(1.4, [50, 100, 200, 400], t_final=0.05, scheme=scheme)
-    return rep.overall_order(scheme)
+@functools.cache
+def _decay_report() -> ErrorReport:
+    # both chains take one dt, the coarsest grid's h^alpha, against the Euler image of u_c
+    return eigen_decay_study(1.4, [50, 100, 200, 400], t_final=0.05)
 
 
 def test_criterion_06_new_scheme_order():
-    order = _decay_order(Scheme.NEW)
+    order = _decay_report().overall_order(Scheme.NEW)
     report(
         6,
         "new-scheme decay order in [1.15, 1.7] at alpha=1.4",
@@ -122,7 +124,7 @@ def test_criterion_06_new_scheme_order():
 
 
 def test_criterion_07_baseline_order_drop():
-    order = _decay_order(Scheme.GRUNWALD)
+    order = _decay_report().overall_order(Scheme.GRUNWALD)
     report(
         7,
         "baseline decay order in [0.2, 0.7] at alpha=1.4",

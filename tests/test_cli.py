@@ -212,6 +212,8 @@ UNREAD = [
     (["converge", "--ic", "power", "--power-a", "5"], "converge does not read --ic, --power-a"),
     (["converge", "--ic", "power", "--t-final", "0.05"], "converge does not read --ic"),
     (["converge", "--ic", "gaussian"], "converge does not read --ic"),
+    # `converge --scheme X` once ran one scheme's chain: it is now the X rows of `converge`
+    (["converge", "--scheme", "grunwald"], "converge does not read --scheme"),
 ]
 
 # More argv of the --ic-chosen studies, each a usage error whatever else it holds;
@@ -243,10 +245,13 @@ UNDERFLOW = [
 
 # An eigen chain whose error is no longer a spatial readout, and what its refusal
 # names: by t_final = 10 the mismatch of the discrete eigenvalue with c,
-# compounded over the steps, is 2.1 times the decay at n = 8.
+# compounded over the steps, is 2.1 times the decay at n = 8 of the new scheme.
+# At alpha = 1.05, t_final = 2 the new scheme's chain passes and Grunwald's is refused.
 NOT_SPATIAL = [
     (["converge", "--n-list", "8,16", "--t-final", "10"],
-     "t_final=10.0 reads error/decay 2.100120114156265 > 0.5 at n = 8"),
+     "the new scheme at t_final=10.0 reads error/decay 2.100120114156265 > 0.5 at n = 8"),
+    (["converge", "--alpha", "1.05", "--n-list", "50,100", "--t-final", "2"],
+     "the grunwald scheme at t_final=2.0 reads error/decay 0.5288526319899979 > 0.5 at n = 50"),
 ]
 
 # A consistency chain whose error is rounding, not truncation, and what its refusal
@@ -565,7 +570,9 @@ class TestCommands:
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[1] == "scheme,alpha,n,h,dt,error,observed_order"
-        assert len(lines) == 4
+        assert [line.split(",")[:3] for line in lines[2:]] == [
+            [scheme, "1.4", n] for scheme in ("new", "grunwald") for n in ("32", "64")
+        ]
 
     def test_compare_has_both_schemes(self, capsys):
         code, out, _ = run_main(
@@ -607,7 +614,9 @@ SOLVE_DIGESTS = {
 }
 
 
-# sha256 of the other commands' output. Grids stay below FFT_MIN_N. A `compare`
+# sha256 of the other commands' output. Grids stay below FFT_MIN_N. A `converge` or
+# `consistency` output is its new-scheme rows of earlier releases, then its Grunwald
+# rows, those of `converge --scheme grunwald` in earlier releases. A `compare`
 # reference holds every node of the finest grid, whose rows read the reference's
 # own values; n = 10 in 167 and n = 8 in 135 share no node with it and interpolate,
 # so their rows rest on the rounding of numpy's log and expm1 in the power interpolant.
@@ -629,13 +638,13 @@ COMMAND_DIGESTS = {
     "eigen --alpha 2.0 --format json":
         "a2db15d7858760a53606d79de76e8b315f344a6e985168cb36a12b579730e776",
     "converge --alpha 1.4 --n-list 16,32 --t-final 0.05 --format csv":
-        "6e4cacee00f86f69c75d19afadfc73b7e2a63acd9cedb911c74e60b95ec5a6aa",
+        "d7a416b11be53c9a511c0ee3464dca6d6294dd7534e64cc5aba13e8c6d3043c1",
     "converge --alpha 1.4 --n-list 16,32 --t-final 0.05 --format json":
-        "f6421b961d76d5c3bec4f772e3f486688e3b13380074a12c4b400d1a40fa6b34",
+        "bfb611d427d9894a02b4e18b7565b0804879845f5c7d6c030f63e45bc6e75fff",
     "consistency --alpha 1.4 --n-list 16,32,64 --format csv":
-        "52ab175c1c28675ac6d719fa9713d34cace3bc37770ac7dfb777da9902e4d65c",
+        "b85a0ff4f1fe230874789edb6e5f51b3b97773047a9663ae0cd57d9cab7444b9",
     "consistency --alpha 1.4 --n-list 16,32,64 --format json":
-        "e4cac8dae363e19875141c39d9c7ef04377656c5ba2920f8a1283f73e8b88ebd",
+        "5f85e5627dac198b8c846a82c2a2a3adfc0c917bf33bdf751aeaf4d0f35cef2a",
     "compare --alpha 1.4 --n-list 10,20 --t-final 0.01 --format csv":
         "80acbc4c21262af87f7cc4f8fd8db443e48bb7455d8d1c2add63689bd145a428",
     "compare --alpha 1.4 --n-list 10,20 --t-final 0.01 --format json":
@@ -734,7 +743,10 @@ class TestSchedule:
         assert code == 0
         report = json.loads(out)
         t_final, dt = report["meta"]["t_final"], report["meta"]["dt"]
-        assert len(taken) >= len(report["rows"])
+        # one march per grid of both chains, and one for compare's reference
+        rows, half = report["rows"], len(report["rows"]) // 2
+        assert [r["scheme"] for r in rows] == ["new"] * half + ["grunwald"] * half
+        assert len(taken) == len(rows) + (argv[0] == "compare")
         assert {t_final / k for k in taken} == {dt} == {r["dt"] for r in report["rows"]}
 
 
@@ -777,7 +789,7 @@ class TestReadme:
         path = tmp_path / "run.cfg"
         path.write_text("\n".join(readme_blocks("ini")) + "\n")
         cfg = parse_config(["converge", "--config", str(path)])
-        assert (cfg.n_list, cfg.scheme) == ((50, 100, 200), Scheme.GRUNWALD)
+        assert (cfg.alpha, cfg.n_list, cfg.t_final) == (1.4, (50, 100, 200), 0.05)
 
     def test_read_set_table_matches_option_metadata(self):
         assert {run.partition(":")[0] for run in READS} == set(COMMANDS)

@@ -885,6 +885,15 @@ class TestEvolve:
         b = evolve(EvolutionConfig(scheme=Scheme.GRUNWALD, **kw))
         assert np.abs(a.values - b.values).max() > 1e-6
 
+    # "new" once evolved Grunwald, and so did "bogus"
+    def test_scheme_by_name(self):
+        kw = dict(alpha=1.4, n=10, t_final=0.01)
+        cfg = EvolutionConfig(scheme="new", **kw)
+        assert cfg.scheme is Scheme.NEW
+        np.testing.assert_array_equal(evolve(cfg).values, evolve(EvolutionConfig(scheme=Scheme.NEW, **kw)).values)
+        with pytest.raises(DomainError, match="unknown scheme 'bogus'"):
+            EvolutionConfig(scheme="bogus", **kw)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             EvolutionConfig(alpha=1.5, n=2, t_final=0.01)

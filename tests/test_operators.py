@@ -7,6 +7,7 @@ from fracheat import (
     DomainError,
     GridFunction,
     OperatorMatrix,
+    Scheme,
     apply,
     build_operator,
     closed_form_inverse,
@@ -42,6 +43,13 @@ class TestBuildAndDense:
         d = op.dense() * op.h**1.5
         np.testing.assert_allclose(d[:, 0], w[1:4], rtol=1e-14)
         np.testing.assert_allclose(np.diag(d, 1), [w[0], w[0]], rtol=1e-14)
+
+    # "new" once built Grunwald weights, and "bogus" did too
+    def test_scheme_by_name(self):
+        np.testing.assert_array_equal(build_operator(1.4, 10, "new").weights.w, new_weights(1.4, 10).w)
+        assert build_operator(1.4, 10, "grunwald").weights.scheme is Scheme.GRUNWALD
+        with pytest.raises(DomainError, match="unknown scheme 'bogus'"):
+            build_operator(1.4, 10, "bogus")
 
     @pytest.mark.parametrize("n", [2, 1, 0, -5])
     def test_rejects_small_n(self, n):
@@ -160,6 +168,24 @@ class TestGridFunction:
         # unchecked, a nan grid constructs and two of them read as an alpha mismatch
         with pytest.raises(DomainError, match="alpha must be in"):
             grid(alpha, 3, np.ones(3))
+
+    # a list was kept as given, and apply raised TypeError on it; a float array is kept, not copied
+    def test_values_are_a_float_array(self):
+        values = np.arange(1.0, 6.0)
+        u = GridFunction(1.5, 5, [1.0, 2.0, 3.0, 4.0, 5.0])
+        op = build_operator(1.5, 5)
+        assert grid(1.5, 5, values).values is values
+        np.testing.assert_array_equal(apply(op, u).values, apply(op, grid(1.5, 5, values)).values)
+
+    @pytest.mark.parametrize("values", [np.ones((3, 1)), np.ones((3, 3)), np.float64(1.0)], ids=["3x1", "3x3", "0-d"])
+    def test_rejects_values_not_1d(self, values):
+        with pytest.raises(DomainError, match="grid values must be 1-D"):
+            grid(1.5, 3, values)
+
+    # cast to float, the imaginary part would be dropped with only a ComplexWarning
+    def test_rejects_complex_values(self):
+        with pytest.raises(DomainError, match="grid values must be real"):
+            GridFunction(1.5, 3, np.array([1 + 1j, 2, 3]))
 
     def test_norms(self):
         g = grid(1.5, 3, [1.0, -2.0, 0.5])

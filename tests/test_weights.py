@@ -13,7 +13,7 @@ from fracheat import (
     qmatrix_report,
     resubstitution_residual,
 )
-from fracheat.weights import reciprocal_series
+from fracheat.weights import reciprocal_series, weights
 
 ALPHAS = [round(1.1 + 0.1 * k, 1) for k in range(9)]  # 1.1 .. 1.9
 
@@ -130,6 +130,20 @@ class TestSignStructure:
     def test_scheme_tags(self):
         assert new_weights(1.5, 4).scheme is Scheme.NEW
         assert grunwald_weights(1.5, 4).scheme is Scheme.GRUNWALD
+
+
+class TestWeightsOfAScheme:
+    # a name once fell through to the Grunwald maker, "new" included
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, "new", Scheme.GRUNWALD, "grunwald"])
+    def test_scheme_or_its_name_selects_the_weights(self, scheme):
+        ws = weights(1.4, 10, scheme)
+        maker = {"new": new_weights, "grunwald": grunwald_weights}[scheme]
+        assert ws.scheme is Scheme(scheme)
+        np.testing.assert_array_equal(ws.w, maker(1.4, 10).w)
+
+    def test_refuses_an_unknown_name(self):
+        with pytest.raises(DomainError, match=r"unknown scheme 'bogus', expected one of \['new', 'grunwald'\]"):
+            weights(1.4, 10, "bogus")
 
 
 class TestReciprocalSeries:
