@@ -422,17 +422,20 @@ def initial_grid(cfg: EvolutionConfig) -> GridFunction:
 FINITE_CHECK_STEPS = 32
 
 
-def iter_values(cfg: EvolutionConfig) -> Iterator[np.ndarray]:
+def iter_values(cfg: EvolutionConfig, u0: Optional[np.ndarray] = None) -> Iterator[np.ndarray]:
     """The march: the backward-Euler values u_0..u_K (K = cfg.steps) as bare arrays.
 
+    u_0 is the initial grid, or u0 if given: one grid's values sampled once for
+    several marches, which the march never writes to.
     One factorization is reused throughout. Every fallible set-up (initial
     grid, operator, factorization) runs before this returns, and the values
     are then computed one at a time as they are read. An overflow raises
     NumericalError within FINITE_CHECK_STEPS solves; numpy's warnings of it are the caller's.
     """
-    u = initial_grid(cfg)
+    if u0 is None:
+        u0 = initial_grid(cfg).values
     f = factorize(build_operator(cfg.alpha, cfg.n, cfg.scheme), cfg.step_dt) if cfg.steps else None
-    return _values(f, u.values, cfg.steps)
+    return _values(f, u0, cfg.steps)
 
 
 def _values(f: Optional[Factorization], v: np.ndarray, steps: int) -> Iterator[np.ndarray]:

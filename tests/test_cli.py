@@ -728,8 +728,8 @@ class TestSchedule:
         real_iter_values = evolution.iter_values
         taken = []
 
-        def counted(cfg):
-            values = list(real_iter_values(cfg))
+        def counted(cfg, *u0):
+            values = list(real_iter_values(cfg, *u0))
             taken.append(len(values) - 1)
             return iter(values)
 

@@ -15,6 +15,7 @@ from fracheat import (
     cli,
     eigen_decay_study,
     error_norms,
+    evolution,
     evolve,
     figure1_comparison,
     harness,
@@ -219,6 +220,15 @@ class TestEigenDecayStudy:
     def test_meta_records_eigenvalue(self):
         rep = eigen_decay_study(1.4, [32, 64], t_final=0.05)
         assert rep.meta["c"] == pytest.approx(-4.708037786285718, abs=1e-7)
+
+    def test_samples_each_grid_once(self, monkeypatch):
+        # u_c on n = 50..400 is 750 nodes, shared by both chains (1,500 when each chain sampled it)
+        calls = []
+        real = evolution.eigenfunction_u_c
+        monkeypatch.setattr(evolution, "eigenfunction_u_c", lambda *args: calls.append(args) or real(*args))
+        rep = eigen_decay_study(1.4, self.N_LIST, t_final=0.05)
+        assert len(calls) == sum(self.N_LIST) == 750
+        assert len(rep.rows) == 2 * len(self.N_LIST)
 
 
 class TestOperatorConsistencyStudy:

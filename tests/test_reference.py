@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,7 +50,7 @@ def unmemoized_inverse(alpha, g, x):
     s, w = _unit_weights(alpha)
 
     def weighted_integral(c):
-        return 0.0 if c == 0.0 else c**alpha * float((w * np.asarray(g(c * s), dtype=float)).sum())
+        return 0.0 if c == 0.0 else c**alpha * float(np.einsum("i,i", w, np.asarray(g(c * s), dtype=float)))
 
     return weighted_integral(x) - x ** (alpha - 1.0) * weighted_integral(1.0)
 
@@ -242,6 +244,28 @@ class TestContinuousInverseQuadrature:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         assert got[0] == 0.0 and got[-1] == 0.0
         assert np.array_equal(got, [unmemoized_inverse(alpha, g, x) for x in INVERSE_XS])
+
+    def test_one_call_allocates_one_node_array(self, memo):
+        # the nodes c*s, which identity returns as they are; the weighted sum takes no temporary
+        continuous_inverse_apply(1.5, identity, 0.5)  # weights and I(1) formed
+        nbytes = _unit_weights(1.5)[0].nbytes
+        tracemalloc.start()
+        try:
+            continuous_inverse_apply(1.5, identity, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * nbytes, f"tracemalloc peak {peak} B, one node array is {nbytes} B"
+
+    def test_constant_g_may_return_a_scalar(self):
+        for x in (0.25, 0.5, 0.75):
+            assert continuous_inverse_apply(1.5, lambda y: 2.0, x) == 2.0 * continuous_inverse_apply(1.5, ones, x)
+
+    @pytest.mark.parametrize("shape", [(5,), (1,), (reference.PANELS + 1, 1)])
+    def test_rejects_g_of_another_shape(self, shape, memo):
+        with pytest.raises(DomainError, match=re.escape(f"g returned shape {shape} on the quadrature nodes")):
+            continuous_inverse_apply(1.5, lambda y: np.ones(shape), 0.5)
+        assert memo.cache_info().currsize == 0
 
     def test_cached_weights_are_read_only(self):
         s, w = _unit_weights(1.5)
