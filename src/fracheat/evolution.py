@@ -7,7 +7,13 @@ nonpositive off-diagonals, row sums >= 1). It is factored one of two ways:
 - below FFT_MIN_N, an LU without pivoting: each elimination step touches only
   the single superdiagonal entry of the pivot row, O(n^2) work, and a solve is
   triangular substitution, LAPACK trtrs on L and tbtrs on U (no subtractions,
-  so a solve of b >= 0 is exactly nonnegative);
+  so a solve of b >= 0 is exactly nonnegative), two bare kernel calls
+  (1.8 us at n = 50). The elimination stops at its fixed point, the first
+  column whose multipliers are the previous column's shifted down by one, bit
+  for bit (the floating-point image of the Wiener-Hopf factor below): every
+  later pivot and column repeats it and is copied. At n = 400, alpha = 1.4,
+  new scheme, that is column 14 (0-based) at tau = 0.05, 50 at tau = 1, 202
+  at tau = 10, and none before the last at tau = 1600;
 - from FFT_MIN_N on, the Toeplitz matrix with the one root of its symbol
   inside the unit disc divided out (a Wiener-Hopf factorization): a
   bidiagonal factor, a triangular Toeplitz factor applied as one real FFT
@@ -151,8 +157,9 @@ _trtrs, _tbtrs = partial(_bind, _FLAPACK, "dtrtrs"), partial(_bind, _FLAPACK, "d
 _r2c, _c2r, _good_size = (partial(_bind, _POCKETFFT, kernel) for kernel in ("r2c", "c2r", "good_size"))
 
 # Grids with n >= FFT_MIN_N solve through the ToeplitzFactorization, smaller ones through
-# the dense LU. README's numerical notes time both steps from n = 400 to 750: they cross
-# between 500 and 600. It keeps n <= 400, where `solve` prints values with repr, on dense arithmetic.
+# the dense LU. README's numerical notes time both steps from n = 200 to 750: they cross between
+# 350 and 400 (between 500 and 550 on an earlier host). It keeps n <= 400, where `solve` prints
+# values with repr, on dense arithmetic.
 FFT_MIN_N = 600
 
 # An FFT solve of b >= 0 with an entry below -FFT_CLIP_C*eps*log2(n)*max(b) is
@@ -178,9 +185,15 @@ class LUFactorization:
     banded: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order: superdiag + pivots
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        # trtrs solves L y = b through the F-ordered L^T, into a copy of b
-        y = _checked(*_trtrs(self.lower.T, b, lower=0, trans=1, unitdiag=1))
-        return _checked(*_tbtrs(self.banded, y, overwrite_b=1))
+        # trtrs solves L y = b through the F-ordered L^T (lower=0, trans=1, unitdiag=1), into a copy of b;
+        # tbtrs solves U x = y in place (uplo="U", trans="N", diag="N", overwrite_b=1). The flags go
+        # positionally: keyword flags and a checking helper took 0.8 of 2.6 us a solve at n = 50
+        y, info = _trtrs(self.lower.T, b, 0, 1, 1)
+        if not info:
+            x, info = _tbtrs(self.banded, y, "U", "N", "N", 1)
+        if info:
+            raise NumericalError(f"LAPACK solve failed with info={info}")
+        return x
 
 
 @dataclass(frozen=True)
@@ -207,11 +220,19 @@ class ToeplitzFactorization:
     s: np.ndarray = field(repr=False)         # n entries
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        size = self.fft_len
-        y = _checked(*_tbtrs(self.band, b, diag="U"))  # U^-1 b, into a copy of b
+        size, n = self.fft_len, self.op.n
+        padded = np.zeros(size)
+        padded[:n] = b
+        # U^-1 b in place on the zero-padded buffer (uplo="U", trans="N", diag="U", overwrite_b=1)
+        _checked(*_tbtrs(self.band, padded[:n], "U", "N", "U", 1))
+        transform = _r2c(padded)
+        # spectrum times transform, in this order: numpy's complex product does not commute bit for bit
+        np.multiply(self.spectrum, transform, out=transform)
         # c2r with inorm=2 is np.fft.irfft: it applies numpy's 1/size
-        x = _c2r(self.spectrum * _rfft(y, size), lastsize=size, forward=False, inorm=2)[: self.op.n + 1]
-        return _clip_negative(x[:-1] + self.s * (self.r @ x), b)
+        x = _c2r(transform, lastsize=size, forward=False, inorm=2)[: n + 1]
+        v = self.s * (self.r @ x)
+        v += x[:-1]
+        return _clip_negative(v, b)
 
 
 Factorization = Union[LUFactorization, ToeplitzFactorization]
@@ -351,6 +372,14 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
         banded[1, j] = piv
         m = col[1:] / piv
         lower[j + 1 :, j] = m
+        # the fixed point: m is the previous column's multipliers shifted down by one, bit for bit, so the
+        # next column base[:n-1-j] - m*sup is col[:-1], and every later pivot and column repeats this one.
+        # The first entries go first: the whole comparison costs about 2 us a column
+        if 0 < j < n - 1 and m[0] == lower[j, j - 1] and (m == lower[j : n - 1, j - 1]).all():
+            banded[1, j + 1 :] = piv
+            for k in range(j + 1, n - 1):
+                lower[k + 1 :, k] = m[: n - 1 - k]
+            break
         col = base[: n - 1 - j] - m * sup
     return LUFactorization(op, lower, banded)
 
@@ -432,8 +461,7 @@ def iter_values(cfg: EvolutionConfig, u0: Optional[np.ndarray] = None) -> Iterat
     are then computed one at a time as they are read. An overflow raises
     NumericalError within FINITE_CHECK_STEPS solves; numpy's warnings of it are the caller's.
     """
-    if u0 is None:
-        u0 = initial_grid(cfg).values
+    u0 = initial_grid(cfg).values if u0 is None else GridFunction(alpha=cfg.alpha, n=cfg.n, values=u0).values
     f = factorize(build_operator(cfg.alpha, cfg.n, cfg.scheme), cfg.step_dt) if cfg.steps else None
     return _values(f, u0, cfg.steps)
 

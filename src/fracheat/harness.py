@@ -198,7 +198,7 @@ def figure1_comparison(
                 f"Gaussian mu={mu!r}, sigma2={sigma2!r} is zero or subnormal on every node at n = {n}"
             )
     for k, values in enumerate(iter_values(base)):  # refused at the first underflow: ||(I - dt*M_h)^-1||_inf <= 1
-        ref_sup = float(np.abs(values).max())
+        ref_sup = float(values.max())  # the march keeps Gaussian data >= 0
         if ref_sup < TINY:
             raise DomainError(
                 f"t_final={t_final!r} decays the reference below the smallest normal float"

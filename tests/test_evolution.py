@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -58,6 +59,25 @@ def grid(alpha, n, values):
     return GridFunction(alpha=alpha, n=n, values=np.asarray(values, dtype=float))
 
 
+def full_elimination(op, sigma, tau):
+    """L, U's pivots and the fixed-point column of sigma*I - tau*T's elimination without pivoting, every
+    column divided out. The fixed point is the first column before the last whose multipliers are the
+    previous column's shifted down by one, bit for bit (None if there is none)."""
+    n, w = op.n, op.weights.w
+    sup = -tau * w[0]
+    base = -tau * w[1 : n + 1]
+    base[0] += sigma
+    lower, pivots, fixed = np.eye(n), np.empty(n), None
+    col = base.copy()
+    for j in range(n):
+        pivots[j] = col[0]
+        lower[j + 1 :, j] = col[1:] / col[0]
+        if fixed is None and 0 < j < n - 1 and np.array_equal(lower[j + 1 :, j], lower[j : n - 1, j - 1]):
+            fixed = j
+        col = base[: n - 1 - j] - lower[j + 1 :, j] * sup
+    return lower, pivots, fixed
+
+
 class TestFactorization:
     def test_three_by_three_oracle(self):
         # dt chosen so I - dt*M_h = [[3,-1,0],[-1,3,-1],[0,-1,3]] at alpha = 2:
@@ -79,6 +99,25 @@ class TestFactorization:
         a = np.eye(n) - dt * op.dense()
         lu = f.lower @ (np.diag(f.banded[1]) + np.diag(f.banded[0, 1:], 1))
         np.testing.assert_allclose(lu, a, atol=1e-11 * np.abs(a).max())
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_early_stop_is_the_full_elimination_bit_for_bit(self, scheme, alpha):
+        # the elimination stops at the column whose multipliers repeat the last
+        # column's shifted down by one, and copies the rest: the same L and pivots
+        for n in (3, 8, 50, 401, FFT_MIN_N - 1):
+            op = build_operator(alpha, n, scheme)
+            for sigma, tau in ((1.0, 0.01), (1.0, 1.0), (1.0, 10.0), (1.0, 1600.0), (0.0, 1.0), (1e-3, 1.0)):
+                lower, pivots, _ = full_elimination(op, sigma, tau)
+                f = evolution._factor_shifted(op, sigma, tau)
+                np.testing.assert_array_equal(f.lower, lower, err_msg=f"{n=}, {sigma=}, {tau=}")
+                np.testing.assert_array_equal(f.banded[1], pivots, err_msg=f"{n=}, {sigma=}, {tau=}")
+
+    @pytest.mark.parametrize("tau, column", [(401**-0.5, 14), (1.0, 50), (10.0, 202), (1600.0, None)])
+    def test_fixed_point_column(self, tau, column):
+        # at n = 400 (alpha = 1.4, new scheme): figure1_comparison's tau on its
+        # finest grid, and 1, 10 and 1600, where no column before the last repeats
+        assert full_elimination(build_operator(1.4, 400), 1.0, tau)[2] == column
 
     def test_pivots_at_least_one(self):
         op = build_operator(1.4, 64)
@@ -164,6 +203,19 @@ class TestStep:
         f = LUFactorization(op=build_operator(1.5, n), lower=np.eye(n), banded=banded)
         with pytest.raises(NumericalError, match="info=3"):
             f.solve(np.ones(n))
+
+    def test_kernels_take_the_flags_in_the_order_the_solves_pass_them(self):
+        # the solves pass trtrs (lower, trans, unitdiag) and tbtrs (uplo, trans,
+        # diag, overwrite_b) positionally: a scipy whose f2py signatures order
+        # them otherwise would solve another system without an error
+        factorize(build_operator(1.4, 8), 1e-3).solve(np.ones(8))  # the first solve binds the kernels
+
+        def optional(kernel, name):
+            first_line = kernel.__doc__.splitlines()[0]
+            return re.fullmatch(rf"x,info = {name}\(\w+,b,\[([\w,]+)\]\)", first_line).group(1).split(",")
+
+        assert optional(evolution._trtrs, "dtrtrs")[:3] == ["lower", "trans", "unitdiag"]
+        assert optional(evolution._tbtrs, "dtbtrs")[:4] == ["uplo", "trans", "diag", "overwrite_b"]
 
     @pytest.mark.parametrize("n", [3, 50, 400, LAST_DENSE, FIRST_FFT, 3200])
     def test_held_bytes_by_representation(self, n):
@@ -485,10 +537,11 @@ class TestToeplitzFactorization:
         # tau = 0.08, 10 and 1600 put the symbol's root near 0.07, 0.8 and 0.99.
         # The oracle is np.linalg.solve on op.dense() at n = FFT_MIN_N and for
         # one case at n = 3200, where the pivot-free LU, forced past FFT_MIN_N,
-        # must agree with it too; the other n = 3200 cases read that LU (0.3 s
-        # against 2 s a case). Over all eight, the LU's worst error against
-        # np.linalg.solve read 2.2e-13 (new, alpha = 1.4) and the Toeplitz
-        # solve's against the LU 2.3e-13 (grunwald, alpha = 2)
+        # must agree with it too; the other n = 3200 cases read that LU, whose
+        # elimination stops at its fixed point (0.2 s against 1.6 s a case).
+        # Over all eight, the LU's worst error against np.linalg.solve read
+        # 2.2e-13 (new, alpha = 1.4) and the Toeplitz solve's against the LU
+        # 2.3e-13 (grunwald, alpha = 2)
         rng = np.random.default_rng(10)
         op = build_operator(alpha, n, scheme)
         dense = n == FFT_MIN_N or (scheme, alpha) == (Scheme.NEW, 1.4)
@@ -809,6 +862,23 @@ class TestEvolve:
         times, grids = zip(*states)
         np.testing.assert_allclose(times, np.arange(6) * 0.002, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(grids[-1].values, evolve(cfg).values)
+
+    @pytest.mark.parametrize("n, u0, match", [
+        pytest.param(50, np.ones(51), "grid length 51 does not match n=50", id="one-too-many"),
+        # trtrs printed "parameter number 9 had an illegal value" before refusing it
+        pytest.param(50, np.ones(49), "grid length 49 does not match n=50", id="one-too-few"),
+        # tbtrs's f2py wrapper raised its own ValueError
+        pytest.param(700, np.ones(699), "grid length 699 does not match n=700", id="one-too-few-fft"),
+        # reported as an overflow at the first finiteness scan
+        pytest.param(50, np.r_[np.ones(49), np.nan], "grid values must be finite", id="nan"),
+        # marched as an (n, 1) array
+        pytest.param(50, np.ones((50, 1)), r"must be 1-D, got shape \(50, 1\)", id="column"),
+    ])
+    def test_iter_values_refuses_data_not_of_the_grid(self, n, u0, match, capfd):
+        cfg = EvolutionConfig(alpha=1.4, n=n, t_final=0.05)
+        with pytest.raises(DomainError, match=match):
+            list(evolution.iter_values(cfg, u0))
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("n", [LAST_DENSE, FIRST_FFT])
     def test_evolve_is_last_state(self, n):
