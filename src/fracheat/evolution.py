@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .operators import GridFunction, OperatorMatrix, build_operator
 from .reference import eigenfunction_u_c, gaussian_ic, principal_eigenvalue
-from .weights import MAX_N, Scheme, check_alpha, reciprocal_series
+from .weights import Scheme, check_alpha, check_n, reciprocal_series
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +91,16 @@ class EvolutionConfig:
     step_dt: float = field(init=False)
 
     def __post_init__(self):
-        check_alpha(self.alpha)
+        # the numbers as Python scalars from here on: numpy's warn where Python's overflow to inf
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         object.__setattr__(self, "scheme", Scheme(self.scheme))  # a name, or DomainError
-        if not 3 <= self.n <= MAX_N:
-            raise DomainError(f"n must be in [3, {MAX_N}], got {self.n}")
+        object.__setattr__(self, "n", check_n(self.n, 3))
         if not 0.0 <= self.t_final < math.inf:
             raise DomainError(f"t_final must be finite and >= 0, got {self.t_final}")
         if self.dt is not None and not 0.0 < self.dt < math.inf:
             raise DomainError(f"dt must be finite and > 0, got {self.dt}")
+        object.__setattr__(self, "t_final", float(self.t_final))
+        object.__setattr__(self, "dt", None if self.dt is None else float(self.dt))
         if self.dt is not None and self.t_final > 0.0 and self.dt > self.t_final:
             raise DomainError(f"dt={self.dt!r} must not exceed t_final={self.t_final!r}")
         if not isinstance(self.ic, InitialCondition):
@@ -226,13 +228,16 @@ class ToeplitzFactorization:
         # U^-1 b in place on the zero-padded buffer (uplo="U", trans="N", diag="U", overwrite_b=1)
         _checked(*_tbtrs(self.band, padded[:n], "U", "N", "U", 1))
         transform = _r2c(padded)
-        # spectrum times transform, in this order: numpy's complex product does not commute bit for bit
-        np.multiply(self.spectrum, transform, out=transform)
-        # c2r with inorm=2 is np.fft.irfft: it applies numpy's 1/size
-        x = _c2r(transform, lastsize=size, forward=False, inorm=2)[: n + 1]
-        v = self.s * (self.r @ x)
-        v += x[:-1]
-        return _clip_negative(v, b)
+        # numpy's arithmetic here is the only part of any solve that can warn (LAPACK and pocketfft never do):
+        # an overflow of it is refused with NumericalError by the caller's finite check, never warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            # spectrum times transform, in this order: numpy's complex product does not commute bit for bit
+            np.multiply(self.spectrum, transform, out=transform)
+            # c2r with inorm=2 is np.fft.irfft: it applies numpy's 1/size
+            x = _c2r(transform, lastsize=size, forward=False, inorm=2)[: n + 1]
+            v = self.s * (self.r @ x)
+            v += x[:-1]
+            return _clip_negative(v, b)
 
 
 Factorization = Union[LUFactorization, ToeplitzFactorization]
@@ -385,16 +390,24 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
 
 
 def factorize(op: OperatorMatrix, dt: float) -> Factorization:
-    """Factor (I - dt*M_h) for the backward-Euler step."""
+    """Factor (I - dt*M_h) for the backward-Euler step.
+
+    Refuses a shift tau = dt/h^alpha whose diagonal 1 + tau*|w_1| overflows: that diagonal bounds
+    every entry of A's factors (the Schur complements of a diagonally dominant M-matrix are ones).
+    """
     if not 0.0 < dt < math.inf:
         raise DomainError(f"dt must be finite and > 0, got {dt!r}")
-    return _factor_shifted(op, 1.0, dt / op.h**op.alpha)
+    tau = float(dt) / op.h**op.alpha  # Python floats: an overflow here is inf, not a numpy warning
+    if not tau * -float(op.weights.w[1]) < math.inf:
+        raise DomainError(f"dt={dt!r} at n={op.n} overflows the diagonal 1 + tau*|w_1|, tau = dt/h^alpha = {tau!r}")
+    return _factor_shifted(op, 1.0, tau)
 
 
 def step(f: Factorization, u: GridFunction) -> GridFunction:
     """Solve f's A v = u, for f = factorize(op, dt) one backward-Euler step; refuses a grid not of f's operator.
 
-    u's values are finite, so non-finite values of v are an overflow of the solve: NumericalError.
+    u's values are finite, so non-finite values of v are an overflow of the solve: NumericalError, and no
+    numpy warning before it, also under -W error (the Toeplitz solve ignores its own; LAPACK never warns).
     """
     return GridFunction(alpha=u.alpha, n=u.n, values=_finite(f.solve(f.op.fit(u))))
 
@@ -406,7 +419,10 @@ def _finite(v: np.ndarray) -> np.ndarray:
 
 
 def resolvent_apply(op: OperatorMatrix, lam: float, g: GridFunction) -> GridFunction:
-    """Solve (lam*I - M_h) v = g for lam >= 0 (lam = 0: the negative inverse) by a step on its own factorization."""
+    """Solve (lam*I - M_h) v = g for lam >= 0 (lam = 0: the negative inverse) by a step on its own factorization.
+
+    An overflow of the solve is refused as in step: NumericalError alone.
+    """
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"resolvent parameter must be finite and >= 0, got {lam!r}")
     op.fit(g)  # a grid of another n or alpha is refused before the factorization
@@ -459,7 +475,7 @@ def iter_values(cfg: EvolutionConfig, u0: Optional[np.ndarray] = None) -> Iterat
     One factorization is reused throughout. Every fallible set-up (initial
     grid, operator, factorization) runs before this returns, and the values
     are then computed one at a time as they are read. An overflow raises
-    NumericalError within FINITE_CHECK_STEPS solves; numpy's warnings of it are the caller's.
+    NumericalError within FINITE_CHECK_STEPS solves, and no numpy warning.
     """
     u0 = initial_grid(cfg).values if u0 is None else GridFunction(alpha=cfg.alpha, n=cfg.n, values=u0).values
     f = factorize(build_operator(cfg.alpha, cfg.n, cfg.scheme), cfg.step_dt) if cfg.steps else None
@@ -475,20 +491,12 @@ def _values(f: Optional[Factorization], v: np.ndarray, steps: int) -> Iterator[n
 
 def iter_states(cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:
     """The march's states (t_k, u_k), k = 0..cfg.steps, with t_k = k*cfg.step_dt, each checked as it is read."""
-    return _states(iter_values(cfg), cfg)
-
-
-def _states(values: Iterator[np.ndarray], cfg: EvolutionConfig) -> Iterator[tuple[float, GridFunction]]:
-    for k in range(cfg.steps + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # step k's solve: an overflow is refused, not warned of
-            v = _finite(next(values))
-        yield k * cfg.step_dt, GridFunction(alpha=cfg.alpha, n=cfg.n, values=v)
+    states = enumerate(iter_values(cfg))  # the march's set-up runs here, its solves as the states are read
+    return ((k * cfg.step_dt, GridFunction(alpha=cfg.alpha, n=cfg.n, values=_finite(v))) for k, v in states)
 
 
 def evolve(cfg: EvolutionConfig) -> GridFunction:
-    """The grid at t_final: the march's last state."""
-    values = iter_values(cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises NumericalError, not a warning
-        for v in values:
-            pass
+    """The grid at t_final: the march's last state. An overflow of a step raises NumericalError alone."""
+    for v in iter_values(cfg):
+        pass
     return GridFunction(alpha=cfg.alpha, n=cfg.n, values=v)

@@ -23,7 +23,7 @@ from .interp import from_grid
 from .operators import GridFunction, apply, build_operator
 from .reference import principal_eigenvalue
 from .specfun import gamma
-from .weights import MAX_N, Scheme, check_alpha
+from .weights import MAX_N, Scheme, check_alpha, check_n
 
 TINY = np.finfo(float).tiny  # below it a grid or factor has lost its precision to underflow
 # Largest eigen-chain error/decay still read as spatial. At alpha 1.5, n 8,16 it reads 0.081/0.031
@@ -88,10 +88,10 @@ def observed_order(chain: Sequence[tuple[float, float]]) -> float:
 
 
 def _grid_sizes(n_list: Sequence[int]) -> list[int]:
-    """n_list sorted ascending; the sizes must be distinct and in [3, MAX_N] before h is formed."""
-    sizes = sorted(n_list)
-    if not sizes or sizes[0] < 3 or sizes[-1] > MAX_N or len(set(sizes)) < len(sizes):
-        raise DomainError(f"n_list needs one or more distinct sizes, all in [3, {MAX_N}], got {list(n_list)}")
+    """n_list sorted ascending; the sizes must be distinct integers in [3, MAX_N] before h is formed."""
+    sizes = sorted(check_n(n, 3) for n in n_list)
+    if not sizes or len(set(sizes)) < len(sizes):
+        raise DomainError(f"n_list needs one or more distinct sizes, got {list(n_list)}")
     return sizes
 
 
@@ -185,7 +185,7 @@ def figure1_comparison(
             )
     elif n_reference < 8 * n_list[-1]:
         raise DomainError("n_reference must be at least 8 * max(n_list)")
-    check_alpha(alpha)  # before h_min^(alpha+0.5) can overflow
+    alpha = check_alpha(alpha)  # before h_min^(alpha+0.5) can overflow
     if t_final == 0.0:
         raise DomainError("t_final must be > 0 for a comparison, got 0.0")
     base = EvolutionConfig(

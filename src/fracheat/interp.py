@@ -26,7 +26,7 @@ class PowerInterpolant:
     y: np.ndarray = field(repr=False)  # length n+2 including boundaries
 
     def __post_init__(self):
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if len(self.y) != self.n + 2:
             raise DomainError(f"need n+2 = {self.n + 2} values, got {len(self.y)}")
         if self.y[0] != 0.0:

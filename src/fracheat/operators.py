@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import gamma
-from .weights import Scheme, WeightSequence, check_alpha, weights
+from .weights import Scheme, WeightSequence, check_alpha, check_n, weights
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class GridFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if np.iscomplexobj(self.values):  # the cast below would drop the imaginary part
             raise DomainError("grid values must be real")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))  # no copy of float64
@@ -63,8 +63,7 @@ class OperatorMatrix:
     weights: WeightSequence
 
     def __post_init__(self):
-        if self.n < 3:
-            raise DomainError(f"operator needs n >= 3, got {self.n}")
+        object.__setattr__(self, "n", check_n(self.n, 3))
         if self.weights.n_max < self.n:
             raise DomainError(
                 f"weight vector too short: {self.weights.n_max + 1} < {self.n + 1}"
@@ -97,8 +96,7 @@ class OperatorMatrix:
 
 
 def build_operator(alpha: float, n: int, scheme: Scheme | str = Scheme.NEW) -> OperatorMatrix:
-    if n < 3:  # before the weights, whose own floor is n >= 2
-        raise DomainError(f"operator needs n >= 3, got {n}")
+    n = check_n(n, 3)  # before the weights, whose own floor is n >= 2
     return OperatorMatrix(n=n, weights=weights(alpha, n, scheme))
 
 

@@ -175,7 +175,7 @@ def continuous_inverse_apply(alpha: float, g: Callable[[np.ndarray], np.ndarray]
     included), for a g that returns neither one value per node nor a scalar,
     and for an inf or nan integral, which is never memoized.
     """
-    check_alpha(alpha)
+    alpha, x = check_alpha(alpha), float(x)  # a numpy float32 x would compute I(x) in float32
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must be a finite number in [0, 1], got {x}")
     at_one = _integral_at_one(alpha, g)

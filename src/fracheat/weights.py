@@ -7,12 +7,13 @@ node to the right, w[1] the on-node sample, w[k>=2] nodes to the left.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .specfun import gamma
 
 
@@ -25,9 +26,11 @@ class Scheme(str, Enum):
         raise DomainError(f"unknown scheme {value!r}, expected one of {[s.value for s in cls]}")
 
 
-def check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> float:
+    """alpha as a Python float, refused outside (1, 2]: a numpy float32 would compute in float32."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"alpha must be in (1, 2], got {alpha}")
+    return float(alpha)
 
 
 # At most this many interior nodes per grid; a larger one would not set up in
@@ -38,6 +41,22 @@ def check_alpha(alpha: float) -> None:
 MAX_N = 10**6
 
 
+def check_n(n: int, low: int) -> int:
+    """n as a Python int, refused unless an integer in [low, MAX_N]: numpy's integers are ones, 20.0 is not.
+
+    A numpy integer would make h = 1/(n+1) a numpy float, whose arithmetic warns where Python's overflows to inf.
+    """
+    if not (isinstance(n, numbers.Integral) and low <= n <= MAX_N):
+        raise DomainError(f"n must be an integer in [{low}, {MAX_N}], got {n!r}")
+    return int(n)
+
+
+# Mantissa bits of np.longdouble: 63 in x86's 80-bit format, 52 where it is float64 (MSVC, macOS
+# arm64). new_weights needs the 80 bits: in float64 its recurrence reaches w_k <= 0 from k = 1457 at
+# alpha = 1.99, N = 4096, which breaks the sign structure the M-matrix rests on.
+LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
+
+
 @dataclass(frozen=True)
 class WeightSequence:
     alpha: float
@@ -45,7 +64,7 @@ class WeightSequence:
     w: np.ndarray = field(repr=False)  # indices 0..N
 
     def __post_init__(self):
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         self.w.setflags(write=False)
 
     @property
@@ -66,11 +85,15 @@ def new_weights(alpha: float, n: int) -> WeightSequence:
     The substitution runs in extended precision: the tail weights decay like
     k^(-alpha-1) while the dot products cancel terms of order k^(alpha-1), so
     plain double accumulation leaves noise above the smallest weights for
-    n in the thousands (flipping their sign near alpha = 2).
+    n in the thousands (flipping their sign near alpha = 2). So it refuses with
+    NumericalError where np.longdouble has fewer than 63 mantissa bits.
     """
-    check_alpha(alpha)
-    if not 2 <= n <= MAX_N:
-        raise DomainError(f"new_weights needs 2 <= n <= {MAX_N}, got {n}")
+    alpha, n = check_alpha(alpha), check_n(n, 2)
+    if LONGDOUBLE_NMANT < 63:
+        raise NumericalError(
+            f"new_weights needs a long double of 63 or more mantissa bits, this platform's has {LONGDOUBLE_NMANT}:"
+            " in float64 the weights turn nonpositive (from k = 1457 at alpha = 1.99, n = 4096)"
+        )
     # p[j] = (j+1)^(alpha-1)
     p = np.arange(1, n + 2, dtype=np.longdouble) ** np.longdouble(alpha - 1.0)
     w = np.zeros(n + 1, dtype=np.longdouble)
@@ -82,9 +105,7 @@ def new_weights(alpha: float, n: int) -> WeightSequence:
 
 def grunwald_weights(alpha: float, n: int) -> WeightSequence:
     """Shifted-Grunwald weights w_k = (-1)^k binom(alpha, k)."""
-    check_alpha(alpha)
-    if not 2 <= n <= MAX_N:
-        raise DomainError(f"grunwald_weights needs 2 <= n <= {MAX_N}, got {n}")
+    alpha, n = check_alpha(alpha), check_n(n, 2)
     w = np.empty(n + 1)
     w[0] = 1.0
     for k in range(1, n + 1):

@@ -272,10 +272,10 @@ SCHEDULE = [
 # A grid above MAX_N nodes, in each of the five commands that take a size, and
 # what its refusal names; nothing of that size is allocated before it.
 TOO_LARGE = [
-    (["weights", "--n", str(MAX_N + 1)], f"new_weights needs 2 <= n <= {MAX_N}"),
-    (["weights", "--scheme", "grunwald", "--n", str(MAX_N + 1)], f"grunwald_weights needs 2 <= n <= {MAX_N}"),
-    (["solve", "--n", str(MAX_N + 1), "--dt", "0.001", "--t-final", "0.01"], f"n must be in [3, {MAX_N}]"),
-    *(([command, "--n-list", f"8,{MAX_N + 1}"], f"all in [3, {MAX_N}]")
+    (["weights", "--n", str(MAX_N + 1)], f"n must be an integer in [2, {MAX_N}], got {MAX_N + 1}"),
+    (["weights", "--scheme", "grunwald", "--n", str(MAX_N + 1)], f"n must be an integer in [2, {MAX_N}]"),
+    (["solve", "--n", str(MAX_N + 1), "--dt", "0.001", "--t-final", "0.01"], f"n must be an integer in [3, {MAX_N}]"),
+    *(([command, "--n-list", f"8,{MAX_N + 1}"], f"n must be an integer in [3, {MAX_N}], got {MAX_N + 1}")
       for command in ("converge", "consistency", "compare")),
     # the nested reference of 8*(max n + 1) - 1 nodes counts too
     (["compare", "--n-list", f"8,{MAX_N // 8}"],
@@ -513,6 +513,26 @@ class TestExitCodes:
         )
         rows = proc.stdout.splitlines()[1:]
         assert rows[0] == "t,x,u" and len(rows) == 1001 and all(r.startswith("0.0,") for r in rows[1:])
+
+    def test_overflowing_step_shift_is_only_refused(self):
+        # tau = dt/h^alpha = inf: the elimination divided by an infinite pivot, and under -W
+        # error that warning was a traceback (exit 1); it is refused before the first byte
+        argv = ["solve", "--n", "8", "--t-final", "1e308", "--dt", "1e308"]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fracheat.cli", *argv], capture_output=True, text=True, env=child_env()
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            "fracheat: usage error: dt=1e+308 at n=8 overflows the diagonal 1 + tau*|w_1|, tau = dt/h^alpha = inf\n"
+        )
+
+    # where long double is float64 the new scheme's weights are refused: a numerical failure
+    def test_float64_long_double_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr("fracheat.weights.LONGDOUBLE_NMANT", 52)
+        code, out, err = run_main(["weights", "--n", "8"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("fracheat: numerical error: new_weights needs a long double of 63 or more mantissa bits")
+        assert run_main(["weights", "--n", "8", "--scheme", "grunwald"], capsys)[0] == 0
 
     def test_overflowing_initial_condition_is_only_refused(self, capsys):
         # the power law overflows at n = 1000: no numpy warning, the refusal alone

@@ -139,6 +139,24 @@ class TestFactorization:
         with pytest.raises(DomainError, match=f"got {dt!r}"):
             factorize(op, dt)
 
+    # a finite dt whose shift tau = dt/h^alpha, or the diagonal 1 + tau*|w_1| it sets, overflows: the
+    # elimination once divided by an infinite pivot, a RuntimeWarning first and an LU of nan after it.
+    # At alpha = 2, n = 3 the shift 1.6e308 is finite and only the diagonal 2*tau overflows
+    @pytest.mark.parametrize(
+        "alpha, n, dt", [(1.5, 8, 1e308), pytest.param(1.4, FFT_MIN_N, 1e305, id="first-fft-size"), (2.0, 3, 1e307)]
+    )
+    def test_rejects_an_overflowing_shift(self, alpha, n, dt):
+        op = build_operator(alpha, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"dt={dt!r} at n={n} overflows the diagonal")):
+                factorize(op, dt)
+            # a dt whose diagonal is half the largest float still factors and solves, to finite values
+            tau = np.finfo(float).max / 2.0 / -op.weights.w[1]
+            f = factorize(op, tau * op.h**alpha)
+            v = step(f, grid(alpha, op.n, np.ones(op.n))).values
+        assert np.isfinite(v).all() and (v >= 0.0).all()
+
 
 class TestStep:
     def test_matches_dense_solve(self):
@@ -259,11 +277,20 @@ class TestStep:
 
     def test_overflowing_fft_solve_is_only_refused(self):
         # at n >= FFT_MIN_N the overflowed tbtrs result went through numpy's FFT
-        # and multiply, which warned before the refusal (a RuntimeWarning under "error")
+        # and multiply, which warned before the refusal (a RuntimeWarning under "error"):
+        # the march, one step, and resolvents at lam = 0 and 2, each a Toeplitz solve
         cfg = EvolutionConfig(alpha=1.5, n=1000, t_final=1.0, dt=0.5, ic=PowerLawIC(a=1e308))
+        op = build_operator(1.5, 1000)
+        g = grid(1.5, 1000, np.full(1000, 1e308))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for run in (lambda: evolve(cfg), lambda: list(iter_states(cfg))):
+            for run in (
+                lambda: evolve(cfg),
+                lambda: list(iter_states(cfg)),
+                lambda: step(factorize(op, cfg.step_dt), g),
+                lambda: resolvent_apply(op, 0.0, g),
+                lambda: resolvent_apply(op, 2.0, g),
+            ):
                 with pytest.raises(NumericalError, match=r"finite grid \(n=1000\) overflowed"):
                     run()
 
@@ -963,6 +990,18 @@ class TestEvolve:
         np.testing.assert_array_equal(evolve(cfg).values, evolve(EvolutionConfig(scheme=Scheme.NEW, **kw)).values)
         with pytest.raises(DomainError, match="unknown scheme 'bogus'"):
             EvolutionConfig(scheme="bogus", **kw)
+
+    # n = 20.5 once built a config and failed on its grid of 21 values; numpy's integers are sizes
+    @pytest.mark.parametrize("n", [20.5, 20.0, np.float64(8.0), True])
+    def test_config_refuses_non_integer_n(self, n):
+        with pytest.raises(DomainError, match=r"n must be an integer in \[3, "):
+            EvolutionConfig(alpha=1.5, n=n, t_final=0.01)
+
+    def test_config_takes_numpy_integer_n(self):
+        kw = dict(alpha=1.5, t_final=0.01)
+        cfg = EvolutionConfig(n=np.int64(8), **kw)
+        assert type(cfg.n) is int
+        np.testing.assert_array_equal(evolve(cfg).values, evolve(EvolutionConfig(n=8, **kw)).values)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

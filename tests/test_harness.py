@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fracheat import (
     observed_order,
     operator_consistency_study,
 )
+from fracheat.weights import MAX_N
 
 CSV_HEADER = "scheme,alpha,n,h,dt,error,observed_order"
 
@@ -329,7 +331,12 @@ class TestGridSizeGuard:
     @pytest.mark.parametrize("n_list", [[-1], [0, 16], [2, 8], [], [8, 8]])
     @STUDIES
     def test_rejects_sizes_below_three(self, study, n_list):
-        with pytest.raises(DomainError, match="n_list needs one or more distinct sizes"):
+        # an empty or repeated list is refused as a list, a size below 3 by itself
+        if n_list and min(n_list) < 3:
+            message = f"n must be an integer in [3, {MAX_N}], got {min(n_list)}"
+        else:
+            message = f"n_list needs one or more distinct sizes, got {n_list}"
+        with pytest.raises(DomainError, match=re.escape(message)):
             study(1.4, n_list)
 
     # the study's own check names alpha before any power or gamma of it overflows

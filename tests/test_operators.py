@@ -53,8 +53,16 @@ class TestBuildAndDense:
 
     @pytest.mark.parametrize("n", [2, 1, 0, -5])
     def test_rejects_small_n(self, n):
-        with pytest.raises(DomainError, match="operator needs n >= 3"):
+        with pytest.raises(DomainError, match=r"n must be an integer in \[3, "):
             build_operator(1.5, n)
+
+    # before the weights, whose floor is 2: a float size was numpy's TypeError there
+    @pytest.mark.parametrize("n", [20.0, 20.5, np.float64(8.0), True])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(DomainError, match=r"n must be an integer in \[3, "):
+            build_operator(1.4, n)
+        with pytest.raises(DomainError, match=r"n must be an integer in \[3, "):
+            OperatorMatrix(n=n, weights=new_weights(1.4, 32))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_q_matrix_structure(self, alpha):
@@ -198,5 +206,5 @@ class TestGridFunction:
 
     # build_operator refuses these first, so only a direct construction reaches this check
     def test_direct_construction_rejects_small_n(self):
-        with pytest.raises(DomainError, match="operator needs n >= 3, got 2"):
+        with pytest.raises(DomainError, match=r"n must be an integer in \[3, 1000000\], got 2"):
             OperatorMatrix(n=2, weights=new_weights(1.5, 4))

@@ -188,6 +188,12 @@ class TestContinuousInverse:
             v = continuous_inverse_apply(2.0, lambda y: np.sin(np.pi * y), x)
             assert v == pytest.approx(-math.sin(math.pi * x) / math.pi**2, abs=1e-6)
 
+    # a numpy float32 alpha or x is read as the float it equals: in float32 I(x) was off by 9e-8
+    def test_float32_arguments(self):
+        alpha, x = np.float32(1.4), np.float32(0.3)
+        v = continuous_inverse_apply(alpha, np.cos, x)
+        assert type(v) is float and v == continuous_inverse_apply(float(alpha), np.cos, float(x))
+
     def test_vanishes_at_one(self):
         v = continuous_inverse_apply(1.5, lambda y: np.exp(y), 1.0)
         assert abs(v) <= 1e-8

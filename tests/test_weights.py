@@ -5,6 +5,7 @@ import pytest
 
 from fracheat import (
     DomainError,
+    NumericalError,
     Scheme,
     gamma,
     generating_residual,
@@ -13,7 +14,8 @@ from fracheat import (
     qmatrix_report,
     resubstitution_residual,
 )
-from fracheat.weights import reciprocal_series, weights
+from fracheat import weights as weights_module
+from fracheat.weights import MAX_N, reciprocal_series, weights
 
 ALPHAS = [round(1.1 + 0.1 * k, 1) for k in range(9)]  # 1.1 .. 1.9
 
@@ -48,6 +50,33 @@ class TestNewWeights:
             new_weights(2.1, 16)
         with pytest.raises(DomainError):
             new_weights(1.5, 1)
+
+    # where long double is float64 the recurrence's weights turn nonpositive at large n
+    def test_refuses_a_float64_long_double(self, monkeypatch):
+        monkeypatch.setattr(weights_module, "LONGDOUBLE_NMANT", 52)
+        with pytest.raises(NumericalError, match="63 or more mantissa bits, this platform's has 52"):
+            new_weights(1.5, 16)
+        assert grunwald_weights(1.5, 16).w.size == 17  # Grunwald's closed form needs no long double
+
+
+class TestArgumentChecks:
+    # a size is an integer, numpy's included; 20.0, 20.5 and True are refused, not truncated or cast
+    @pytest.mark.parametrize("make", [new_weights, grunwald_weights])
+    @pytest.mark.parametrize("n", [20.0, 20.7, np.float64(8.0), True, 1, -3, MAX_N + 1])
+    def test_refuses(self, make, n):
+        with pytest.raises(DomainError, match=rf"n must be an integer in \[2, {MAX_N}\], got "):
+            make(1.4, n)
+
+    @pytest.mark.parametrize("make", [new_weights, grunwald_weights])
+    def test_numpy_integer(self, make):
+        np.testing.assert_array_equal(make(1.4, np.int64(8)).w, make(1.4, 8).w)
+
+    # a numpy float32 alpha is read as the float it equals: gamma(alpha) in float32 moved w by 1e-7
+    @pytest.mark.parametrize("make", [new_weights, grunwald_weights])
+    def test_numpy_float32_alpha(self, make):
+        ws = make(np.float32(1.4), 8)
+        assert type(ws.alpha) is float
+        np.testing.assert_array_equal(ws.w, make(float(np.float32(1.4)), 8).w)
 
 
 class TestGrunwaldWeights:
