@@ -28,9 +28,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
+from types import ModuleType
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -119,10 +119,6 @@ class EvolutionConfig:
 # factorizations of A = sigma*I - tau*T
 
 def _load_extension(name: str):
-    # scipy's extension module `name`, loaded from its file without importing its package:
-    # _flapack loads in 5 ms, where the scipy.linalg import took 0.28 s of every set-up (Python
-    # 3.11, scipy 1.17, 2 vCPUs), most of it numpy.f2py, numpy.testing, numpy.ma and numpy.random,
-    # and pypocketfft in 0.7 ms. `import scipy` takes about 15 ms and runs its DLL set-up on Windows.
     if name in sys.modules:
         return sys.modules[name]
     import scipy
@@ -139,24 +135,29 @@ def _load_extension(name: str):
     return extension
 
 
-def _bind(name: str, kernel: str, *args, **kwargs):
-    # the first call through a stand-in below binds its extension's kernels: a run that never factors skips scipy
-    global _trtrs, _tbtrs, _r2c, _c2r, _good_size
-    extension = _load_extension(name)
-    if name == _FLAPACK:
-        _trtrs, _tbtrs = extension.dtrtrs, extension.dtbtrs
-    else:
-        _r2c, _c2r, _good_size = extension.r2c, extension.c2r, extension.good_size
-    return getattr(extension, kernel)(*args, **kwargs)
+class _Extension(ModuleType):
+    """scipy's extension module `name`, loaded the first time one of its kernels is read.
+
+    The first read loads it from its file without importing its package: _flapack loads in 5 ms, where
+    the scipy.linalg import took 0.28 s of every set-up (Python 3.11, scipy 1.17, 2 vCPUs), most of it
+    numpy.f2py, numpy.testing, numpy.ma and numpy.random, and pypocketfft in 0.7 ms. `import scipy`
+    takes about 15 ms and runs its DLL set-up on Windows. A run that never factors imports no scipy.
+    """
+
+    def __getattr__(self, kernel: str):
+        # only a name not on the object comes here. The first read copies the extension's names onto it
+        # and makes it a plain module: a class with __getattr__ costs 55 ns a read, a module 20 (Python 3.11)
+        extension = _load_extension(self.__name__)
+        vars(self).update(vars(extension))
+        self.__class__ = ModuleType
+        return getattr(extension, kernel)
 
 
 # LAPACK's triangular solves and pocketfft's real FFT pair, called directly: at n <= 400 the per-call
 # checks and copies of scipy's wrappers cost more than the flops, and np.fft's pair takes 134 us at
-# 6,400 points to 103 (2 vCPUs). trtrs is solve_triangular's kernel; tbtrs ends in the BLAS tbsv call
+# 6,400 points to 103 (2 vCPUs). dtrtrs is solve_triangular's kernel; dtbtrs ends in the BLAS tbsv call
 # solve_banded makes for U's band; r2c/c2r return numpy 2's np.fft.rfft/irfft bit for bit.
-_FLAPACK, _POCKETFFT = "scipy.linalg._flapack", "scipy.fft._pocketfft.pypocketfft"
-_trtrs, _tbtrs = partial(_bind, _FLAPACK, "dtrtrs"), partial(_bind, _FLAPACK, "dtbtrs")
-_r2c, _c2r, _good_size = (partial(_bind, _POCKETFFT, kernel) for kernel in ("r2c", "c2r", "good_size"))
+_flapack, _pocketfft = _Extension("scipy.linalg._flapack"), _Extension("scipy.fft._pocketfft.pypocketfft")
 
 # Grids with n >= FFT_MIN_N solve through the ToeplitzFactorization, smaller ones through
 # the dense LU. README's numerical notes time both steps from n = 200 to 750: they cross between
@@ -190,9 +191,9 @@ class LUFactorization:
         # trtrs solves L y = b through the F-ordered L^T (lower=0, trans=1, unitdiag=1), into a copy of b;
         # tbtrs solves U x = y in place (uplo="U", trans="N", diag="N", overwrite_b=1). The flags go
         # positionally: keyword flags and a checking helper took 0.8 of 2.6 us a solve at n = 50
-        y, info = _trtrs(self.lower.T, b, 0, 1, 1)
+        y, info = _flapack.dtrtrs(self.lower.T, b, 0, 1, 1)
         if not info:
-            x, info = _tbtrs(self.banded, y, "U", "N", "N", 1)
+            x, info = _flapack.dtbtrs(self.banded, y, "U", "N", "N", 1)
         if info:
             raise NumericalError(f"LAPACK solve failed with info={info}")
         return x
@@ -226,15 +227,15 @@ class ToeplitzFactorization:
         padded = np.zeros(size)
         padded[:n] = b
         # U^-1 b in place on the zero-padded buffer (uplo="U", trans="N", diag="U", overwrite_b=1)
-        _checked(*_tbtrs(self.band, padded[:n], "U", "N", "U", 1))
-        transform = _r2c(padded)
+        _checked(*_flapack.dtbtrs(self.band, padded[:n], "U", "N", "U", 1))
+        transform = _pocketfft.r2c(padded)
         # numpy's arithmetic here is the only part of any solve that can warn (LAPACK and pocketfft never do):
         # an overflow of it is refused with NumericalError by the caller's finite check, never warned of
         with np.errstate(over="ignore", invalid="ignore"):
             # spectrum times transform, in this order: numpy's complex product does not commute bit for bit
             np.multiply(self.spectrum, transform, out=transform)
             # c2r with inorm=2 is np.fft.irfft: it applies numpy's 1/size
-            x = _c2r(transform, lastsize=size, forward=False, inorm=2)[: n + 1]
+            x = _pocketfft.c2r(transform, lastsize=size, forward=False, inorm=2)[: n + 1]
             v = self.s * (self.r @ x)
             v += x[:-1]
             return _clip_negative(v, b)
@@ -271,7 +272,7 @@ def _rfft(a: np.ndarray, size: int) -> np.ndarray:
     """np.fft.rfft(a, size) for a.size <= size: r2c of a zero-padded to size."""
     padded = np.zeros(size)
     padded[: a.size] = a
-    return _r2c(padded)
+    return _pocketfft.r2c(padded)
 
 
 def _series_inverse(l: np.ndarray) -> np.ndarray:
@@ -315,7 +316,7 @@ def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray]:
     lo, hi, z = 0.0, 1.0, 0.0
     for _ in range(100):
         band[0] = -z
-        t = _checked(*_tbtrs(band, rhs, diag="U"))
+        t = _checked(*_flapack.dtbtrs(band, rhs, diag="U"))
         value = p[0] + z * t[0, 0]
         dz = value / (p[1] + z * t[0, 1])
         lo, hi = (z, hi) if value < 0.0 else (lo, z)
@@ -330,7 +331,7 @@ def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFa
     n = op.n
     # pocketfft's good_size, the smallest 2^a 3^b 5^c >= 2n: it can be 10x slower on other lengths,
     # one product at n = 3207 cost 2.2 ms at length 2n = 6414 = 2*3*1069 and 0.13 ms at 6480
-    size = _good_size(2 * n, True)
+    size = _pocketfft.good_size(2 * n, True)
     band = np.ones((2, n), order="F")  # U's band; the unit diagonal row is not read
     p = -tau * op.weights.w[: n + 1]
     if p[1] + sigma == p[1]:  # A is -tau*T to the last bit: 1/w in closed form (the root is 1 at alpha = 2)

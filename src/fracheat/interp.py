@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .weights import check_alpha
+from .weights import check_alpha, check_n
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,10 @@ class PowerInterpolant:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
-        if len(self.y) != self.n + 2:
-            raise DomainError(f"need n+2 = {self.n + 2} values, got {len(self.y)}")
+        object.__setattr__(self, "n", check_n(self.n, 0))
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))  # no copy of float64
+        if self.y.ndim != 1 or len(self.y) != self.n + 2:
+            raise DomainError(f"need n+2 = {self.n + 2} values in a 1-D array, got shape {self.y.shape}")
         if self.y[0] != 0.0:
             raise DomainError("left boundary value must be 0")
         if not np.isfinite(self.y).all():
@@ -59,7 +61,8 @@ class PowerInterpolant:
             num = np.expm1(beta * np.log(x / (i * h)))
             den = np.expm1(beta * np.log1p(1.0 / i))
             v = yi + (yi1 - yi) * num / den
-        v = np.where(i == 0, self.y[1] * t**beta, v)
+        # the first cell's value, where t < 1; t is clipped to 1 elsewhere, where y_1*t^b could overflow unused
+        v = np.where(i == 0, self.y[1] * np.minimum(t, 1.0) ** beta, v)
         # y_j where t is within rounding of j (x = k*h_c and x/h: 4 roundings, <= 2*eps*t), y_{n+1} at x = 1
         j = np.rint(t)
         v = np.where(np.abs(t - j) <= 4.0 * np.finfo(float).eps * t, self.y[j.astype(np.intp)], v)
@@ -68,6 +71,7 @@ class PowerInterpolant:
 
 def from_grid(values: np.ndarray, alpha: float) -> PowerInterpolant:
     """Wrap interior node values u_1..u_n as a PowerInterpolant with y_0 = y_{n+1} = 0."""
-    values = np.asarray(values, dtype=float)
+    if (values := np.asarray(values, dtype=float)).ndim != 1:
+        raise DomainError(f"grid values must be 1-D, got shape {values.shape}")
     y = np.concatenate(([0.0], values, [0.0]))
     return PowerInterpolant(alpha=alpha, n=len(values), y=y)

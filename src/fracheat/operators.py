@@ -30,6 +30,7 @@ class GridFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_alpha(self.alpha))
+        object.__setattr__(self, "n", check_n(self.n, 1))  # an empty grid has no sup norm
         if np.iscomplexobj(self.values):  # the cast below would drop the imaginary part
             raise DomainError("grid values must be real")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))  # no copy of float64
@@ -137,7 +138,7 @@ def closed_form_inverse(alpha: float, n: int) -> np.ndarray:
     X[i][j] = h*(H(i-j)*((i-j)h)^(a-1) - (ih)^(a-1)(1-jh)^(a-1))/Gamma(alpha),
     1-based i, j, with H(0)*0^(a-1) taken as 0 (the factor vanishes for a > 1).
     """
-    h = 1.0 / (n + 1)
+    alpha, h = check_alpha(alpha), 1.0 / (check_n(n, 1) + 1)
     i = np.arange(1, n + 1, dtype=float)[:, None]
     j = np.arange(1, n + 1, dtype=float)[None, :]
     d = (i - j) * h

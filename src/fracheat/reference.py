@@ -94,11 +94,15 @@ def eigenfunction_u_c(alpha: float, c: float, x: float) -> float:
     """u_c(x) = sum_{n>=1} c^(n-1) x^(n*alpha-1) / Gamma(n*alpha) on [0, 1].
 
     Evaluated as E_{alpha,0}(c x^alpha)/(c x) away from the origin and by the
-    two-term series below x = 1e-8, avoiding the 0/0 limit.
+    two-term series below x = 1e-8 or |c| = 1e-8, avoiding the 0/0 limit. Served
+    for alpha in (1, 2], |c| <= 12 and x <= 1, where |c x^alpha| stays in the
+    series' domain |z| <= 12 (x <= 0 gives 0); elsewhere, nan included, DomainError.
     """
+    if not (1.0 < alpha <= 2.0 and abs(c) <= 12.0 and x <= 1.0):
+        raise DomainError(f"u_c is served for alpha in (1, 2], |c| <= 12 and x <= 1, got alpha={alpha}, c={c}, x={x}")
     if x <= 0.0:
         return 0.0
-    if x < 1e-8:
+    if x < 1e-8 or abs(c) < 1e-8:
         return x ** (alpha - 1.0) / gamma(alpha) + c * x ** (2.0 * alpha - 1.0) / gamma(
             2.0 * alpha
         )
@@ -183,7 +187,13 @@ def continuous_inverse_apply(alpha: float, g: Callable[[np.ndarray], np.ndarray]
 
 
 def gaussian_ic(x, mu: float = 0.4, sigma2: float = 0.0005):
-    """Gaussian density with mean mu and variance sigma2 (the Figure-1 data)."""
-    if not (math.isfinite(mu) and 0.0 < sigma2 < math.inf):  # nan included
-        raise DomainError(f"Gaussian needs a finite mu and a finite sigma2 > 0, got mu={mu}, sigma2={sigma2}")
-    return np.exp(-((x - mu) ** 2) / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)
+    """Gaussian density with mean mu and variance sigma2 (the Figure-1 data).
+
+    Refuses a non-finite mu and a sigma2 outside (0, 2.8e307), where 2*pi*sigma2 would overflow. At a
+    node the Gaussian cannot reach, its exponent overflows to -inf and the density reads 0, with no warning.
+    """
+    sigma2 = float(sigma2)  # a numpy float32 would warn, cast to compare with 2.8e307
+    if not (math.isfinite(mu) and 0.0 < sigma2 < 2.8e307):  # nan included
+        raise DomainError(f"Gaussian needs a finite mu and a finite sigma2 > 0 under 2.8e307, got mu={mu}, sigma2={sigma2}")
+    with np.errstate(over="ignore"):
+        return np.exp(-(np.subtract(x, mu, dtype=float) ** 2) / (2.0 * sigma2)) / math.sqrt(2.0 * math.pi * sigma2)

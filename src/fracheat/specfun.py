@@ -32,7 +32,14 @@ _POLYLOG_MAX_TERMS = 10**6  # past it, polylog raises ConvergenceError
 
 
 def gamma(x: float) -> float:
-    """Gamma function for real x excluding the poles 0, -1, -2, ..."""
+    """Gamma function for real x in [-141, 142] with |x| >= 1e-300, excluding the poles 0, -1, -2, ...
+
+    Outside it, nan and +-inf included, DomainError: from x = 142.37 on Lanczos's power t^(z + 1/2)
+    overflows (while Gamma is still 1.2e244), the reflection below -141 reads Gamma(1 - x) above 142,
+    and |Gamma(x)| ~ 1/|x| overflows below |x| = 5.6e-309.
+    """
+    if not (-141.0 <= x <= 142.0 and abs(x) >= 1e-300):
+        raise DomainError(f"gamma serves x in [-141, 142] with |x| >= 1e-300, got {x}")
     if x == math.floor(x) and x <= 0.0:
         raise DomainError(f"gamma pole at x={x}")
     if x < 0.5:
@@ -64,7 +71,7 @@ def mittag_leffler_series(alpha: float, z: float) -> tuple[float, int]:
     """E_{alpha,0}(z) as in ``mittag_leffler_e_alpha0``, and the number of terms summed."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"mittag_leffler requires alpha in (1, 2], got {alpha}")
-    if abs(z) > 12.0:
+    if not abs(z) <= 12.0:  # nan included
         raise DomainError(f"|z| = {abs(z)} is outside the served domain |z| <= 12")
     if z == 0.0:
         return 0.0, 0
@@ -85,9 +92,12 @@ def mittag_leffler_series(alpha: float, z: float) -> tuple[float, int]:
 
 
 def polylog(s: float, t: float) -> float:
-    """Li_s(t) = sum_{j>=1} j^{-s} t^j for |t| < 1."""
-    if not -1.0 < t < 1.0:
-        raise DomainError(f"polylog requires |t| < 1, got t={t}")
+    """Li_s(t) = sum_{j>=1} j^{-s} t^j for |t| < 1 and s >= -50, nan refused.
+
+    s >= -50 keeps every term's j^-s below 1e300 within the term budget, where Python's power would overflow.
+    """
+    if not (-1.0 < t < 1.0 and s >= -50.0):
+        raise DomainError(f"polylog requires |t| < 1 and s >= -50, got s={s}, t={t}")
     if t == 0.0:
         return 0.0
     total = 0.0

@@ -42,11 +42,11 @@ MAX_N = 10**6
 
 
 def check_n(n: int, low: int) -> int:
-    """n as a Python int, refused unless an integer in [low, MAX_N]: numpy's integers are ones, 20.0 is not.
+    """n as a Python int, refused unless an integer in [low, MAX_N]: numpy's integers are ones, 20.0 and True are not.
 
     A numpy integer would make h = 1/(n+1) a numpy float, whose arithmetic warns where Python's overflows to inf.
     """
-    if not (isinstance(n, numbers.Integral) and low <= n <= MAX_N):
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and low <= n <= MAX_N):
         raise DomainError(f"n must be an integer in [{low}, {MAX_N}], got {n!r}")
     return int(n)
 

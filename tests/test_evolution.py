@@ -226,14 +226,12 @@ class TestStep:
         # the solves pass trtrs (lower, trans, unitdiag) and tbtrs (uplo, trans,
         # diag, overwrite_b) positionally: a scipy whose f2py signatures order
         # them otherwise would solve another system without an error
-        factorize(build_operator(1.4, 8), 1e-3).solve(np.ones(8))  # the first solve binds the kernels
-
         def optional(kernel, name):
             first_line = kernel.__doc__.splitlines()[0]
             return re.fullmatch(rf"x,info = {name}\(\w+,b,\[([\w,]+)\]\)", first_line).group(1).split(",")
 
-        assert optional(evolution._trtrs, "dtrtrs")[:3] == ["lower", "trans", "unitdiag"]
-        assert optional(evolution._tbtrs, "dtbtrs")[:4] == ["uplo", "trans", "diag", "overwrite_b"]
+        assert optional(evolution._flapack.dtrtrs, "dtrtrs")[:3] == ["lower", "trans", "unitdiag"]
+        assert optional(evolution._flapack.dtbtrs, "dtbtrs")[:4] == ["uplo", "trans", "diag", "overwrite_b"]
 
     @pytest.mark.parametrize("n", [3, 50, 400, LAST_DENSE, FIRST_FFT, 3200])
     def test_held_bytes_by_representation(self, n):
@@ -345,83 +343,83 @@ SOLVES = textwrap.dedent("""
 """)
 
 
+# the loading contract in its order, in one fresh interpreter: each stage prints what
+# is loaded after it, the scipy modules and the extensions behind evolution's two
+# objects, which become plain modules when loaded (an extension loaded from its file
+# is not kept in sys.modules); the CLI writes to argv[2], SOLVES saves to argv[1]
+CONTRACT = textwrap.dedent("""
+    import sys
+    import fracheat, fracheat.cli
+    from fracheat import evolution
+    from fracheat.evolution import FFT_MIN_N
+
+    def loaded():
+        modules = [m for m in ("scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.fft") if m in sys.modules]
+        extensions = (("_flapack", evolution._flapack), ("pypocketfft", evolution._pocketfft))
+        return modules + [name for name, e in extensions if not isinstance(e, evolution._Extension)]
+
+    print("import", loaded())
+    for argv in (["eigen"], ["weights", "--n", "8"], ["consistency"], ["solve", "--n", "8", "--t-final", "0"]):
+        assert fracheat.cli.main([*argv, "--out", sys.argv[2]]) == 0, argv
+        print(argv[0], loaded())
+    for n in (8, FFT_MIN_N):
+        assert fracheat.cli.main(["solve", "--n", str(n), "--t-final", "0.01", "--out", sys.argv[2]]) == 0, n
+        print("solve", n, loaded())
+""")
+
+# the kernels are scipy's own objects, the ones its packages use; run last, as it imports them
+IDENTITY = textwrap.dedent("""
+    import scipy.linalg
+    from scipy.linalg import _flapack, get_lapack_funcs, solve_banded, solve_triangular
+
+    assert evolution._flapack.dtrtrs is scipy.linalg.lapack.dtrtrs
+    assert evolution._flapack.dtbtrs is scipy.linalg.lapack.dtbtrs
+    trtrs, tbtrs = get_lapack_funcs(("trtrs", "tbtrs"), dtype=np.float64)
+    assert trtrs is evolution._flapack.dtrtrs and tbtrs is evolution._flapack.dtbtrs
+    assert scipy.linalg._flapack is _flapack and _flapack.dtrtrs is evolution._flapack.dtrtrs
+    np.testing.assert_array_equal(solve_triangular([[2.0, 0.0], [1.0, 4.0]], [2.0, 9.0], lower=True), [1.0, 2.0])
+    np.testing.assert_array_equal(solve_banded((0, 1), [[0.0, 1.0], [2.0, 4.0]], [4.0, 8.0]), [1.0, 2.0])
+    print("LAPACK kernels are scipy's own")
+
+    import scipy.fft
+    from scipy.fft._pocketfft import pypocketfft
+
+    assert evolution._pocketfft.r2c is pypocketfft.r2c and evolution._pocketfft.c2r is pypocketfft.c2r
+    assert evolution._pocketfft.good_size is pypocketfft.good_size
+    assert scipy.fft._pocketfft.pypocketfft is pypocketfft
+    np.testing.assert_array_equal(scipy.fft.irfft(scipy.fft.rfft([1.0, 2.0, 3.0, 4.0])), [1.0, 2.0, 3.0, 4.0])
+    print("FFT kernels are scipy's own")
+""")
+
+
 class TestLapackLoader:
-    """The kernels load from scipy's LAPACK extension, not the scipy.linalg package."""
+    """The kernels load from scipy's extensions, not its packages: _flapack at the first
+    dense solve or Toeplitz set-up, pypocketfft at the first Toeplitz set-up."""
 
-    def test_cli_solve_imports_neither_scipy_linalg_nor_fft(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def contract(self, tmp_path_factory):
+        # one child runs every ordered check; the tests below read its lines
+        path = tmp_path_factory.mktemp("contract")
+        out = run_child(CONTRACT + SOLVES + IDENTITY, str(path / "normal.npz"), str(path / "out.csv"))
+        return out.splitlines(), path / "normal.npz"
+
+    def test_runs_that_never_factor_import_no_scipy(self, contract):
+        # the kernels load at the first solve; import and these commands never factor
+        assert contract[0][:5] == ["import []", "eigen []", "weights []", "consistency []", "solve []"]
+
+    def test_cli_solve_imports_neither_scipy_linalg_nor_fft(self, contract):
         # a later import in src/ that brings either back shows here, on the dense
-        # path and on the Toeplitz factorization's FFT path
-        for n in (8, FFT_MIN_N):
-            out = run_child(
-                """
-                import sys
-                import fracheat, fracheat.cli
+        # path and on the Toeplitz factorization's FFT path; only the latter loads pocketfft
+        assert contract[0][5:7] == [
+            "solve 8 ['scipy', '_flapack']",
+            f"solve {FFT_MIN_N} ['scipy', '_flapack', 'pypocketfft']",
+        ]
 
-                argv = ["solve", "--n", sys.argv[2], "--t-final", "0.01", "--out", sys.argv[1]]
-                assert fracheat.cli.main(argv) == 0
-                print([m for m in ("scipy.linalg", "scipy.fft") if m in sys.modules])
-                """,
-                str(tmp_path / "solve.csv"),
-                str(n),
-            )
-            assert out == "[]\n", n
+    def test_kernels_are_scipys_own(self, contract):
+        assert "LAPACK kernels are scipy's own" in contract[0]
 
-    def test_runs_that_never_factor_import_no_scipy(self, tmp_path):
-        # the kernels bind at the first solve; import and these commands never factor
-        out = run_child(
-            """
-            import sys
-            import fracheat, fracheat.cli
-
-            def loaded():
-                return [m for m in ("scipy", "scipy.linalg._flapack") if m in sys.modules]
-
-            print("import", loaded())
-            for argv in (["eigen"], ["weights", "--n", "8"], ["consistency"], ["solve", "--n", "8", "--t-final", "0"]):
-                assert fracheat.cli.main([*argv, "--out", sys.argv[1]]) == 0, argv
-                print(argv[0], loaded())
-            """,
-            str(tmp_path / "out.csv"),
-        )
-        assert out == "import []\neigen []\nweights []\nconsistency []\nsolve []\n"
-
-    def test_kernels_are_scipys_own(self):
-        run_child(
-            """
-            import numpy as np
-            from fracheat import build_operator, evolution, factorize
-
-            factorize(build_operator(1.4, 8), 1e-3).solve(np.ones(8))  # the first solve binds the kernels
-            import scipy.linalg
-            from scipy.linalg import _flapack, get_lapack_funcs, solve_banded, solve_triangular
-
-            assert evolution._trtrs is scipy.linalg.lapack.dtrtrs
-            assert evolution._tbtrs is scipy.linalg.lapack.dtbtrs
-            trtrs, tbtrs = get_lapack_funcs(("trtrs", "tbtrs"), dtype=np.float64)
-            assert trtrs is evolution._trtrs and tbtrs is evolution._tbtrs
-            assert scipy.linalg._flapack is _flapack and _flapack.dtrtrs is evolution._trtrs
-            np.testing.assert_array_equal(solve_triangular([[2.0, 0.0], [1.0, 4.0]], [2.0, 9.0], lower=True), [1.0, 2.0])
-            np.testing.assert_array_equal(solve_banded((0, 1), [[0.0, 1.0], [2.0, 4.0]], [4.0, 8.0]), [1.0, 2.0])
-            """
-        )
-
-    def test_fft_kernels_are_scipys_own(self):
-        run_child(
-            """
-            import numpy as np
-            from fracheat import build_operator, evolution, factorize
-            from fracheat.evolution import FFT_MIN_N
-
-            factorize(build_operator(1.4, FFT_MIN_N), 1e-3)  # the first set-up binds the kernels
-            import scipy.fft
-            from scipy.fft._pocketfft import pypocketfft
-
-            assert evolution._r2c is pypocketfft.r2c and evolution._c2r is pypocketfft.c2r
-            assert evolution._good_size is pypocketfft.good_size
-            assert scipy.fft._pocketfft.pypocketfft is pypocketfft
-            np.testing.assert_array_equal(scipy.fft.irfft(scipy.fft.rfft([1.0, 2.0, 3.0, 4.0])), [1.0, 2.0, 3.0, 4.0])
-            """
-        )
+    def test_fft_kernels_are_scipys_own(self, contract):
+        assert "FFT kernels are scipy's own" in contract[0]
 
     def test_fallback_returns_the_packages_module(self, monkeypatch):
         # a finder that finds no extension file sends the loader to the package:
@@ -434,29 +432,29 @@ class TestLapackLoader:
                 asked.append(name)
 
         asked = []
-        factorize(build_operator(1.4, FFT_MIN_N), 1e-3)  # the first set-up binds both extensions' kernels
+        factorize(build_operator(1.4, FFT_MIN_N), 1e-3)  # the first set-up loads both extensions' kernels
         monkeypatch.setattr(evolution, "FileFinder", Blind)
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
         module = evolution._load_extension("scipy.linalg._flapack")
         assert asked == ["scipy.linalg._flapack"]
         assert module is scipy.linalg._flapack
-        assert module.dtrtrs is evolution._trtrs and module.dtbtrs is evolution._tbtrs
+        assert module.dtrtrs is evolution._flapack.dtrtrs and module.dtbtrs is evolution._flapack.dtbtrs
         monkeypatch.delitem(sys.modules, "scipy.fft._pocketfft.pypocketfft", raising=False)
         module = evolution._load_extension("scipy.fft._pocketfft.pypocketfft")
         assert asked == ["scipy.linalg._flapack", "scipy.fft._pocketfft.pypocketfft"]
         assert module is sys.modules["scipy.fft._pocketfft"].pypocketfft
-        assert module.r2c is evolution._r2c and module.c2r is evolution._c2r
+        assert module.r2c is evolution._pocketfft.r2c and module.c2r is evolution._pocketfft.c2r
 
-    def test_fallback_through_scipy_linalg_solves_the_same(self, tmp_path):
+    def test_fallback_through_scipy_linalg_solves_the_same(self, contract, tmp_path):
         # a finder that knows no extension suffix sends the loader through
         # scipy.linalg for LAPACK and scipy.fft for pocketfft; the import
         # system's own finders keep theirs
         blind = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
-        normal_path, blind_path = tmp_path / "normal.npz", tmp_path / "blind.npz"
+        blind_path = tmp_path / "blind.npz"
         kinds = "dense fft"
-        assert run_child(SOLVES, str(normal_path)) == f"{kinds} False False\n"
+        assert contract[0][7] == f"{kinds} False False"
         assert run_child(blind + SOLVES, str(blind_path)) == f"{kinds} True True\n"
-        with np.load(normal_path) as normal, np.load(blind_path) as fallback:
+        with np.load(contract[1]) as normal, np.load(blind_path) as fallback:
             for kind in kinds.split():
                 np.testing.assert_array_equal(fallback[kind], normal[kind])
 
@@ -685,17 +683,16 @@ class TestToeplitzFactorization:
         # the spectrum of 1/q is the set-up's only transform (38 r2c and 25 c2r
         # calls at n = 3200 when Newton's products ran on FFTs)
         op = build_operator(1.4, 3200)
-        factorize(op, 1e-3)  # the first set-up binds the kernels
         calls = []
 
         def spy(name):
-            kernel = getattr(evolution, name)
+            kernel = getattr(evolution._pocketfft, name)
             return lambda *args, **kwargs: calls.append(name) or kernel(*args, **kwargs)
 
-        for name in ("_r2c", "_c2r"):
-            monkeypatch.setattr(evolution, name, spy(name))
+        for name in ("r2c", "c2r"):
+            monkeypatch.setattr(evolution._pocketfft, name, spy(name))
         assert isinstance(factorize(op, op.h**1.4), ToeplitzFactorization)
-        assert calls == ["_r2c"]
+        assert calls == ["r2c"]
 
     def test_refuses_a_symbol_without_one_root_in_the_disc(self):
         # |sigma - tau*w_1| = 1 + tau against tau*(|w_0| + |w_2|) = 2*tau:
@@ -761,7 +758,7 @@ class TestToeplitzFactorization:
         # the same transforms as np.fft.rfft/irfft; numpy 2 ships the same pocketfft
         # (bit for bit), numpy 1.24 an older one, so the bound is a rounding bound;
         # a solve calls c2r as below
-        size = evolution._good_size(m, True)
+        size = evolution._pocketfft.good_size(m, True)
         rng = np.random.default_rng(m)
         eps = np.finfo(float).eps
         for fill in sorted({1, m // 2 + 1, m, size}):
@@ -770,7 +767,7 @@ class TestToeplitzFactorization:
             assert np.linalg.norm(_rfft(a, size) - want) <= 8 * eps * math.log2(size) * np.linalg.norm(want)
         spectrum = np.fft.rfft(rng.standard_normal(size))
         want = np.fft.irfft(spectrum, size)
-        got = evolution._c2r(spectrum, lastsize=size, forward=False, inorm=2)
+        got = evolution._pocketfft.c2r(spectrum, lastsize=size, forward=False, inorm=2)
         assert np.linalg.norm(got - want) <= 8 * eps * math.log2(size) * np.linalg.norm(want)
 
     def test_fft_len_is_smallest_5_smooth(self):
@@ -784,7 +781,7 @@ class TestToeplitzFactorization:
         # 2n to (6414 = 2*3*1069 would take 10x longer than 6480 at n = 3207)
         for m in range(1, 2000):
             want = next(k for k in range(m, 2 * m + 1) if smooth(k))
-            assert evolution._good_size(m, True) == want
+            assert evolution._pocketfft.good_size(m, True) == want
         for n, want in ((FFT_MIN_N, 1200), (3207, 6480)):
             assert factorize(build_operator(1.4, n), 1e-3).fft_len == want
 

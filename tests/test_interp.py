@@ -145,6 +145,9 @@ class TestValidation:
             PowerInterpolant(alpha=1.5, n=4, y=np.zeros(4))
         with pytest.raises(DomainError):
             PowerInterpolant(alpha=1.5, n=3, y=np.array([1.0, 0, 0, 0, 0]))
+        # two rows of two: numpy's ValueError from the boundary check
+        with pytest.raises(DomainError, match=r"1-D array, got shape \(2, 2\)"):
+            PowerInterpolant(alpha=1.5, n=0, y=np.zeros((2, 2)))
 
     def test_rejects_nonfinite_grid_values(self):
         # unchecked, this reads inf at 0.5
@@ -161,6 +164,27 @@ class TestValidation:
         # unchecked, these read nan at 0.55, nan at 0.05 and 0.25 at 0.05
         with pytest.raises(DomainError, match="alpha must be in"):
             from_grid(np.ones(9), alpha)
+
+    # 8.0 and True were built; n = -1 raised ZeroDivisionError at the first evaluation
+    @pytest.mark.parametrize("n,y", [(8.0, np.zeros(10)), (True, np.zeros(3)), (-1, np.zeros(1))], ids=["float", "bool", "negative"])
+    def test_rejects_sizes_that_are_not_sizes(self, n, y):
+        with pytest.raises(DomainError, match=r"n must be an integer in \[0, 1000000\], got "):
+            PowerInterpolant(1.4, n, y)(0.5)
+
+    # numpy's ValueError from the concatenation, and a TypeError from len() of the 0-d value
+    @pytest.mark.parametrize("values", [np.ones((2, 2)), np.float64(1.0)], ids=["2x2", "0-d"])
+    def test_from_grid_rejects_values_not_1d(self, values):
+        with pytest.raises(DomainError, match="grid values must be 1-D"):
+            from_grid(values, 1.4)
+
+    # a list raised AttributeError at construction, a boolean array numpy's TypeError at evaluation
+    def test_values_are_read_as_floats(self):
+        assert PowerInterpolant(2.0, 1, [0, 1, 0])(0.25) == 0.5
+        assert PowerInterpolant(2.0, 1, np.array([False, True, False]))(0.25) == 0.5
+
+    # the first cell's formula, formed at every x, overflowed beyond the first cell
+    def test_large_values_evaluate_without_a_warning(self):
+        assert from_grid(np.full(8, 1e308), 1.9)(0.3) == 1e308
 
 
 class TestLargeCellStability:

@@ -6,7 +6,7 @@ overflowing and non-finite reals. Every call must return or raise a
 FracheatError, with numpy's warnings as errors: never a TypeError from
 numpy, nor a RuntimeWarning before a refusal. Grids have at most 32 nodes,
 references at most 8*(32 + 1) - 1: 40 seeds of ROUNDS calls to each entry
-point run in under a second.
+point run in about 1.5 s.
 """
 
 import math
@@ -22,16 +22,24 @@ from fracheat import (
     FracheatError,
     GaussianIC,
     GridFunction,
+    PowerInterpolant,
     PowerLawIC,
     build_operator,
+    closed_form_inverse,
     continuous_inverse_apply,
     eigen_decay_study,
+    eigenfunction_u_c,
     evolve,
     factorize,
     figure1_comparison,
+    from_grid,
+    gamma,
+    gaussian_ic,
     grunwald_weights,
+    mittag_leffler_e_alpha0,
     new_weights,
     operator_consistency_study,
+    polylog,
     principal_eigenvalue,
     resolvent_apply,
     step,
@@ -54,6 +62,10 @@ GOOD = {
     "a": [1.0, -0.5],
     "b": [0.0, 2.0],
     "data": [1.0, 1e-3],  # the value of every node of a solve's right-hand side
+    "c": [-6.0, -9.5],  # u_c's eigenvalue
+    "z": [-11.0, 3.0],  # the Mittag-Leffler argument
+    "s": [-0.4, -1.0],  # the polylog order and argument
+    "t": [0.5, -0.75],
 }
 
 
@@ -93,6 +105,14 @@ class Draws:
     def grid(self, op):
         return GridFunction(alpha=op.alpha, n=op.n, values=np.full(op.n, self.real("data")))
 
+    def values(self, n):
+        """As many node values as a size n gives (none for n < 0, at most 40), or a 2-D array of them at rate EDGE."""
+        count = min(max(int(n), 0), 40)
+        shape = (2, count) if self.rng.random() < EDGE else (count,)
+        data = self.real("data")
+        self.args.append(f"values=np.full({shape}, {data!r})")
+        return np.full(shape, data)
+
 
 def run_evolve(d):
     dt = d.real("dt") if d.rng.random() < 0.5 else None
@@ -114,6 +134,23 @@ def run_figure1(d):
     return figure1_comparison(d.real("sigma2"), d.real("mu"), d.real("alpha"), d.real("t_final"), d.sizes())
 
 
+def run_grid_function(d):
+    n = d.size()
+    return GridFunction(alpha=d.real("alpha"), n=n, values=d.values(n))
+
+
+def run_interpolant(d):
+    n = d.size()
+    y = d.values(n + 2)
+    y[..., :1] = 0.0  # the left boundary value
+    return PowerInterpolant(alpha=d.real("alpha"), n=n, y=y)(d.real("x"))
+
+
+def run_gaussian_ic(d):
+    x = np.arange(1, 9) / 9 if d.rng.random() < 0.5 else d.real("x")
+    return gaussian_ic(x, d.real("mu"), d.real("sigma2"))
+
+
 TARGETS = {
     "evolve": run_evolve,
     "build_operator": lambda d: d.operator(),
@@ -126,6 +163,15 @@ TARGETS = {
     "eigen_decay_study": lambda d: eigen_decay_study(d.real("alpha"), d.sizes(), d.real("t_final")),
     "operator_consistency_study": lambda d: operator_consistency_study(d.real("alpha"), d.sizes()),
     "figure1_comparison": run_figure1,
+    "GridFunction": run_grid_function,
+    "PowerInterpolant": run_interpolant,
+    "from_grid": lambda d: from_grid(d.values(d.size()), d.real("alpha"))(d.real("x")),
+    "closed_form_inverse": lambda d: closed_form_inverse(d.real("alpha"), d.size()),
+    "gamma": lambda d: gamma(d.real("x")),
+    "mittag_leffler_e_alpha0": lambda d: mittag_leffler_e_alpha0(d.real("alpha"), d.real("z")),
+    "eigenfunction_u_c": lambda d: eigenfunction_u_c(d.real("alpha"), d.real("c"), d.real("x")),
+    "polylog": lambda d: polylog(d.real("s"), d.real("t")),
+    "gaussian_ic": run_gaussian_ic,
 }
 
 

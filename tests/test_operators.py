@@ -151,6 +151,12 @@ class TestClosedFormInverse:
         expected = -h * np.minimum.outer(xi, xi) * (1.0 - np.maximum.outer(xi, xi))
         np.testing.assert_allclose(x, expected, atol=1e-14)
 
+    # an alpha outside (1, 2] and a float or empty size were computed with: 3x3 at n = 2.5
+    @pytest.mark.parametrize("alpha,n,match", [(3.0, 4, "alpha must be"), (1.4, 2.5, "n must be"), (1.4, 0, "n must be")])
+    def test_refuses_outside_its_domain(self, alpha, n, match):
+        with pytest.raises(DomainError, match=match):
+            closed_form_inverse(alpha, n)
+
     def test_recovers_vector(self):
         rng = np.random.default_rng(7)
         n = 96
@@ -194,6 +200,15 @@ class TestGridFunction:
     def test_rejects_complex_values(self):
         with pytest.raises(DomainError, match="grid values must be real"):
             GridFunction(1.5, 3, np.array([1 + 1j, 2, 3]))
+
+    # n was stored as given: 8.0 and True were built, and an empty grid's sup_norm raised ValueError
+    @pytest.mark.parametrize("n,values", [(8.0, np.ones(8)), (True, np.ones(1)), (0, np.ones(0))], ids=["float", "bool", "empty"])
+    def test_rejects_sizes_that_are_not_sizes(self, n, values):
+        with pytest.raises(DomainError, match=r"n must be an integer in \[1, 1000000\], got "):
+            GridFunction(1.4, n, values)
+
+    def test_numpy_integer_size_is_an_int(self):
+        assert type(GridFunction(1.4, np.int64(3), np.ones(3)).n) is int
 
     def test_norms(self):
         g = grid(1.5, 3, [1.0, -2.0, 0.5])

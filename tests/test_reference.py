@@ -169,6 +169,22 @@ class TestEigenfunction:
             assert ratio == pytest.approx(1.0 / gamma(alpha), rel=1e-3)
         assert eigenfunction_u_c(alpha, c, 0.0) == 0.0
 
+    # nan summed 300 terms and returned nan, x = 1e308 raised OverflowError, and below x = 1e-8
+    # a nan or huge c and an alpha outside (1, 2] went unchecked
+    @pytest.mark.parametrize(
+        "alpha,c,x",
+        [(1.4, -6.0, math.nan), (1.4, -6.0, math.inf), (1.4, -6.0, 1e308), (1.4, -6.0, 1.5),
+         (1.4, math.nan, 1e-9), (1.4, 1e308, 1e-9), (1.4, -12.5, 0.5), (1.0, -6.0, 1e-9)],
+    )
+    def test_refuses_outside_its_domain(self, alpha, c, x):
+        with pytest.raises(DomainError, match="u_c is served for alpha in"):
+            eigenfunction_u_c(alpha, c, x)
+
+    # E(c x^alpha)/(c x) divided by zero at c = 0 and where c*x underflows
+    @pytest.mark.parametrize("c", [0.0, 5e-324, -1e-9])
+    def test_small_c_is_the_leading_power(self, c):
+        assert eigenfunction_u_c(1.4, c, 0.5) == pytest.approx(0.5**0.4 / gamma(1.4), rel=1e-8)
+
     def test_series_branch_continuity(self):
         alpha = 1.6
         c = principal_eigenvalue(alpha).c
@@ -380,11 +396,19 @@ class TestGaussianIC:
         with pytest.raises(DomainError):
             gaussian_ic(np.array([0.5]), sigma2=0.0)
 
-    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, 2.8e307, 1e308])
     def test_rejects_nonfinite_variance(self, sigma2):
-        # unchecked, nan passed `sigma2 <= 0` and read nan on every node, and inf read 0.0
+        # unchecked, nan passed `sigma2 <= 0` and read nan on every node, and inf read 0.0,
+        # as did the finite sigma2 from 2.8e307 on, where 2*pi*sigma2 overflows
         with pytest.raises(DomainError, match="needs a finite mu and a finite sigma2 > 0"):
             gaussian_ic(np.array([0.5]), 0.4, sigma2)
+
+    # nodes the Gaussian cannot reach read 0 with numpy's overflow warning, an error here;
+    # a scalar node's square overflowed in Python, and a float32 node divided by 2*sigma2 rounded to 0
+    @pytest.mark.parametrize("x", [np.array([0.1, 0.5, 0.9]), 0.5, np.float32(0.1)], ids=["nodes", "scalar", "float32"])
+    @pytest.mark.parametrize("mu,sigma2", [(1e308, 0.001), (-1e308, 5e-324), (0.3, 5e-324)])
+    def test_unreachable_nodes_read_zero_without_a_warning(self, x, mu, sigma2):
+        np.testing.assert_array_equal(gaussian_ic(x, mu, sigma2), 0.0)
 
     @pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_mean(self, mu):

@@ -35,6 +35,17 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(x)
 
+    # nan raised ValueError, +-inf OverflowError, and so did x >= 142.37 (Lanczos's power overflows
+    # while Gamma is 1.2e244) and x <= -141.37; below |x| = 5.6e-309 Gamma itself overflowed to inf
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 142.5, 171.0, -141.5, 5e-324, -1e-310])
+    def test_refuses_outside_its_domain(self, x):
+        with pytest.raises(DomainError, match=r"gamma serves x in \[-141, 142\] with \|x\| >= 1e-300"):
+            gamma(x)
+
+    @pytest.mark.parametrize("x", [142.0, -140.5, 1e-300, -1e-300])
+    def test_ends_of_its_domain(self, x):
+        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+
 
 class TestMittagLeffler:
     def test_zero(self):
@@ -72,7 +83,8 @@ class TestMittagLeffler:
         assert mittag_leffler_series(2.0, -12.0)[0] == pytest.approx(
             -(12**0.5) * math.sin(12**0.5), abs=1e-13
         )
-        for z in (-12.5, 12.5):
+        # nan passed `abs(z) > 12`, summed 300 terms and returned nan
+        for z in (-12.5, 12.5, math.nan):
             with pytest.raises(DomainError, match="served domain"):
                 mittag_leffler_series(1.4, z)
         with pytest.raises(DomainError):
@@ -103,6 +115,16 @@ class TestPolylog:
             polylog(-0.5, 1.0)
         with pytest.raises(DomainError):
             polylog(-0.5, -1.5)
+
+    # nan ran 10^6 terms into ConvergenceError, -inf returned inf and -1e308 raised OverflowError
+    @pytest.mark.parametrize("s", [math.nan, -math.inf, -1e308, -50.5])
+    def test_refuses_an_order_below_minus_50(self, s):
+        with pytest.raises(DomainError, match="s >= -50"):
+            polylog(s, 0.5)
+
+    def test_order_minus_50(self):
+        direct = math.fsum(j**50 * 0.5**j for j in range(1, 3000))
+        assert polylog(-50.0, 0.5) == pytest.approx(direct, rel=1e-12)
 
     def test_convergence_budget(self):
         with pytest.raises(ConvergenceError):
