@@ -14,11 +14,14 @@ nonpositive off-diagonals, row sums >= 1). It is factored one of two ways:
   later pivot and column repeats it and is copied. At n = 400, alpha = 1.4,
   new scheme, that is column 14 (0-based) at tau = 0.05, 50 at tau = 1, 202
   at tau = 10, and none before the last at tau = 1600;
-- from FFT_MIN_N on, the Toeplitz matrix with the one root of its symbol
+- from FFT_MIN_N on, the Toeplitz matrix with the one root z0 of its symbol
   inside the unit disc divided out (a Wiener-Hopf factorization): a
-  bidiagonal factor, a triangular Toeplitz factor applied as one real FFT
-  pair and a rank-1 correction, O(n) memory, set up in O(n^2) flops from
-  sums of one sign (1/q >= 0 to a few eps relative). Its solves project
+  bidiagonal factor U and a triangular Toeplitz factor, applied as one real
+  FFT pair with U^-1 folded into its spectrum and a rank-2 correction (the
+  circulant's wrap and Sherman-Morrison's term), O(n) memory, set up in
+  O(n^2) flops from sums of one sign (1/q >= 0 to a few eps relative). Where
+  z0 lies within FOLD_MIN/fft_len of 1 the solve applies U^-1 by one tbtrs
+  before the FFT pair instead, with a rank-1 correction. Its solves project
   results of b >= 0 onto v >= 0.
 """
 
@@ -170,9 +173,21 @@ FFT_MIN_N = 600
 # {1.1, 1.4, 1.9, 2.0}, n in {600, 1601, 3200, 4801}, six shapes of b (uniform,
 # Gaussian, step, spike, constant, x^(alpha-1)), 20 chained steps at each tau in
 # {0.08, 0.3, 1, 3, 10, 1600} and resolvents at lam*h^alpha in {0, 0.3, 1, 10}
-# (23,808 solves), the worst negative was 0.32 of eps*log2(n)*max(b) (alpha = 2,
-# n = 4801, tau = 0.08, the step): 4.0 leaves a 12x margin.
+# (23,808 solves; the step is 1 on x < 1/2, the spike sits at n//3, the uniform draw
+# uses seed n), the worst negative was 0.28 of eps*log2(n)*max(b) (new, alpha = 2,
+# n = 4801, tau = 1600, the step): 4.0 leaves a 14x margin.
 FFT_CLIP_C = 4.0
+
+# A Toeplitz solve folds U^-1 into its spectrum where fft_len*(1 - z0) >= FOLD_MIN, z0 the root
+# it divides out, and keeps its tbtrs elsewhere: the circulant's wrap is a geometric series of
+# ratio z0 over fft_len terms, flat as z0 nears 1, and its correction cancels digits there.
+# Against the LU forced past FFT_MIN_N, over both schemes, alpha in {1.1, 1.4, 1.9, 2.0},
+# n in {600, 1601, 3200}, steps at tau in {10, 100, 1600, 1e4, 1e5, 1e6, 1e9}, resolvents at
+# lam in {1e-9, 1e-6, 1e-3, 1, 10, 100, 1000} and three b (normal, uniform, Gaussian), the
+# folded solve's error over the kept one's read up to 2.7e5 below fft_len*(1 - z0) = 0.01
+# (grunwald, alpha = 2, n = 600, lam = 1e-9), up to 5.5 below 1 and 1.19 between 1 and 4;
+# from 4 on, 504 solves, at most 1.67, on errors of 6e-16.
+FOLD_MIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -211,23 +226,30 @@ class ToeplitzFactorization:
     - sigma = 0, or below half an ulp of p_1, where A rounds to the sigma = 0
       matrix: A = -tau T, and T^-1 c = y - (y_n/g_n) g with g = 1/w and
       y = g*(0, c) to n+1 terms, so U = I, h = -(0, g)/tau, r = e_n, s = -g/g_n.
-    A solve is one unit-diagonal tbtrs, one real FFT pair of fft_len >= 2n
-    points, a dot and an axpy, with results of b >= 0 projected onto v >= 0.
+    A solve is one real FFT pair of fft_len = L >= 2n points, a dot and an
+    axpy, with results of b >= 0 projected onto v >= 0. Where L*(1 - z0) >=
+    FOLD_MIN, U^-1 is folded into the spectrum: the L-point circulant of U
+    inverts to 1/(1 - z0 w^k), w = e^(2 pi i/L), and its wrap adds exactly
+    y0 e to x, y0 = sum_k z0^k b_k and e_i = [sum_{m>i} h_m z0^(m-i) +
+    z0^(L-i) sum_{m<=i} h_m z0^m]/(1 - z0^L), which the solve takes off as
+    the second column of s, -f = -(e + s (r . e)). Elsewhere U^-1 is one
+    unit-diagonal tbtrs before the FFT pair (none where U = I).
     """
 
     op: OperatorMatrix  # the operator whose shift this factors
     fft_len: int
-    band: np.ndarray = field(repr=False)  # (2, n) LAPACK band of U, F order: -z0 above the unit diagonal
-    spectrum: np.ndarray = field(repr=False)  # rfft of h, fft_len points
+    band: Optional[np.ndarray] = field(repr=False)  # (2, n) LAPACK band of U, F order, where tbtrs applies U^-1
+    spectrum: np.ndarray = field(repr=False)  # rfft of h, fft_len points, over 1 - z0 w^k where U is folded in
     r: np.ndarray = field(repr=False)         # n + 1 entries
-    s: np.ndarray = field(repr=False)         # n entries
+    s: np.ndarray = field(repr=False)         # n entries; where U is folded in (n, 2), F order: s, -f
+    powers: Optional[np.ndarray] = field(repr=False)  # where U is folded in, z0^k until they underflow to 0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         size, n = self.fft_len, self.op.n
         padded = np.zeros(size)
         padded[:n] = b
-        # U^-1 b in place on the zero-padded buffer (uplo="U", trans="N", diag="U", overwrite_b=1)
-        _checked(*_flapack.dtbtrs(self.band, padded[:n], "U", "N", "U", 1))
+        if self.band is not None:  # U^-1 b in place on the padded buffer (uplo="U", trans="N", diag="U", overwrite_b=1)
+            _checked(*_flapack.dtbtrs(self.band, padded[:n], "U", "N", "U", 1))
         transform = _pocketfft.r2c(padded)
         # numpy's arithmetic here is the only part of any solve that can warn (LAPACK and pocketfft never do):
         # an overflow of it is refused with NumericalError by the caller's finite check, never warned of
@@ -236,7 +258,10 @@ class ToeplitzFactorization:
             np.multiply(self.spectrum, transform, out=transform)
             # c2r with inorm=2 is np.fft.irfft: it applies numpy's 1/size
             x = _pocketfft.c2r(transform, lastsize=size, forward=False, inorm=2)[: n + 1]
-            v = self.s * (self.r @ x)
+            if self.powers is None:
+                v = self.s * (self.r @ x)
+            else:  # the wrap's y0 e taken off with the correction: [s, -f] @ (r . x, y0)
+                v = self.s @ (self.r @ x, self.powers @ b[: self.powers.size])
             v += x[:-1]
             return _clip_negative(v, b)
 
@@ -332,17 +357,16 @@ def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFa
     # pocketfft's good_size, the smallest 2^a 3^b 5^c >= 2n: it can be 10x slower on other lengths,
     # one product at n = 3207 cost 2.2 ms at length 2n = 6414 = 2*3*1069 and 0.13 ms at 6480
     size = _pocketfft.good_size(2 * n, True)
-    band = np.ones((2, n), order="F")  # U's band; the unit diagonal row is not read
     p = -tau * op.weights.w[: n + 1]
     if p[1] + sigma == p[1]:  # A is -tau*T to the last bit: 1/w in closed form (the root is 1 at alpha = 2)
-        band[0] = 0.0
         g = reciprocal_series(op.weights, n)
         h = -np.concatenate(([0.0], g[:-1])) / tau
         r = np.zeros(n + 1)
         r[n] = 1.0
-        return ToeplitzFactorization(op, size, band, _rfft(h, size), r, -g[:-1] / g[n])
+        return ToeplitzFactorization(op, size, None, _rfft(h, size), r, -g[:-1] / g[n], None)  # U = I
     p[1] += sigma
     z0, q = _symbol_root(p)
+    band = np.ones((2, n), order="F")  # U's band; the unit diagonal row is not read
     band[0] = -z0
     h = _series_inverse(q / q[0]) / q[0]
     r = np.concatenate(([0.0], q[:0:-1], [0.0]))
@@ -351,7 +375,17 @@ def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFa
     powers = np.power(z0, k, out=np.zeros(n), where=k * -math.log(z0) < 745.2)
     u = powers[::-1] * np.cumsum(h * powers)
     s = z0 * u / (1.0 - z0 * (r[:n] @ u))
-    return ToeplitzFactorization(op, size, band, _rfft(h, size), r, s)
+    if size * (1.0 - z0) < FOLD_MIN:
+        return ToeplitzFactorization(op, size, band, _rfft(h, size), r, s, None)
+    # e = [U^-1 z0 (h_1..h_{n-1}, 0) + z0^(L-n+1) u]/(1 - z0^L): sums of positive terms, no transform
+    e = _checked(*_flapack.dtbtrs(band, np.append(z0 * h[1:], 0.0), diag="U"))
+    e = (e + z0 ** (size - n + 1) * u) / (1.0 - z0**size)
+    # 1 - z0 w^k = (1 - z0) + 2 z0 sin^2(pi k/L) - i z0 sin(2 pi k/L): no cancellation near k = 0
+    phi = np.pi / size * np.arange(size // 2 + 1)
+    symbol = (1.0 - z0) + 2.0 * z0 * np.sin(phi) ** 2 - 1j * z0 * np.sin(2.0 * phi)
+    wrap = np.array((s, -(e + s * (r[:n] @ e)))).T  # (n, 2), F order
+    powers = powers[: np.count_nonzero(powers)].copy()
+    return ToeplitzFactorization(op, size, None, _rfft(h, size) / symbol, r, wrap, powers)
 
 
 def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorization:

@@ -96,10 +96,11 @@ def new_weights(alpha: float, n: int) -> WeightSequence:
         )
     # p[j] = (j+1)^(alpha-1)
     p = np.arange(1, n + 2, dtype=np.longdouble) ** np.longdouble(alpha - 1.0)
+    pr = p[::-1].copy()  # pr[n-k:n] is p[k:0:-1] without its negative stride: the same products in the same order
     w = np.zeros(n + 1, dtype=np.longdouble)
     w[0] = gamma(alpha)
     for k in range(1, n + 1):
-        w[k] = -np.dot(w[:k], p[k:0:-1])
+        w[k] = -np.dot(w[:k], pr[n - k : n])
     return WeightSequence(alpha=alpha, scheme=Scheme.NEW, w=w.astype(float))
 
 

@@ -34,6 +34,7 @@ from fracheat.errors import NumericalError
 from fracheat.evolution import (
     FFT_CLIP_C,
     FFT_MIN_N,
+    FOLD_MIN,
     FINITE_CHECK_STEPS,
     MAX_STEPS,
     LUFactorization,
@@ -235,18 +236,31 @@ class TestStep:
 
     @pytest.mark.parametrize("n", [3, 50, 400, LAST_DENSE, FIRST_FFT, 3200])
     def test_held_bytes_by_representation(self, n):
-        # below FFT_MIN_N the LU holds n^2 + 2n doubles, all of L and U's band;
-        # from it on, at tau = 1, the Toeplitz factorization holds U's band (2n),
-        # r (n + 1), s (n) and the spectrum of h (fft_len/2 + 1 complex)
+        # below FFT_MIN_N the LU holds n^2 + 2n doubles, all of L and U's band.
+        # From it on the Toeplitz factorization holds r (n + 1) and the spectrum
+        # (fft_len/2 + 1 complex), and by the side its solve takes
+        # - folded (tau = 1): s beside -f (2n) and the m <= n powers z0^k that do not underflow;
+        # - kept (tau = 1e6, z0 within FOLD_MIN/fft_len of 1): U's band (2n) and s (n);
+        # - U = I (the resolvent at lam = 0): s (n) alone
         op = build_operator(1.4, n)
         f = factorize(op, op.h**1.4)
-        held = sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
+        held = lambda f: sum(v.nbytes for v in vars(f).values() if isinstance(v, np.ndarray))
         if n < FFT_MIN_N:
             assert isinstance(f, LUFactorization) and f.lower.shape == (n, n)
-            assert held == n * n * 8 + 2 * n * 8
-        else:
-            assert isinstance(f, ToeplitzFactorization) and f.fft_len >= 2 * n
-            assert held == (4 * n + 1) * 8 + (f.fft_len // 2 + 1) * 16
+            assert held(f) == n * n * 8 + 2 * n * 8
+            return
+        assert isinstance(f, ToeplitzFactorization) and f.fft_len >= 2 * n
+        spectrum = (f.fft_len // 2 + 1) * 16
+        m = f.powers.size
+        assert f.band is None and f.s.shape == (n, 2) and np.all(f.powers > 0.0)
+        assert m == n or f.powers[-1] < 1e-320  # cut where z0^k underflows to 0
+        assert held(f) == (3 * n + 1 + m) * 8 + spectrum
+        kept = factorize(op, 1e6 * op.h**1.4)
+        assert kept.powers is None and kept.band.shape == (2, n) and kept.s.shape == (n,)
+        assert held(kept) == (4 * n + 1) * 8 + spectrum
+        identity = evolution._factor_shifted(op, 0.0, 1.0 / op.h**1.4)
+        assert identity.powers is None and identity.band is None
+        assert held(identity) == (2 * n + 1) * 8 + spectrum
 
     @pytest.mark.parametrize("n", [LAST_DENSE, FIRST_FFT])
     def test_solves_leave_their_input_alone(self, n):
@@ -566,32 +580,51 @@ class TestToeplitzFactorization:
         # elimination stops at its fixed point (0.2 s against 1.6 s a case).
         # Over all eight, the LU's worst error against np.linalg.solve read
         # 2.2e-13 (new, alpha = 1.4) and the Toeplitz solve's against the LU
-        # 2.3e-13 (grunwald, alpha = 2)
+        # 2.3e-13 (grunwald, alpha = 2). Each case takes the side its own root
+        # picks: U^-1 folded into the spectrum where fft_len*(1 - z0) >= FOLD_MIN,
+        # tbtrs elsewhere. At alpha = 2 the resolvents at lam = 1e-9 and 1e-3 sit
+        # within FOLD_MIN/fft_len of z0 = 1 and keep tbtrs (lam = 1e-9 at n = 3200
+        # rounds away, U = I). lam - M_h has the condition number (lam + 4/h^2)/8
+        # there, 1.8e5 and 5.1e6, and the Toeplitz solve is held to eps times it:
+        # the worst read 0.1 of that (new, lam = 1e-9 at n = 600 and 1e-3 at 3200),
+        # where the LU errs by 6e-13
         rng = np.random.default_rng(10)
         op = build_operator(alpha, n, scheme)
         dense = n == FFT_MIN_N or (scheme, alpha) == (Scheme.NEW, 1.4)
         m = op.dense() if dense else None
         b = np.column_stack([rng.standard_normal(n), rng.uniform(0.0, 1.0, n)])
-        for tau in (0.08, 10.0, 1600.0):
-            dt = tau * op.h**alpha
-            f = factorize(op, dt)
+        cases = [(1.0, tau * op.h**alpha, tau) for tau in (0.08, 10.0, 1600.0)]  # sigma, dt, tau: sigma*I - dt*M_h
+        if alpha == 2.0:
+            cases += [(lam, 1.0, 1.0 / op.h**2) for lam in (1e-9, 1e-3)]
+        for sigma, dt, tau in cases:
+            factor = lambda: factorize(op, dt) if sigma == 1.0 else evolution._factor_shifted(op, sigma, tau)
+            f = factor()
             assert isinstance(f, ToeplitzFactorization)
+            p = -tau * op.weights.w[: n + 1]
+            if p[1] + sigma == p[1]:
+                assert f.band is None and f.powers is None, (sigma, tau)  # U = I
+            else:
+                p[1] += sigma
+                folded = f.fft_len * (1.0 - _symbol_root(p)[0]) >= FOLD_MIN
+                assert folded == (f.powers is not None) == (f.band is None), (sigma, tau)
+                assert sigma == 1.0 or not folded, (sigma, tau)
             with monkeypatch.context() as patched:
                 patched.setattr(evolution, "FFT_MIN_N", n + 1)
-                lu = factorize(op, dt)
+                lu = factor()
             assert isinstance(lu, LUFactorization)
             want = np.column_stack([lu.solve(b[:, k]) for k in range(b.shape[1])])
             if dense:
                 a = m * -dt  # I - dt*M_h, one n x n temporary
-                a.flat[:: n + 1] += 1.0
+                a.flat[:: n + 1] += sigma
                 exact = np.linalg.solve(a, b)
                 err = np.abs(want - exact).max(0) / np.abs(exact).max(0)
                 assert np.all(err <= 1e-12), (tau, "lu", err)
                 want = exact
+            bound = 1e-12 if sigma == 1.0 else np.finfo(float).eps * (sigma + 4.0 / op.h**2) / 8.0
             for k in range(b.shape[1]):
                 got = step(f, grid(alpha, n, b[:, k])).values
                 err = np.abs(got - want[:, k]).max() / np.abs(want[:, k]).max()
-                assert err <= 1e-12, (tau, k, err)
+                assert err <= bound, (sigma, tau, k, err)
 
     @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
     @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
@@ -656,7 +689,7 @@ class TestToeplitzFactorization:
             f = _factor_toeplitz(op, 1.0, tau)
             p = -tau * op.weights.w[: n + 1]
             p[1] += 1.0
-            z0 = -f.band[0, 0]
+            z0 = _symbol_root(p)[0]
             with mp.workdps(40):
                 p = [mp.mpf(float(v)) for v in p]
                 z = root = mp.mpf(z0)
@@ -673,11 +706,43 @@ class TestToeplitzFactorization:
                 partial = np.cumsum([v * z**m for m, v in enumerate(h)])  # 40-digit running sums
                 u = [z ** (n - 1 - i) * v for i, v in enumerate(partial)]
                 s = [z * v / (1 - z * mp.fdot(q[:0:-1], u[1:])) for v in u]
-            for got, want in ((transformed.pop()[:n], h), (f.s, s)):
+            for got, want in ((transformed.pop()[:n], h), (f.s if f.powers is None else f.s[:, 0], s)):
                 want = np.array(want, dtype=float)
                 assert got.min() >= 0.0, tau
                 shown = want > 1e-300
                 assert np.all(np.abs(got - want)[shown] <= 1e-13 * want[shown]), tau
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.4, 1.9, 2.0])
+    @pytest.mark.parametrize("scheme", [Scheme.NEW, Scheme.GRUNWALD])
+    def test_folded_set_up_matches_direct_sums(self, scheme, alpha, monkeypatch):
+        # the folded solve reads the circulant's result x + y0 e, y0 = sum_k z0^k b_k and
+        # e_i = [sum_{m>i} h_m z0^(m-i) + z0^(L-i) sum_{m<=i} h_m z0^m]/(1 - z0^L), and holds
+        # f = e + s (r . e) as -s[:, 1]. Against e summed directly, n^2 positive terms, every
+        # entry of f is within 1e-13 of e + s |r . e| (r <= 0: f may cancel); the spectrum is
+        # rfft(h)/(1 - z0 w^k), w = e^(2 pi i/L), and the powers z0^k (the worst read 6.6e-16
+        # and 4.6 eps). FOLD_MIN = 0 folds every tau, also 1600, where L (1 - z0) reads 0.37
+        # to 4.9 at n = 100
+        n = 100
+        op = build_operator(alpha, n, scheme)
+        transformed = []
+        rfft = evolution._rfft
+        monkeypatch.setattr(evolution, "_rfft", lambda a, size: transformed.append(a) or rfft(a, size))
+        monkeypatch.setattr(evolution, "FOLD_MIN", 0.0)
+        eps = np.finfo(float).eps
+        for tau in (0.08, 1.0, 10.0, 1600.0):
+            f = _factor_toeplitz(op, 1.0, tau)
+            p = -tau * op.weights.w[: n + 1]
+            p[1] += 1.0
+            z0, size, h = _symbol_root(p)[0], f.fft_len, transformed.pop()
+            i, m = np.arange(n)[:, None], np.arange(n)
+            e = z0 ** np.where(m > i, m - i, size - i + m) @ h / (1.0 - z0**size)
+            s, r_e = f.s[:, 0], f.r[:n] @ e
+            assert f.band is None and f.s.shape == (n, 2), tau
+            assert np.all(np.abs(-f.s[:, 1] - (e + s * r_e)) <= 1e-13 * (e + s * abs(r_e))), tau
+            k = np.arange(size // 2 + 1)
+            want = np.fft.rfft(h, size) / (1.0 - z0 * np.exp(2j * np.pi * k / size))
+            assert np.abs(f.spectrum - want).max() <= 64 * eps * np.abs(want).max(), tau
+            np.testing.assert_allclose(f.powers, z0 ** np.arange(f.powers.size), rtol=64 * eps)
 
     def test_set_up_transforms_once(self, monkeypatch):
         # the spectrum of 1/q is the set-up's only transform (38 r2c and 25 c2r

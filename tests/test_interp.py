@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ class TestValidation:
     # the first cell's formula, formed at every x, overflowed beyond the first cell
     def test_large_values_evaluate_without_a_warning(self):
         assert from_grid(np.full(8, 1e308), 1.9)(0.3) == 1e308
+
+    # neighbours of opposite sign near the largest float: y_{i+1} - y_i overflowed, and the
+    # value read -inf (or warned of the overflow under -W error) where it lies between them
+    def test_opposite_large_neighbours_evaluate_between_them(self):
+        p = from_grid([1e308, -1e308, 1e308], 1.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = p(np.array([0.3, 0.4, 0.6]))
+            assert p(0.4) == got[1]
+        assert np.all(np.abs(got) < 1e308) and got[0] > 0.0 > got[1] and got[2] < 0.0
+        # the convex form y_i*(1-s) + y_{i+1}*s, s the cell fraction of x^(alpha-1)
+        x, lo, hi = np.array([0.3, 0.4, 0.6]), np.array([0.25, 0.25, 0.5]), np.array([0.5, 0.5, 0.75])
+        s = (x**0.4 - lo**0.4) / (hi**0.4 - lo**0.4)
+        ylo, yhi = np.array([1e308, 1e308, -1e308]), np.array([-1e308, -1e308, 1e308])
+        np.testing.assert_allclose(got, ylo * (1.0 - s) + yhi * s, rtol=1e-12)
 
 
 class TestLargeCellStability:

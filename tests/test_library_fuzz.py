@@ -106,12 +106,16 @@ class Draws:
         return GridFunction(alpha=op.alpha, n=op.n, values=np.full(op.n, self.real("data")))
 
     def values(self, n):
-        """As many node values as a size n gives (none for n < 0, at most 40), or a 2-D array of them at rate EDGE."""
+        """As many node values as a size n gives (none for n < 0, at most 40), or a 2-D array of them at rate EDGE.
+
+        At rate one half their signs alternate, +data at even indices and -data at odd ones.
+        """
         count = min(max(int(n), 0), 40)
         shape = (2, count) if self.rng.random() < EDGE else (count,)
         data = self.real("data")
-        self.args.append(f"values=np.full({shape}, {data!r})")
-        return np.full(shape, data)
+        sign = np.where(np.arange(count) % 2, -1.0, 1.0) if self.rng.random() < 0.5 else 1.0
+        self.args.append(f"values=np.full({shape}, {data!r}) * {sign!r}")
+        return np.full(shape, data) * sign
 
 
 def run_evolve(d):

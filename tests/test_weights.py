@@ -51,6 +51,18 @@ class TestNewWeights:
         with pytest.raises(DomainError):
             new_weights(1.5, 1)
 
+    @pytest.mark.parametrize("n", [2, 400, 4096])
+    @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.4, 1.9, 1.99, 2.0])
+    def test_substitution_is_the_reversed_dot_bit_for_bit(self, alpha, n):
+        # the substitution dots a contiguous reversed copy of p: the same products summed in the
+        # same order as the dot with the negative-stride view p[k:0:-1], so the same bits
+        p = np.arange(1, n + 2, dtype=np.longdouble) ** np.longdouble(alpha - 1.0)
+        w = np.zeros(n + 1, dtype=np.longdouble)
+        w[0] = gamma(alpha)
+        for k in range(1, n + 1):
+            w[k] = -np.dot(w[:k], p[k:0:-1])
+        np.testing.assert_array_equal(new_weights(alpha, n).w, w.astype(float))
+
     # where long double is float64 the recurrence's weights turn nonpositive at large n
     def test_refuses_a_float64_long_double(self, monkeypatch):
         monkeypatch.setattr(weights_module, "LONGDOUBLE_NMANT", 52)
