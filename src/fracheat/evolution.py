@@ -32,7 +32,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from types import ModuleType
 from typing import Iterator, Optional, Union
 
@@ -124,18 +124,23 @@ class EvolutionConfig:
 def _load_extension(name: str):
     if name in sys.modules:
         return sys.modules[name]
-    import scipy
     package, _, module = name.rpartition(".")
-    loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
-    spec = FileFinder(os.path.join(scipy.__path__[0], *package.split(".")[1:]), loaders).find_spec(name)
-    if spec is None:  # no extension file there: the package knows where it is
-        return getattr(__import__(package, fromlist=[module]), module)
-    extension = module_from_spec(spec)
-    spec.loader.exec_module(extension)
-    # the extension may enter itself in sys.modules; without that entry a later
-    # import of its package binds it to the package, with the same kernels
-    sys.modules.pop(name, None)
-    return extension
+    # scipy's directory from its spec: `import scipy` would run scipy/__init__, about 15 ms
+    directory = os.path.join(find_spec("scipy").submodule_search_locations[0], *package.split(".")[1:])
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is not None:
+        try:
+            extension = module_from_spec(spec)
+            spec.loader.exec_module(extension)
+            return extension
+        except ImportError:  # on Windows the DLL directories are added by scipy/__init__
+            pass
+        finally:
+            # the extension may enter itself in sys.modules; without that entry a later
+            # import of its package binds it to the package, with the same kernels
+            sys.modules.pop(name, None)
+    # no extension file there, or it did not load on its own: the package knows how
+    return getattr(__import__(package, fromlist=[module]), module)
 
 
 class _Extension(ModuleType):
@@ -143,8 +148,9 @@ class _Extension(ModuleType):
 
     The first read loads it from its file without importing its package: _flapack loads in 5 ms, where
     the scipy.linalg import took 0.28 s of every set-up (Python 3.11, scipy 1.17, 2 vCPUs), most of it
-    numpy.f2py, numpy.testing, numpy.ma and numpy.random, and pypocketfft in 0.7 ms. `import scipy`
-    takes about 15 ms and runs its DLL set-up on Windows. A run that never factors imports no scipy.
+    numpy.f2py, numpy.testing, numpy.ma and numpy.random, and pypocketfft in 0.7 ms. Nor does it import
+    the scipy package (about 15 ms), unless the file is missing or does not load on its own, as on Windows,
+    where scipy/__init__ adds the DLL directories. A run that never factors loads nothing of scipy.
     """
 
     def __getattr__(self, kernel: str):

@@ -425,8 +425,8 @@ class TestLapackLoader:
         # a later import in src/ that brings either back shows here, on the dense
         # path and on the Toeplitz factorization's FFT path; only the latter loads pocketfft
         assert contract[0][5:7] == [
-            "solve 8 ['scipy', '_flapack']",
-            f"solve {FFT_MIN_N} ['scipy', '_flapack', 'pypocketfft']",
+            "solve 8 ['_flapack']",
+            f"solve {FFT_MIN_N} ['_flapack', 'pypocketfft']",
         ]
 
     def test_kernels_are_scipys_own(self, contract):
@@ -458,6 +458,29 @@ class TestLapackLoader:
         assert asked == ["scipy.linalg._flapack", "scipy.fft._pocketfft.pypocketfft"]
         assert module is sys.modules["scipy.fft._pocketfft"].pypocketfft
         assert module.r2c is evolution._pocketfft.r2c and module.c2r is evolution._pocketfft.c2r
+
+    def test_fallback_on_a_file_that_does_not_load(self, monkeypatch):
+        # an extension file that raises ImportError as it loads, as one does on Windows
+        # before scipy/__init__ adds its DLL directories, sends the loader to the package
+        import scipy.fft  # both packages imported first: the patch refuses every extension file
+
+        refused = []
+
+        def refuse(self, module):
+            refused.append(module.__name__)
+            raise ImportError(f"DLL load failed while importing {module.__name__}")
+
+        factorize(build_operator(1.4, FFT_MIN_N), 1e-3)  # the first set-up loads both extensions' kernels
+        monkeypatch.setattr(evolution.ExtensionFileLoader, "exec_module", refuse)
+        for loaded, kernels in ((evolution._flapack, ("dtrtrs", "dtbtrs")), (evolution._pocketfft, ("r2c", "c2r"))):
+            name = loaded.__name__
+            package, _, extension = name.rpartition(".")
+            monkeypatch.delitem(sys.modules, name, raising=False)
+            module = evolution._load_extension(name)
+            assert refused[-1] == name  # the file was found, and its load refused
+            assert module is getattr(sys.modules[package], extension) and name not in sys.modules
+            for kernel in kernels:
+                assert getattr(module, kernel) is getattr(loaded, kernel)
 
     def test_fallback_through_scipy_linalg_solves_the_same(self, contract, tmp_path):
         # a finder that knows no extension suffix sends the loader through
