@@ -239,7 +239,10 @@ class ToeplitzFactorization:
     y0 e to x, y0 = sum_k z0^k b_k and e_i = [sum_{m>i} h_m z0^(m-i) +
     z0^(L-i) sum_{m<=i} h_m z0^m]/(1 - z0^L), which the solve takes off as
     the second column of s, -f = -(e + s (r . e)). Elsewhere U^-1 is one
-    unit-diagonal tbtrs before the FFT pair (none where U = I).
+    unit-diagonal tbtrs before the FFT pair (none where U = I). That kept
+    side errs more than the LU: at alpha = 2, lam = 1e-3, n = 3200 it reads
+    1.14e-10 (new) and 6.1e-11 (grunwald) from np.linalg.solve, the LU 6.0e-13
+    and 4.4e-12, inside eps*cond(lam - M_h) = 1.1e-9.
     """
 
     op: OperatorMatrix  # the operator whose shift this factors

@@ -26,56 +26,48 @@ class EigenPair:
     series_terms: int
 
 
-# Below it the secant polish stalls above its 1e-11 residual at many alpha
+# Below it the Newton polish stalls above its 1e-11 residual at many alpha
 # (1.001 to 1.006, 1.008, 1.0095). From it to 2 every root is in [-9.87, -4.5].
 EIGEN_MIN_ALPHA = 1.01
 
 
 @lru_cache(maxsize=None)
 def principal_eigenvalue(alpha: float) -> EigenPair:
-    """Largest negative root of E_{alpha,0}: coarse scan, bisection, secant polish.
+    """Largest negative root of E_{alpha,0}: coarse scan, bisection, Newton polish, on one bracket.
 
     Serves alpha in [1.01, 2] and raises DomainError below. Scans c from -0.25
-    downward in steps of 0.25 to -11.75 for a sign change; failure to find one
-    is reported rather than the window widened silently.
+    downward in steps of 0.25 to -11.75 for a sign change or an exact zero;
+    failure to find one is reported rather than the window widened silently.
+    Bisection then halves that bracket [lo, hi] until hi - lo <= 1e-15*|lo|, and
+    four Newton steps polish its midpoint, each with the forward-difference slope
+    (E(c + dc) - E(c))/dc, dc = 1e-9*max(1, |c|). Each E value is computed once:
+    the bisection keeps E(lo) from the scan, and one series call at the root gives
+    both the residual, refused above 1e-11, and the term count (only a polish at
+    its fixed point, as at alpha = 2, revisits its own points).
     """
     if not EIGEN_MIN_ALPHA <= alpha <= 2.0:
-        raise DomainError(
-            f"eigen paths serve alpha in [{EIGEN_MIN_ALPHA}, 2], got {alpha}"
-        )
+        raise DomainError(f"eigen paths serve alpha in [{EIGEN_MIN_ALPHA}, 2], got {alpha}")
+    alpha = float(alpha)  # a numpy float32 would compute, and cache, c in float32
     f = lambda c: mittag_leffler_e_alpha0(alpha, c)
-    x = -0.25
-    prev = f(x)
-    lo = hi = None
-    while x > -11.75:
-        xn = x - 0.25
-        cur = f(xn)
-        if prev == 0.0:
-            lo = hi = x
-            break
-        if prev * cur < 0.0:
-            lo, hi = xn, x
-            break
-        x, prev = xn, cur
-    if lo is None:
-        raise ConvergenceError(
-            f"no sign change of E_alpha0 found in [-11.75, 0) for alpha={alpha}"
-        )
-    flo = f(lo)
-    for _ in range(200):
+    hi, f_hi = -0.25, f(-0.25)
+    lo, f_lo = -0.5, f(-0.5)
+    while f_hi != 0.0 and f_hi * f_lo >= 0.0:  # until E vanishes at hi or changes sign on [lo, hi]
+        if lo <= -11.75:
+            raise ConvergenceError(f"no sign change of E_alpha0 found in [-11.75, 0) for alpha={alpha}")
+        hi, f_hi = lo, f_lo
+        lo, f_lo = lo - 0.25, f(lo - 0.25)
+    if f_hi == 0.0:  # an exact zero on the scan is the root
+        lo = hi
+    while hi - lo > 1e-15 * abs(lo):
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
+        f_mid = f(mid)
+        if f_mid == 0.0:
             lo = hi = mid
-            break
-        if fm * flo <= 0.0:
+        elif f_mid * f_lo <= 0.0:
             hi = mid
         else:
-            lo, flo = mid, fm
-        if hi - lo <= 1e-15 * abs(lo):
-            break
+            lo, f_lo = mid, f_mid
     c = 0.5 * (lo + hi)
-    # secant polish
     for _ in range(4):
         fc = f(c)
         dc = 1e-9 * max(1.0, abs(c))
@@ -83,11 +75,10 @@ def principal_eigenvalue(alpha: float) -> EigenPair:
         if slope == 0.0:
             break
         c -= fc / slope
-    if abs(f(c)) > 1e-11:
-        raise NumericalError(
-            f"eigenvalue polish stalled at |E|={abs(f(c)):.3e} for alpha={alpha}"
-        )
-    return EigenPair(alpha=alpha, c=c, series_terms=mittag_leffler_series(alpha, c)[1])
+    residual, terms = mittag_leffler_series(alpha, c)
+    if abs(residual) > 1e-11:
+        raise NumericalError(f"eigenvalue polish stalled at |E|={abs(residual):.3e} for alpha={alpha}")
+    return EigenPair(alpha=alpha, c=c, series_terms=terms)
 
 
 def eigenfunction_u_c(alpha: float, c: float, x: float) -> float:
@@ -100,6 +91,7 @@ def eigenfunction_u_c(alpha: float, c: float, x: float) -> float:
     """
     if not (1.0 < alpha <= 2.0 and abs(c) <= 12.0 and x <= 1.0):
         raise DomainError(f"u_c is served for alpha in (1, 2], |c| <= 12 and x <= 1, got alpha={alpha}, c={c}, x={x}")
+    alpha, c, x = float(alpha), float(c), float(x)  # a numpy float32 x would keep x**alpha in float32
     if x <= 0.0:
         return 0.0
     if x < 1e-8 or abs(c) < 1e-8:

@@ -71,6 +71,7 @@ def mittag_leffler_series(alpha: float, z: float) -> tuple[float, int]:
     """E_{alpha,0}(z) as in ``mittag_leffler_e_alpha0``, and the number of terms summed."""
     if not 1.0 < alpha <= 2.0:
         raise DomainError(f"mittag_leffler requires alpha in (1, 2], got {alpha}")
+    alpha = float(alpha)  # a numpy float32 would form n*alpha in float32
     if not abs(z) <= 12.0:  # nan included
         raise DomainError(f"|z| = {abs(z)} is outside the served domain |z| <= 12")
     if z == 0.0:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import tracemalloc
@@ -20,6 +21,7 @@ from fracheat import (
     principal_eigenvalue,
 )
 from fracheat import reference
+from fracheat.errors import ConvergenceError, NumericalError
 from fracheat.reference import _unit_weights
 
 INVERSE_ALPHAS = [1.01, 1.1, 1.5, 1.9, 2.0]
@@ -106,6 +108,20 @@ def memo():
     return reference._integral_at_one
 
 
+@pytest.fixture
+def fresh_eigen():
+    """The eigenvalue cache, emptied before and after, so that no stand-in result outlives its test."""
+    principal_eigenvalue.cache_clear()
+    yield
+    principal_eigenvalue.cache_clear()
+
+
+def stand_in_series(monkeypatch, e):
+    """Replace E_{alpha,0} by e(z) under both names the eigenvalue search reads."""
+    monkeypatch.setattr(reference, "mittag_leffler_e_alpha0", lambda alpha, z: e(z))
+    monkeypatch.setattr(reference, "mittag_leffler_series", lambda alpha, z: (e(z), 1))
+
+
 class TestPrincipalEigenvalue:
     def test_classical_value(self):
         assert principal_eigenvalue(2.0).c == pytest.approx(-math.pi**2, abs=1e-8)
@@ -134,6 +150,60 @@ class TestPrincipalEigenvalue:
         # c at the ends of the served domain and at the Figure-1 alpha, as printed by `eigen`
         got = [principal_eigenvalue(a).c for a in (1.01, 1.4, 2.0)]
         assert got == [-8.132130564309994, -4.708037786285721, -9.869604401089362]
+
+    def test_bits_held_across_the_served_domain(self):
+        # c's bits and the term count at alpha = 1.01, 1.02, ..., 2.0, as the search gave them
+        # before its scan and bisection were merged into one bracket
+        pairs = [(a, principal_eigenvalue(a)) for a in [round(1.01 + 0.01 * k, 2) for k in range(100)]]
+        text = "\n".join(f"{a!r} {p.c.hex()} {p.series_terms}" for a, p in pairs)
+        assert hashlib.sha256(text.encode()).hexdigest() == "0a63038e9a09d01e205319434ce090cb47ccf0d1cf47a2dc6ebc2e1cfb2e7884"
+
+    # each E value is computed once: the bisection reuses the scan's E(lo), and one series call at c
+    # gives the residual and the term count (89, 76 and 96 evaluations, 2, 2 and 5 of them repeats,
+    # when E(lo) and E(c) were recomputed). At 2.0 the polish reaches its fixed point and repeats its points.
+    @pytest.mark.parametrize("alpha,count", [(1.01, 87), (1.4, 74), (2.0, 94)])
+    def test_each_evaluation_is_made_once(self, alpha, count, monkeypatch, fresh_eigen):
+        args = []
+        for name in ("mittag_leffler_e_alpha0", "mittag_leffler_series"):
+            def spy(a, z, real=getattr(reference, name)):
+                args.append(z)
+                return real(a, z)
+
+            monkeypatch.setattr(reference, name, spy)
+        principal_eigenvalue(alpha)
+        assert len(args) == count
+        if alpha < 2.0:
+            assert len(set(args)) == len(args)
+
+    # a numpy float32 alpha computed in float32 (c off by 6.8e-7 relative), and the cache, whose keys
+    # compare equal, then served that result to the float64 call too
+    def test_float32_alpha_is_read_as_the_float_it_equals(self, fresh_eigen):
+        a32 = np.float32(1.4)
+        a64 = float(a32)
+        pairs = [principal_eigenvalue(a32), principal_eigenvalue(a64)]
+        principal_eigenvalue.cache_clear()
+        pairs += [principal_eigenvalue(a64), principal_eigenvalue(a32)]
+        assert {p.c.hex() for p in pairs} == {pairs[2].c.hex()}
+        assert all(type(p.alpha) is float for p in pairs)
+
+    def test_no_sign_change_is_a_convergence_error(self, monkeypatch, fresh_eigen):
+        stand_in_series(monkeypatch, lambda z: 1.0)
+        with pytest.raises(ConvergenceError, match=r"no sign change of E_alpha0 found in \[-11.75, 0\) for alpha=1.4"):
+            principal_eigenvalue(1.4)
+
+    def test_a_jump_stalls_the_polish(self, monkeypatch, fresh_eigen):
+        # a sign change with no root: the bracket closes on the jump and |E| stays 1
+        stand_in_series(monkeypatch, lambda z: -1.0 if z < -5.1 else 1.0)
+        with pytest.raises(NumericalError, match=r"eigenvalue polish stalled at \|E\|=1.000e\+00 for alpha=1.4"):
+            principal_eigenvalue(1.4)
+
+    # an exact zero on a scan point (-5.0) or a bisection midpoint (-5.125) is the root; the kink's
+    # slopes, 1 below and 100 above it, keep a polish that starts off the root from landing on it
+    @pytest.mark.parametrize("root", [-5.0, -5.125])
+    @pytest.mark.parametrize("above", [1.0, 100.0], ids=["line", "kink"])
+    def test_an_exact_zero_is_the_root(self, root, above, monkeypatch, fresh_eigen):
+        stand_in_series(monkeypatch, lambda z: z - root if z <= root else above * (z - root))
+        assert principal_eigenvalue(1.4).c == root
 
     @pytest.mark.parametrize("alpha", [1.0, 1.005, 1.0095, 2.5, math.nan])
     def test_rejects_alpha_outside_served_domain(self, alpha):
@@ -187,6 +257,13 @@ class TestEigenfunction:
     @pytest.mark.parametrize("c", [0.0, 5e-324, -1e-9])
     def test_small_c_is_the_leading_power(self, c):
         assert eigenfunction_u_c(1.4, c, 0.5) == pytest.approx(0.5**0.4 / gamma(1.4), rel=1e-8)
+
+    # a numpy float32 alpha or x kept x**alpha in float32: u_c was off by 5e-8
+    def test_float32_arguments(self):
+        alpha, c, x = np.float32(1.4), np.float32(-4.7), np.float32(0.3)
+        got = eigenfunction_u_c(alpha, c, x)
+        assert type(got) is float
+        assert got == eigenfunction_u_c(float(alpha), float(c), float(x))
 
     def test_series_branch_continuity(self):
         alpha = 1.6

@@ -90,6 +90,11 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mittag_leffler_e_alpha0(1.0, 1.0)
 
+    # a numpy float32 alpha kept n*alpha in float32: E was off by 9e-7 relative
+    def test_float32_alpha(self):
+        alpha = np.float32(1.4)
+        assert mittag_leffler_series(alpha, -3.0) == mittag_leffler_series(float(alpha), -3.0)
+
 
 class TestPolylog:
     def test_geometric(self):
