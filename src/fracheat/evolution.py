@@ -329,8 +329,8 @@ def _series_inverse(l: np.ndarray) -> np.ndarray:
     return c
 
 
-def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray]:
-    """The root z0 in (0, 1) of p(z) = sum_k p_k z^k and the quotient q = p/(z - z0).
+def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The root z0 in (0, 1) of p(z) = sum_k p_k z^k, the quotient q = p/(z - z0) and U = I - z0 Z^T's band.
 
     Refuses unless p_0 < 0 < p_1 - sum_{k != 1} |p_k|, summed pairwise: then,
     by Rouche's theorem, p has exactly one root in the open unit disc and none
@@ -338,6 +338,8 @@ def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray]:
     the bracket whenever a step would leave it, evaluates p and p' by Horner's
     rule: one tbtrs with U = I - z Z^T, whose solve for p_1..p_n is the quotient.
     Its q_1.. sum terms of one sign; q_0 = -p_0/z0, since p_1 + z0 q_1 subtracts.
+    The band returned is that of the last solve, U at z0 (LAPACK's F-ordered (2, n)
+    band, the unit diagonal row not read).
     """
     n = p.size - 1
     if not p[0] < 0.0 < p[1] - np.abs(np.delete(p, 1)).sum():
@@ -356,17 +358,17 @@ def _symbol_root(p: np.ndarray) -> tuple[float, np.ndarray]:
         lo, hi = (z, hi) if value < 0.0 else (lo, z)
         if abs(dz) <= eps * z or hi - lo <= eps * hi:
             t[0, 0] = -p[0] / z
-            return z, t[:, 0]
+            return z, t[:, 0], band
         z = z - dz if lo < z - dz < hi else 0.5 * (lo + hi)
     raise NumericalError("the root search of the shifted stencil's symbol did not converge")
 
 
-def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFactorization:
+def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float, p: np.ndarray) -> ToeplitzFactorization:
+    """Factor sigma*I - tau*T from p = -tau*w[:n+1], adding sigma into p[1] in place."""
     n = op.n
     # pocketfft's good_size, the smallest 2^a 3^b 5^c >= 2n: it can be 10x slower on other lengths,
     # one product at n = 3207 cost 2.2 ms at length 2n = 6414 = 2*3*1069 and 0.13 ms at 6480
     size = _pocketfft.good_size(2 * n, True)
-    p = -tau * op.weights.w[: n + 1]
     if p[1] + sigma == p[1]:  # A is -tau*T to the last bit: 1/w in closed form (the root is 1 at alpha = 2)
         g = reciprocal_series(op.weights, n)
         h = -np.concatenate(([0.0], g[:-1])) / tau
@@ -374,9 +376,7 @@ def _factor_toeplitz(op: OperatorMatrix, sigma: float, tau: float) -> ToeplitzFa
         r[n] = 1.0
         return ToeplitzFactorization(op, size, None, _rfft(h, size), r, -g[:-1] / g[n], None)  # U = I
     p[1] += sigma
-    z0, q = _symbol_root(p)
-    band = np.ones((2, n), order="F")  # U's band; the unit diagonal row is not read
-    band[0] = -z0
+    z0, q, band = _symbol_root(p)
     h = _series_inverse(q / q[0]) / q[0]
     r = np.concatenate(([0.0], q[:0:-1], [0.0]))
     # (U T(q))^-1 e_{n-1} = T(h) U^-1 e_{n-1} = u, u_i = sum_{m<=i} h_m z0^(n-1-i+m): positive terms
@@ -404,16 +404,14 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
     elimination without pivoting into an LU.
     """
     n = op.n
+    p = -tau * op.weights.w[: n + 1]
     if n >= FFT_MIN_N:
-        return _factor_toeplitz(op, sigma, tau)
-    w = op.weights.w
-    sup = -tau * w[0]  # constant superdiagonal
-    base = -tau * w[1 : n + 1]  # first column of A
-    base[0] += sigma
+        return _factor_toeplitz(op, sigma, tau, p)
+    p[1] += sigma  # A's constant superdiagonal p[0], its first column p[1:]
     lower = np.eye(n)
     banded = np.zeros((2, n), order="F")  # U: superdiagonal, then the pivots as they are found
-    banded[0, 1:] = sup
-    col = base.copy()
+    banded[0, 1:] = p[0]
+    col = p[1:]
     for j in range(n):
         piv = col[0]
         if piv <= 0.0:
@@ -422,14 +420,14 @@ def _factor_shifted(op: OperatorMatrix, sigma: float, tau: float) -> Factorizati
         m = col[1:] / piv
         lower[j + 1 :, j] = m
         # the fixed point: m is the previous column's multipliers shifted down by one, bit for bit, so the
-        # next column base[:n-1-j] - m*sup is col[:-1], and every later pivot and column repeats this one.
+        # next column p[1:n-j] - m*p[0] is col[:-1], and every later pivot and column repeats this one.
         # The first entries go first: the whole comparison costs about 2 us a column
         if 0 < j < n - 1 and m[0] == lower[j, j - 1] and (m == lower[j : n - 1, j - 1]).all():
             banded[1, j + 1 :] = piv
             for k in range(j + 1, n - 1):
                 lower[k + 1 :, k] = m[: n - 1 - k]
             break
-        col = base[: n - 1 - j] - m * sup
+        col = p[1 : n - j] - m * p[0]
     return LUFactorization(op, lower, banded)
 
 

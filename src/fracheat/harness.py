@@ -128,11 +128,9 @@ def eigen_decay_study(alpha: float, n_list: Sequence[int], t_final: float) -> Er
     if decay < TINY:  # every error would read as an underflowed 0.0
         raise DomainError(f"t_final={t_final!r} decays u_c by {decay!r}, below the smallest normal float")
 
-    samples: dict[int, np.ndarray] = {}  # u_c on each grid, sampled by the first chain for both
+    samples = {n: initial_grid(replace(base, n=n)).values for n in sizes}  # u_c on each grid, for both chains
 
     def error(cfg: EvolutionConfig) -> float:
-        if cfg.n not in samples:
-            samples[cfg.n] = initial_grid(cfg).values
         values = iter_values(cfg, samples[cfg.n])
         u0 = next(values)
         for final in values:

@@ -54,19 +54,15 @@ class PowerInterpolant:
         t = x / h
         i = np.minimum(t.astype(np.intp), self.n)
         yi, yi1 = self.y[i], self.y[i + 1]
-        # value = y_i + (y_{i+1}-y_i) * (x^b - x_i^b)/(x_{i+1}^b - x_i^b),
-        # both differences via expm1 to survive the shrinking denominators
-        # (~ h * x_i^(alpha-2)) at large i. The first cell (i = 0, 0/0 here) is y_1*(x/h)^b.
-        # Where y_{i+1}-y_i overflows (neighbours of opposite sign near the largest float)
-        # the convex form y_i*(1-s) + y_{i+1}*s takes its place, s the fraction above
+        # value = y_i*(1-s) + y_{i+1}*s, s = (x^b - x_i^b)/(x_{i+1}^b - x_i^b), in the convex form
+        # on every cell: y_{i+1}-y_i is never formed, so neighbours of opposite sign near the largest
+        # float give a value between them. Both differences of s go via expm1 to survive the shrinking
+        # denominators (~ h * x_i^(alpha-2)) at large i. The first cell (i = 0, 0/0 here) is y_1*(x/h)^b.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             num = np.expm1(beta * np.log(x / (i * h)))
             den = np.expm1(beta * np.log1p(1.0 / i))
-            diff = yi1 - yi
-            v = yi + diff * num / den
-            if not np.isfinite(diff).all():
-                s = num / den
-                v = np.where(np.isfinite(diff), v, yi * (1.0 - s) + yi1 * s)
+            s = num / den
+            v = yi * (1.0 - s) + yi1 * s
         # the first cell's value, where t < 1; t is clipped to 1 elsewhere, where y_1*t^b could overflow unused
         v = np.where(i == 0, self.y[1] * np.minimum(t, 1.0) ** beta, v)
         # y_j where t is within rounding of j (x = k*h_c and x/h: 4 roundings, <= 2*eps*t), y_{n+1} at x = 1

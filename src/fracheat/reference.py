@@ -36,8 +36,9 @@ def principal_eigenvalue(alpha: float) -> EigenPair:
     """Largest negative root of E_{alpha,0}: coarse scan, bisection, Newton polish, on one bracket.
 
     Serves alpha in [1.01, 2] and raises DomainError below. Scans c from -0.25
-    downward in steps of 0.25 to -11.75 for a sign change or an exact zero;
-    failure to find one is reported rather than the window widened silently.
+    downward in steps of 0.25 to -11.75 for a sign change or an exact zero at
+    either end of a step, -11.75 included; failure to find one is reported
+    rather than the window widened silently.
     Bisection then halves that bracket [lo, hi] until hi - lo <= 1e-15*|lo|, and
     four Newton steps polish its midpoint, each with the forward-difference slope
     (E(c + dc) - E(c))/dc, dc = 1e-9*max(1, |c|). Each E value is computed once:
@@ -51,19 +52,22 @@ def principal_eigenvalue(alpha: float) -> EigenPair:
     f = lambda c: mittag_leffler_e_alpha0(alpha, c)
     hi, f_hi = -0.25, f(-0.25)
     lo, f_lo = -0.5, f(-0.5)
-    while f_hi != 0.0 and f_hi * f_lo >= 0.0:  # until E vanishes at hi or changes sign on [lo, hi]
+    # until E vanishes at an end of [lo, hi] or changes sign on it: signs, as f_hi*f_lo can underflow to 0
+    while (f_hi > 0.0 and f_lo > 0.0) or (f_hi < 0.0 and f_lo < 0.0):
         if lo <= -11.75:
             raise ConvergenceError(f"no sign change of E_alpha0 found in [-11.75, 0) for alpha={alpha}")
         hi, f_hi = lo, f_lo
         lo, f_lo = lo - 0.25, f(lo - 0.25)
     if f_hi == 0.0:  # an exact zero on the scan is the root
         lo = hi
+    elif f_lo == 0.0:
+        hi = lo
     while hi - lo > 1e-15 * abs(lo):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if f_mid == 0.0:
             lo = hi = mid
-        elif f_mid * f_lo <= 0.0:
+        elif (f_mid < 0.0) != (f_lo < 0.0):
             hi = mid
         else:
             lo, f_lo = mid, f_mid

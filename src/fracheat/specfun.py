@@ -99,8 +99,6 @@ def polylog(s: float, t: float) -> float:
     """
     if not (-1.0 < t < 1.0 and s >= -50.0):
         raise DomainError(f"polylog requires |t| < 1 and s >= -50, got s={s}, t={t}")
-    if t == 0.0:
-        return 0.0
     total = 0.0
     tp = 1.0
     for j in range(1, _POLYLOG_MAX_TERMS + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import subprocess
@@ -113,6 +114,23 @@ class TestFactorization:
                 f = evolution._factor_shifted(op, sigma, tau)
                 np.testing.assert_array_equal(f.lower, lower, err_msg=f"{n=}, {sigma=}, {tau=}")
                 np.testing.assert_array_equal(f.banded[1], pivots, err_msg=f"{n=}, {sigma=}, {tau=}")
+
+    def test_set_up_bits_held(self):
+        # every ndarray field of 224 factorizations, pinned: the LU (n = 50, 599), and the U = I side
+        # (resolvent lam = 0), the kept side and the folded side of the ToeplitzFactorization (n = 600, 1201)
+        digest = hashlib.sha256()
+        for scheme in Scheme:
+            for alpha in (1.1, 1.4, 1.9, 2.0):
+                for n in (50, FFT_MIN_N - 1, FFT_MIN_N, 1201):
+                    op = build_operator(alpha, n, scheme)
+                    fs = [factorize(op, tau * op.h**alpha) for tau in (0.08, 1.0, 1600.0, 1e6)]
+                    fs += [evolution._factor_shifted(op, lam, 1.0 / op.h**alpha) for lam in (0.0, 1e-9, 1e-3)]
+                    for f in fs:
+                        for name, value in sorted(vars(f).items()):
+                            if isinstance(value, np.ndarray):
+                                digest.update(name.encode())
+                                digest.update(value.tobytes())
+        assert digest.hexdigest() == "721d956abcaddd8124f86b08146fb48d3e0f80f280744a94f3ffce1c00446eb2"
 
     @pytest.mark.parametrize("tau, column", [(401**-0.5, 14), (1.0, 50), (10.0, 202), (1600.0, None)])
     def test_fixed_point_column(self, tau, column):
@@ -666,7 +684,7 @@ class TestToeplitzFactorization:
                 with pytest.raises(NumericalError, match="no single root"):
                     _symbol_root(p)
                 continue
-            z0, q = _symbol_root(p)
+            z0, q, _ = _symbol_root(p)
             tq = np.zeros((n, n))
             for k in range(n):
                 tq[k:, k] = q[: n - k]
@@ -687,7 +705,7 @@ class TestToeplitzFactorization:
         for tau in (0.08, 1.0, 10.0, 1600.0):
             p = -tau * op.weights.w[: n + 1]
             p[1] += 1.0
-            z0, q = _symbol_root(p)
+            z0, q, _ = _symbol_root(p)
             assert 0.0 < z0 < 1.0
             assert q[0] == -p[0] / z0 and np.all(q[1:] <= 0.0)
             inv = _series_inverse(q / q[0]) / q[0]
@@ -709,8 +727,8 @@ class TestToeplitzFactorization:
         rfft = evolution._rfft
         monkeypatch.setattr(evolution, "_rfft", lambda a, size: transformed.append(a) or rfft(a, size))
         for tau in (0.08, 1.0, 10.0, 1600.0):
-            f = _factor_toeplitz(op, 1.0, tau)
             p = -tau * op.weights.w[: n + 1]
+            f = _factor_toeplitz(op, 1.0, tau, p.copy())
             p[1] += 1.0
             z0 = _symbol_root(p)[0]
             with mp.workdps(40):
@@ -753,8 +771,8 @@ class TestToeplitzFactorization:
         monkeypatch.setattr(evolution, "FOLD_MIN", 0.0)
         eps = np.finfo(float).eps
         for tau in (0.08, 1.0, 10.0, 1600.0):
-            f = _factor_toeplitz(op, 1.0, tau)
             p = -tau * op.weights.w[: n + 1]
+            f = _factor_toeplitz(op, 1.0, tau, p.copy())
             p[1] += 1.0
             z0, size, h = _symbol_root(p)[0], f.fft_len, transformed.pop()
             i, m = np.arange(n)[:, None], np.arange(n)

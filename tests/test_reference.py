@@ -205,6 +205,22 @@ class TestPrincipalEigenvalue:
         stand_in_series(monkeypatch, lambda z: z - root if z <= root else above * (z - root))
         assert principal_eigenvalue(1.4).c == root
 
+    # the scan's last point, -11.75, is in its window: an exact zero there is the root, not a refusal
+    def test_an_exact_zero_at_the_window_end_is_the_root(self, monkeypatch, fresh_eigen):
+        stand_in_series(monkeypatch, lambda z: z + 11.75)
+        assert principal_eigenvalue(1.4).c == -11.75
+
+    # the scan and the bisection compare signs: the product of two E values near 1e-200 underflows
+    # to +-0, which tells neither whether they differ in sign nor whether one of them is 0
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_tiny_values_keep_their_signs(self, scale, monkeypatch, fresh_eigen):
+        stand_in_series(monkeypatch, lambda z: scale * (z + 5.1))
+        assert principal_eigenvalue(1.4).c == pytest.approx(-5.1, rel=1e-15)
+        principal_eigenvalue.cache_clear()
+        stand_in_series(monkeypatch, lambda z: scale)
+        with pytest.raises(ConvergenceError, match="no sign change"):
+            principal_eigenvalue(1.4)
+
     @pytest.mark.parametrize("alpha", [1.0, 1.005, 1.0095, 2.5, math.nan])
     def test_rejects_alpha_outside_served_domain(self, alpha):
         # below 1.01 the polish stalls at some alpha; reject before the scan
